@@ -4,9 +4,9 @@
 GO ?= go
 
 .PHONY: all build test test-short vet xmem-vet vet-json vet-hotpath \
-        infer-validate lint fmtcheck check bench bench-snapshot bench-hotpath \
-        alloc-gate race race-multi bench-multi sweep-smoke metrics-smoke \
-        trace-smoke experiments experiments-paper examples clean
+        infer-validate lint fmtcheck check bench bench-test alloc-gate race \
+        sweep-smoke metrics-smoke trace-smoke experiments experiments-paper \
+        examples clean
 
 all: build vet test
 
@@ -55,41 +55,19 @@ fmtcheck:
 lint: vet fmtcheck vet-json
 	$(GO) test -race ./internal/core/... ./internal/sim/...
 
-check: build vet test race alloc-gate vet-hotpath metrics-smoke trace-smoke sweep-smoke
+check: build vet test bench-test race alloc-gate vet-hotpath metrics-smoke trace-smoke sweep-smoke
 
 # Allocs/op regression gate for the AMU lookup path: AMU.Lookup, Peek, and
 # LookupAttributes must be allocation-free in steady state on the ALB-hit,
-# miss+evict, and unmapped-page paths (testing.AllocsPerRun == 0). The
-# deterministic twin of the bench-hotpath snapshot, cheap enough for every
-# check/CI run.
+# miss+evict, and unmapped-page paths (testing.AllocsPerRun == 0). Cheap
+# enough for every check/CI run.
 alloc-gate:
 	$(GO) test -run 'TestHotPath' -v ./internal/core/
-
-# Record the lookup hot path's cost envelope (BENCH_hotpath.json): the
-# allocation-audited micro-benchmarks vs the pre-rewrite reference models
-# in the same interleaved run, medians, a 0 allocs/op gate, and — with
-# BENCH_HOTPATH_REF_DIR set to a pre-rewrite checkout — a paired,
-# significance-tested Fig-4 end-to-end comparison.
-bench-hotpath:
-	sh scripts/bench_hotpath.sh
 
 # Full race-detector pass over every package (the parallel sweep runner
 # is the main concurrent surface).
 race:
 	$(GO) test -race ./...
-
-# Race-checked determinism gate for the bound–weave parallel scheduler: the
-# multicore and bound–weave tests (including the byte-identical-across-
-# GOMAXPROCS determinism test) under the race detector. Cheap enough to run
-# on every change to internal/sim.
-race-multi:
-	$(GO) test -race -run 'Multi|BoundWeave|WeaveGuard' -v ./internal/sim/
-
-# Record the bound–weave speedup envelope (BENCH_multi.json): paired
-# sequential-vs-parallel co-run walltime, determinism re-check, and — on
-# machines with >=8 hardware threads — a >=3x speedup gate.
-bench-multi:
-	sh scripts/bench_multi.sh
 
 # End-to-end sweep smoke: a tiny 4-point parallel sweep, checkpointed,
 # then resumed — the resume must restore every point and print the same
@@ -122,12 +100,6 @@ trace-smoke:
 	$(GO) run ./cmd/xmem-inspect -validate-spans /tmp/xmem_trace_smoke.jsonl
 	$(GO) run ./cmd/xmem-trace explain -i /tmp/xmem_trace_smoke.jsonl >/dev/null
 
-# Record the span tracer's overhead envelope (BENCH_span.json): the Figure
-# 4 thrash point with spans disabled vs 1-in-1000 vs 1-in-10 sampling,
-# interleaved rounds, medians, and a disabled-vs-reference noise gate.
-bench-snapshot:
-	sh scripts/bench_snapshot.sh
-
 test:
 	$(GO) test ./...
 
@@ -136,6 +108,13 @@ test-short:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# The host-cost benchmark's own tests (bench/ is a separate module, so the
+# root go test ./... never enters it): per-workload smoke runs checked
+# against BENCHMARK.json, the replay-stack fidelity test, and the seed-1
+# output goldens. Live numbers come from sh bench/run.sh (bench/README.md).
+bench-test:
+	cd bench && $(GO) test ./...
 
 # Regenerate every figure/table at the fast preset (minutes).
 experiments:

@@ -5,7 +5,6 @@
 package xmem_test
 
 import (
-	"fmt"
 	"testing"
 
 	xm "xmem/internal/core"
@@ -49,7 +48,8 @@ func (identity) Translate(va mem.Addr) (mem.Addr, bool) { return va, true }
 
 // BenchmarkAMULookup measures the §4.2 ATOM_LOOKUP path through the ALB.
 // ReportAllocs is part of the hot-path contract: steady state must be 0
-// allocs/op (see make alloc-gate and scripts/bench_hotpath.sh).
+// allocs/op (see make alloc-gate; whole-run allocations per access are
+// measured by sh bench/run.sh).
 func BenchmarkAMULookup(b *testing.B) {
 	amu := xm.NewAMU(identity{}, xm.AMUConfig{})
 	lib := xm.NewLib(amu)
@@ -269,57 +269,3 @@ func BenchmarkSpan1in1000(b *testing.B) { benchSpan(b, 1000) }
 
 // BenchmarkSpan1in10 is an aggressive rate for interactive debugging runs.
 func BenchmarkSpan1in10(b *testing.B) { benchSpan(b, 10) }
-
-// corunBenchWorkload is one DRAM-heavy streaming co-runner: a buffer
-// several times the shared L3, streamed repeatedly, so every core misses to
-// the shared controller continuously — the worst case for the bound–weave
-// scheduler's optimistic bound phase and the best case for its parallelism.
-func corunBenchWorkload(idx int, l3 uint64) workload.Workload {
-	name := fmt.Sprintf("costream%d", idx)
-	lines := int(4 * l3 / mem.LineBytes)
-	attrs := xm.Attributes{Pattern: xm.PatternRegular, StrideBytes: mem.LineBytes, Intensity: 150}
-	return workload.Workload{
-		Name:    name,
-		Declare: func(lib *xm.Lib) { lib.CreateAtom(name+".buf", attrs) },
-		Run: func(p workload.Program) {
-			id := p.Lib().CreateAtom(name+".buf", attrs)
-			size := uint64(lines) * mem.LineBytes
-			buf := p.Malloc("buf", size, id)
-			p.Lib().AtomMap(id, buf, size)
-			p.Lib().AtomActivate(id)
-			for r := 0; r < 4; r++ {
-				for i := 0; i < lines; i++ {
-					p.Load(1, buf+mem.Addr(i*mem.LineBytes))
-					p.Work(2)
-				}
-			}
-		},
-	}
-}
-
-// benchCorun8 runs an 8-core co-run of streaming workloads on the selected
-// multicore scheduler. scripts/bench_multi.sh pairs the two variants into
-// BENCH_multi.json: on a one-thread machine they tie (the bound phase still
-// runs its goroutines one at a time); the speedup gate applies from 8
-// hardware threads up.
-func benchCorun8(b *testing.B, parallel bool) {
-	const l3 = 64 << 10
-	ws := make([]workload.Workload, 8)
-	for i := range ws {
-		ws[i] = corunBenchWorkload(i, l3)
-	}
-	cfg := sim.MultiConfig{Core: sim.FastConfig(l3), Parallel: parallel}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := sim.MustRunMulti(cfg, ws)
-		if r.Cycles == 0 || r.DRAM.Reads == 0 {
-			b.Fatal("empty co-run result")
-		}
-	}
-}
-
-// BenchmarkCorun8Seq is the serial reference scheduler on the 8-core co-run.
-func BenchmarkCorun8Seq(b *testing.B) { benchCorun8(b, false) }
-
-// BenchmarkCorun8BoundWeave is the bound–weave scheduler on the same machine.
-func BenchmarkCorun8BoundWeave(b *testing.B) { benchCorun8(b, true) }

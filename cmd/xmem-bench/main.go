@@ -42,9 +42,6 @@ func main() {
 		verbose    = flag.Bool("v", false, "print per-run progress to stderr")
 		jsonPath   = flag.String("json", "", "also write all computed results as JSON to this file")
 
-		multiPar    = flag.Bool("multi-parallel", false, "run the multicore experiments (corun, numa) on the bound–weave parallel scheduler; default is the serial reference scheduler, which produced the committed results")
-		weaveWindow = flag.Uint64("weave-window", 0, "with -multi-parallel: bound-phase window in cycles (0 = scheduler quantum)")
-
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep workers (1 = sequential; results are identical either way)")
 		timeout    = flag.Duration("timeout", 0, "per-point timeout (0 = none); timed-out points are recorded as failed")
 		checkpoint = flag.String("checkpoint", "", "directory for per-sweep JSON checkpoints (empty = off)")
@@ -173,9 +170,8 @@ func main() {
 		jsonOut["hybrid"] = res
 		ran = true
 	}
-	mode := experiments.MultiMode{Parallel: *multiPar, WeaveWindow: *weaveWindow}
 	if want("numa") && *exp != "all" {
-		res, err := experiments.RunNumaSweepMode(preset, opt, mode)
+		res, err := experiments.RunNumaSweep(preset, opt)
 		fatal(err)
 		res.Print(out)
 		fmt.Fprintln(out)
@@ -191,7 +187,7 @@ func main() {
 		ran = true
 	}
 	if want("corun") && *exp != "all" {
-		res, err := experiments.RunCorunSweepMode(preset, opt, mode)
+		res, err := experiments.RunCorunSweep(preset, opt)
 		fatal(err)
 		res.Print(out)
 		fmt.Fprintln(out)

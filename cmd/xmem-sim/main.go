@@ -8,7 +8,7 @@
 //	xmem-sim -workload gemm -n 256 -tile 131072 -l3 262144 -system xmem
 //	xmem-sim -workload libq -scale 0.3 -alloc xmem -scheme ro:ra:ba:co:ch
 //	xmem-sim -workload gemm,2mm,libq -parallel 4
-//	xmem-sim -multi -workload gemm,stream,stream -system xmem
+//	xmem-sim -multi -workload gemm,libq,libq -system xmem
 //
 // Use-case-1 kernels are selected by kernel name (-tile applies); use-case-2
 // synthetic workloads by suite name (-scale applies). A comma-separated
@@ -20,9 +20,7 @@
 //
 // With -multi the comma-separated workloads co-run on ONE multi-core
 // machine — one core each, private hierarchies, shared memory controller —
-// under the bound–weave parallel scheduler (deterministic: byte-identical
-// output regardless of GOMAXPROCS). -seq swaps in the serial reference
-// scheduler and -weave-window tunes the bound-phase length.
+// under the deterministic token-passing scheduler.
 package main
 
 import (
@@ -68,9 +66,7 @@ func main() {
 		spanBuf    = flag.Int("span-buf", 0, "retained-span ring capacity (0 = default)")
 		spanOut    = flag.String("span-out", "", "write sampled spans to this file (.trace.json/.chrome.json = Chrome trace, else JSONL; requires -span-sample)")
 
-		multi       = flag.Bool("multi", false, "co-run the comma-separated -workload list on one multi-core machine (one core per workload)")
-		seq         = flag.Bool("seq", false, "with -multi: use the serial reference scheduler instead of bound–weave")
-		weaveWindow = flag.Uint64("weave-window", 0, "with -multi: bound-phase window in cycles (0 = scheduler quantum)")
+		multi = flag.Bool("multi", false, "co-run the comma-separated -workload list on one multi-core machine (one core per workload)")
 
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "workers for a comma-separated -workload sweep (1 = sequential)")
 		timeout    = flag.Duration("timeout", 0, "per-workload timeout for sweeps (0 = none)")
@@ -152,12 +148,7 @@ func main() {
 			}
 			ws[i] = w
 		}
-		cfg := sim.MultiConfig{
-			Core:        baseConfig(),
-			Parallel:    !*seq,
-			WeaveWindow: *weaveWindow,
-		}
-		res, err := sim.RunMulti(cfg, ws)
+		res, err := sim.RunMulti(sim.MultiConfig{Core: baseConfig()}, ws)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "xmem-sim: %v\n", err)
 			os.Exit(1)
@@ -346,24 +337,15 @@ func printResult(w io.Writer, r sim.Result) {
 }
 
 // printMultiResult renders a co-run: one row per core, then the shared
-// controller's machine-wide counters. In bound–weave mode the skew column
-// is the total contention delay the weave phase charged the core.
+// controller's machine-wide counters.
 func printMultiResult(w io.Writer, r sim.MultiResult) {
-	scheduler := "sequential"
-	if r.Parallel {
-		scheduler = "bound-weave"
-	}
-	fmt.Fprintf(w, "multicore       %d cores, %s scheduler\n", len(r.Cores), scheduler)
+	fmt.Fprintf(w, "multicore       %d cores\n", len(r.Cores))
 	fmt.Fprintf(w, "cycles          %d (slowest core)\n", r.Cycles)
-	fmt.Fprintf(w, "\ncore  %-14s %12s %8s %10s %10s %12s\n",
-		"workload", "cycles", "IPC", "L3 miss%", "L3 MPKI", "weave skew")
+	fmt.Fprintf(w, "\ncore  %-14s %12s %8s %10s %10s\n",
+		"workload", "cycles", "IPC", "L3 miss%", "L3 MPKI")
 	for i, c := range r.Cores {
-		skew := "-"
-		if r.WeaveSkew != nil {
-			skew = fmt.Sprintf("%d", r.WeaveSkew[i])
-		}
-		fmt.Fprintf(w, "  %2d  %-14s %12d %8.3f %9.2f%% %10.2f %12s\n",
-			i, c.Workload, c.Cycles, c.IPC, 100*c.L3.DemandMissRate(), c.L3MPKI, skew)
+		fmt.Fprintf(w, "  %2d  %-14s %12d %8.3f %9.2f%% %10.2f\n",
+			i, c.Workload, c.Cycles, c.IPC, 100*c.L3.DemandMissRate(), c.L3MPKI)
 	}
 	fmt.Fprintf(w, "\nshared DRAM     reads %d  writes %d  row-hit %.1f%%\n",
 		r.DRAM.Reads, r.DRAM.Writes, 100*r.DRAM.RowHitRate())

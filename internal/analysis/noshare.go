@@ -27,7 +27,7 @@ import (
 // guarded-type field, like the scheduler's coreTask) is itself tracked:
 // capturing one hands over everything it holds. A carrier captured by a go
 // statement is accepted only when the goroutine body follows the quantum
-// ownership-transfer protocol the multicore schedulers use: its lexically
+// ownership-transfer protocol the multicore scheduler uses: its lexically
 // first use of the carrier receives from one of the carrier's channel
 // fields (<-t.start, or ranging over one) — the goroutine owns nothing
 // until a token arrives — and its lexically last use sits inside a send

@@ -27,7 +27,7 @@ func pointPrivate(cfg sim.Config, w workload.Workload) error {
 }
 
 // task is a carrier: it wraps a Machine together with the token channels of
-// the multicore schedulers' ownership-transfer protocol. Capturing it in a
+// the multicore scheduler's ownership-transfer protocol. Capturing it in a
 // goroutine is accepted only when the body proves the protocol.
 type task struct {
 	m     *sim.Machine
@@ -73,7 +73,7 @@ func rangeProtocol(t *task) {
 }
 
 // sliceOfCarriers: a slice of carriers is not itself a carrier — flagging
-// would hit every scheduler's peers table; ownership of the elements is the
+// would hit the scheduler's peers table; ownership of the elements is the
 // elements' protocol's business.
 func sliceOfCarriers(tasks []*task) {
 	go func() {

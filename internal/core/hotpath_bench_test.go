@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the allocation audit for the per-access lookup path: every
-// benchmark calls b.ReportAllocs so `make bench-hotpath` records allocs/op
+// benchmark calls b.ReportAllocs so `go test -bench Hot` reports allocs/op
 // alongside ns/op, and the TestHotPath*AllocFree gates (run by `make
 // alloc-gate`, part of `make check` and CI) pin the steady-state figure at
 // exactly zero.
@@ -118,9 +118,9 @@ func TestHotPathMapChurnAllocFree(t *testing.T) {
 }
 
 // hotRefAMU mirrors hotAMU over the pre-paged reference models
-// (refmodel_test.go), so scripts/bench_hotpath.sh can measure the old and
-// new lookup paths in the same interleaved run on the same machine instead
-// of comparing against a constant recorded under different load.
+// (refmodel_test.go), so one `go test -bench 'HotRef|HotAMU'` run measures
+// the old and new lookup paths on the same machine under the same load
+// instead of comparing against a constant recorded elsewhere.
 func hotRefAMU(nPages, albEntries int) *refAMU {
 	u := newRefAMU(DefaultGranularityBytes, albEntries, 8)
 	for p := 0; p < nPages; p++ {

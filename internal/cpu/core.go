@@ -136,20 +136,6 @@ func drainQueue(q []mem.Result, now uint64) []mem.Result {
 	return q
 }
 
-// Skew moves the issue point forward by delta cycles. The bound–weave
-// scheduler uses it at quantum boundaries to charge the core the extra
-// latency the weave-phase replay discovered (shared-resource contention the
-// optimistic bound phase could not see). The time is not attributed to
-// ROB/LSQ stall counters: it is memory-system time, and the per-event split
-// is unknowable after the fact.
-func (c *Core) Skew(delta uint64) {
-	if delta == 0 {
-		return
-	}
-	c.nextIssue += delta
-	c.frac = 0
-}
-
 // IssueMem issues one memory instruction. The access callback performs the
 // hierarchy access at the cycle the instruction actually issues and returns
 // its completion. isLoad selects the LQ or SQ.

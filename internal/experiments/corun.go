@@ -75,15 +75,10 @@ func antagonist(idx int, lines int) workload.Workload {
 	}
 }
 
-// CorunPoints builds the sweep on the serial scheduler: one independent
-// point per (kernel, co-runner count). Solo references are stitched in
-// after the sweep from each kernel's 0-co-runner row.
+// CorunPoints builds the sweep: one independent point per (kernel,
+// co-runner count). Solo references are stitched in after the sweep from
+// each kernel's 0-co-runner row.
 func CorunPoints(p Preset) []runner.Point[CorunRow] {
-	return CorunPointsMode(p, MultiMode{})
-}
-
-// CorunPointsMode is CorunPoints with an explicit scheduler choice.
-func CorunPointsMode(p Preset, mode MultiMode) []runner.Point[CorunRow] {
 	tile := p.UC1L3 / 2
 	antagonistLines := int(4 * p.UC1L3 / mem.LineBytes)
 	var pts []runner.Point[CorunRow]
@@ -102,7 +97,6 @@ func CorunPointsMode(p Preset, mode MultiMode) []runner.Point[CorunRow] {
 							ws = append(ws, antagonist(i, antagonistLines))
 						}
 						cfg := sim.MultiConfig{Core: uc1Config(p, p.UC1L3, xmem, false)}
-						mode.apply(&cfg)
 						r, err := sim.RunMulti(cfg, ws)
 						if err != nil {
 							return 0, err
@@ -136,14 +130,7 @@ func CorunPointsMode(p Preset, mode MultiMode) []runner.Point[CorunRow] {
 // for the Baseline and XMem systems. The kernel uses the tile a static
 // optimizer would pick for the preset's cache.
 func RunCorunSweep(p Preset, opt runner.Options) (CorunResult, error) {
-	return RunCorunSweepMode(p, opt, MultiMode{})
-}
-
-// RunCorunSweepMode is RunCorunSweep with an explicit scheduler choice; the
-// bound–weave mode checkpoints under a distinct sweep name so resumed
-// results never mix schedulers.
-func RunCorunSweepMode(p Preset, opt runner.Options, mode MultiMode) (CorunResult, error) {
-	outs, err := runner.Run(sweepName("corun"+mode.sweepSuffix(), p), CorunPointsMode(p, mode), opt)
+	outs, err := runner.Run(sweepName("corun", p), CorunPoints(p), opt)
 	if err != nil {
 		return CorunResult{Preset: p}, err
 	}

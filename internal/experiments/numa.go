@@ -75,15 +75,9 @@ func numaWorker(t int, scale float64) workload.Workload {
 	return workload.Synthetic(spec.Scaled(scale))
 }
 
-// NumaPoints builds the sweep on the serial scheduler: one independent
-// point per placement policy on a two-node machine with one worker per
-// node.
+// NumaPoints builds the sweep: one independent point per placement policy
+// on a two-node machine with one worker per node.
 func NumaPoints(p Preset) []runner.Point[NumaRow] {
-	return NumaPointsMode(p, MultiMode{})
-}
-
-// NumaPointsMode is NumaPoints with an explicit scheduler choice.
-func NumaPointsMode(p Preset, mode MultiMode) []runner.Point[NumaRow] {
 	var pts []runner.Point[NumaRow]
 	for _, placement := range []string{"node0", "interleave", "xmem"} {
 		placement := placement
@@ -99,7 +93,6 @@ func NumaPointsMode(p Preset, mode MultiMode) []runner.Point[NumaRow] {
 						Placement: placement,
 					},
 				}
-				mode.apply(&cfg)
 				r, err := sim.RunMulti(cfg, ws)
 				if err != nil {
 					return NumaRow{}, err
@@ -122,13 +115,7 @@ func NumaPointsMode(p Preset, mode MultiMode) []runner.Point[NumaRow] {
 
 // RunNumaSweep compares the placement policies on the sweep runner.
 func RunNumaSweep(p Preset, opt runner.Options) (NumaResult, error) {
-	return RunNumaSweepMode(p, opt, MultiMode{})
-}
-
-// RunNumaSweepMode is RunNumaSweep with an explicit scheduler choice; the
-// bound–weave mode checkpoints under a distinct sweep name.
-func RunNumaSweepMode(p Preset, opt runner.Options, mode MultiMode) (NumaResult, error) {
-	outs, err := runner.Run(sweepName("numa"+mode.sweepSuffix(), p), NumaPointsMode(p, mode), opt)
+	outs, err := runner.Run(sweepName("numa", p), NumaPoints(p), opt)
 	if err != nil {
 		return NumaResult{Preset: p}, err
 	}

@@ -42,23 +42,6 @@ func NewSequentialAllocator(physBytes uint64) *SequentialAllocator {
 	return &SequentialAllocator{frames: physBytes / mem.PageBytes}
 }
 
-// partRange splits n frames into parts near-equal contiguous shares and
-// returns the [lo, hi) bounds of share `part`.
-func partRange(n uint64, part, parts int) (lo, hi uint64) {
-	p, ps := uint64(part), uint64(parts)
-	return n * p / ps, n * (p + 1) / ps
-}
-
-// NewSequentialAllocatorShare is core `part` of `parts`' private share of
-// the sequential frame order: a contiguous sub-range of the frame space.
-// The bound–weave scheduler's concurrently-running cores each own one
-// share, which keeps allocation race-free and deterministic without a lock
-// (a lock would order frames by goroutine scheduling, not simulated time).
-func NewSequentialAllocatorShare(physBytes uint64, part, parts int) *SequentialAllocator {
-	lo, hi := partRange(physBytes/mem.PageBytes, part, parts)
-	return &SequentialAllocator{next: lo, frames: hi}
-}
-
 // AllocFrame implements FrameAllocator.
 func (a *SequentialAllocator) AllocFrame([]int) (mem.Addr, error) {
 	if a.next >= a.frames {
@@ -103,20 +86,6 @@ func NewRandomizedAllocatorRand(physBytes uint64, rng *rand.Rand) *RandomizedAll
 	return &RandomizedAllocator{free: free}
 }
 
-// NewRandomizedAllocatorShare is core `part` of `parts`' private share of
-// the seeded random frame order: the full shuffle is computed
-// deterministically and the share takes every parts-th frame of it, so the
-// union of all shares is exactly the single-owner allocator's frame set and
-// each share's order is independent of goroutine scheduling.
-func NewRandomizedAllocatorShare(physBytes uint64, seed int64, part, parts int) *RandomizedAllocator {
-	full := NewRandomizedAllocator(physBytes, seed)
-	share := make([]uint64, 0, len(full.free)/parts+1)
-	for i := part; i < len(full.free); i += parts {
-		share = append(share, full.free[i])
-	}
-	return &RandomizedAllocator{free: share}
-}
-
 // AllocFrame implements FrameAllocator.
 func (a *RandomizedAllocator) AllocFrame([]int) (mem.Addr, error) {
 	if len(a.free) == 0 {
@@ -147,14 +116,6 @@ type BankedAllocator struct {
 // placement use case the scheme must keep a page within one (per-channel)
 // bank group, which every "co"-low scheme does.
 func NewBankedAllocator(mapping *dram.Mapping) *BankedAllocator {
-	return NewBankedAllocatorShare(mapping, 0, 1)
-}
-
-// NewBankedAllocatorShare is core `part` of `parts`' private share of the
-// banked frame space. Frames are striped across shares before bank
-// grouping, so every share still reaches every bank group (placement
-// policies name banks, and any core must be able to honor any preference).
-func NewBankedAllocatorShare(mapping *dram.Mapping, part, parts int) *BankedAllocator {
 	g := mapping.Geometry()
 	nGroups := g.BanksPerChannel()
 	a := &BankedAllocator{
@@ -164,9 +125,6 @@ func NewBankedAllocatorShare(mapping *dram.Mapping, part, parts int) *BankedAllo
 	}
 	frames := g.CapacityBytes / mem.PageBytes
 	for f := uint64(0); f < frames; f++ {
-		if parts > 1 && int(f%uint64(parts)) != part {
-			continue
-		}
 		loc := mapping.Map(mem.Addr(f * mem.PageBytes))
 		grp := loc.BankIndex(g)
 		a.groups[grp] = append(a.groups[grp], f)

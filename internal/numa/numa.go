@@ -179,21 +179,6 @@ func NewAllocator(nodes int, nodeBytes uint64) *Allocator {
 	}
 }
 
-// NewAllocatorShare is core `part` of `parts`' private share of the node
-// frame space: a contiguous per-node sub-range, so every core can still
-// allocate on every node (placement policies name nodes, not cores). The
-// bound–weave scheduler hands one share to each concurrently-running core.
-func NewAllocatorShare(nodes int, nodeBytes uint64, part, parts int) *Allocator {
-	limit := nodeBytes / mem.PageBytes
-	lo := limit * uint64(part) / uint64(parts)
-	hi := limit * uint64(part+1) / uint64(parts)
-	a := &Allocator{next: make([]uint64, nodes), limit: hi, nodeSz: nodeBytes}
-	for i := range a.next {
-		a.next[i] = lo
-	}
-	return a
-}
-
 // AllocFrame implements kernel.FrameAllocator.
 func (a *Allocator) AllocFrame(preferred []int) (mem.Addr, error) {
 	try := func(node int) (mem.Addr, bool) {

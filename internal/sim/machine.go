@@ -150,7 +150,13 @@ func buildDRAM(cfg Config, policyAtoms []xm.Atom) (memorySystem, kernel.FrameAll
 	if cfg.Hybrid != nil {
 		return buildHybrid(cfg, policyAtoms)
 	}
-	ctl, err := newDRAMController(cfg)
+	ctl, err := dram.NewController(dram.Config{
+		Geometry: cfg.Geometry,
+		Timing:   cfg.Timing,
+		Scheme:   cfg.Scheme,
+		IdealRBL: cfg.IdealRBL,
+		FCFS:     cfg.FCFS,
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -168,19 +174,6 @@ func buildDRAM(cfg Config, policyAtoms []xm.Atom) (memorySystem, kernel.FrameAll
 		return nil, nil, nil, fmt.Errorf("sim: unknown alloc policy %q", cfg.Alloc)
 	}
 	return ctl, alloc, policy, nil
-}
-
-// newDRAMController builds one plain controller for cfg. The bound–weave
-// scheduler also uses it directly: the shared replay target and every
-// core's private shadow controller are identically-configured instances.
-func newDRAMController(cfg Config) (*dram.Controller, error) {
-	return dram.NewController(dram.Config{
-		Geometry: cfg.Geometry,
-		Timing:   cfg.Timing,
-		Scheme:   cfg.Scheme,
-		IdealRBL: cfg.IdealRBL,
-		FCFS:     cfg.FCFS,
-	})
 }
 
 // buildHybrid assembles the two-tier memory of the Table 1 hybrid-memory

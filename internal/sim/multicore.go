@@ -26,22 +26,6 @@ type MultiConfig struct {
 	// interconnect penalty, and — with XMemPlacement — each process'
 	// pages land on the node its atoms' Home attributes name.
 	NUMA *NUMAConfig
-	// Parallel selects the zsim-style bound–weave two-phase scheduler:
-	// every core runs its window concurrently against a private shadow
-	// memory (optimistic, uncontended latency), and at the window barrier
-	// the recorded shared-memory events are replayed serially through the
-	// real controller in deterministic (cycle, core, sequence) order,
-	// charging each core the contention skew the replay discovers. Output
-	// is deterministic by construction — identical across GOMAXPROCS
-	// settings and repeated runs — but is an approximation of the
-	// sequential scheduler's interleaving (see DESIGN.md, "Parallel
-	// simulation (bound–weave)"). False keeps the serial reference
-	// scheduler, which interleaves cores on one goroutine.
-	Parallel bool
-	// WeaveWindow is the bound-phase length in cycles for Parallel mode
-	// (0 = QuantumCycles). Longer windows amortize barriers but let cores
-	// run further on optimistic latency before skew correction.
-	WeaveWindow uint64
 }
 
 // NUMAConfig sizes the multi-node memory.
@@ -71,34 +55,24 @@ type MultiResult struct {
 	Cores []Result
 	// Cycles is the finishing time of the slowest core.
 	Cycles uint64
-	// DRAM is the shared controller's final counters. In parallel mode
-	// these are the weave-phase replay's counters: every recorded event
-	// goes through the real controller exactly once, so command counts
-	// match the sequential mode exactly and row-buffer/latency figures
-	// reflect the replayed interleaving.
+	// DRAM is the shared controller's final counters.
 	DRAM dram.Stats
 	// RemoteFraction is the share of memory accesses that crossed the
 	// NUMA interconnect (0 on non-NUMA machines).
 	RemoteFraction float64
-	// Parallel records which scheduler produced this result.
-	Parallel bool
-	// WeaveSkew is the total contention skew in cycles the weave phase
-	// charged each core over the whole run (nil in sequential mode).
-	WeaveSkew []uint64
 }
 
-// token is the ownership baton the schedulers pass between core goroutines:
-// holding it grants the right to run the core and (in sequential mode) to
-// touch the shared memory system.
+// token is the ownership baton the scheduler passes between core
+// goroutines: holding it grants the right to run the core and to touch the
+// shared memory system.
 type token struct{}
 
 // coreTask is the scheduler's view of one running core.
 type coreTask struct {
 	m *Machine
 	// start carries the token granting the core the right to run; finish
-	// returns it. In sequential mode finish is the run's shared completion
-	// channel (cores hand the token directly to each other); in parallel
-	// mode it is the per-core barrier the weave phase collects on.
+	// is the run's shared completion channel the last core returns it on
+	// (cores otherwise hand the token directly to each other).
 	start  chan token
 	finish chan token
 
@@ -107,13 +81,10 @@ type coreTask struct {
 	done       bool
 	finalCycle uint64
 
-	// Sequential-mode handoff state: the yielding core itself picks the
-	// next runnable peer.
+	// Handoff state: the yielding core itself picks the next runnable
+	// peer.
 	peers   []*coreTask
 	quantum uint64
-
-	// Parallel-mode event buffer (nil in sequential mode).
-	rec *boundRecorder
 }
 
 // nextLive returns the runnable task with the smallest local cycle, ties to
@@ -146,12 +117,9 @@ func (t *coreTask) handoff() chan<- token {
 // RunMulti executes the workloads concurrently, one per core. Cores share
 // the memory controller and physical memory; everything else is private.
 //
-// The default (sequential) scheduler interleaves cores deterministically on
-// one goroutine's worth of execution at a time: the live core with the
-// lowest local cycle runs one quantum, then hands the token to the next.
-// With cfg.Parallel the bound–weave scheduler runs all cores' windows
-// concurrently and replays their shared-memory traffic at the barrier (see
-// MultiConfig.Parallel).
+// The scheduler interleaves cores deterministically on one goroutine's
+// worth of execution at a time: the live core with the lowest local cycle
+// runs one quantum, then hands the token to the next.
 func RunMulti(cfg MultiConfig, ws []workload.Workload) (MultiResult, error) {
 	if len(ws) == 0 {
 		return MultiResult{}, fmt.Errorf("sim: no workloads")
@@ -159,9 +127,6 @@ func RunMulti(cfg MultiConfig, ws []workload.Workload) (MultiResult, error) {
 	quantum := cfg.QuantumCycles
 	if quantum == 0 {
 		quantum = 500
-	}
-	if cfg.Parallel {
-		return runBoundWeave(cfg, ws, quantum)
 	}
 
 	// Shared memory system: one controller, or a multi-node NUMA memory.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"xmem/internal/workload"
@@ -8,6 +10,106 @@ import (
 
 func multiConfig() MultiConfig {
 	return MultiConfig{Core: testConfig()}
+}
+
+// corunWorkloads is a contended co-run mix: every core streams through a
+// buffer several times larger than the L3, so all of them miss to the
+// shared controller continuously.
+func corunWorkloads(n int) []workload.Workload {
+	ws := make([]workload.Workload, n)
+	big := 3 * (256 << 10) / 64
+	for i := range ws {
+		ws[i] = streamWorkload(big+i*64, 2)
+	}
+	return ws
+}
+
+// multiDigest is an FNV-64a digest of a co-run's timing and memory-system
+// state: machine and per-core cycles, every core's L1D/L2/L3 counters, the
+// shared DRAM counters (latency histogram included) and the NUMA remote
+// fraction.
+func multiDigest(r MultiResult) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "cycles=%d remote=%v\n", r.Cycles, r.RemoteFraction)
+	for i, c := range r.Cores {
+		fmt.Fprintf(h, "core%d cycles=%d\nL1D=%+v\nL2=%+v\nL3=%+v\n", i, c.Cycles, c.L1D, c.L2, c.L3)
+	}
+	fmt.Fprintf(h, "DRAM=%+v\n", r.DRAM)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestRunMultiGolden pins the serial scheduler's output byte for byte on
+// three shared-DRAM co-runs (one per frame allocator) and three NUMA
+// co-runs (one per placement policy). A refactor of the multicore path
+// must leave every digest unchanged; a deliberate modelling change
+// re-records them and explains the moved numbers.
+func TestRunMultiGolden(t *testing.T) {
+	type golden struct {
+		name   string
+		cfg    func() MultiConfig
+		digest string
+	}
+	dramRun := func(alloc AllocPolicy) func() MultiConfig {
+		return func() MultiConfig {
+			cfg := multiConfig()
+			cfg.Core.Alloc = alloc
+			cfg.Core.AllocSeed = 7
+			cfg.Core.XMemCache = alloc == AllocXMemPlacement
+			return cfg
+		}
+	}
+	numaRun := func(placement string) func() MultiConfig {
+		return func() MultiConfig {
+			cfg := multiConfig()
+			cfg.NUMA = &NUMAConfig{Nodes: 2, NodeBytes: 64 << 20, Placement: placement}
+			return cfg
+		}
+	}
+	cases := []golden{
+		{"dram/sequential", dramRun(AllocSequential), "e036827c42dfcbe0"},
+		{"dram/random", dramRun(AllocRandom), "7dfc837d767bc222"},
+		{"dram/xmem", dramRun(AllocXMemPlacement), "810682bebc3cf406"},
+		{"numa/interleave", numaRun("interleave"), "209c8c193f8fdc45"},
+		{"numa/node0", numaRun("node0"), "9821e2376e1aee8a"},
+		{"numa/xmem", numaRun("xmem"), "c96eafc72f54a8b9"},
+	}
+	ws := corunWorkloads(3)
+	for _, c := range cases {
+		if got := multiDigest(MustRunMulti(c.cfg(), ws)); got != c.digest {
+			t.Errorf("%s: digest %s, want %s", c.name, got, c.digest)
+		}
+	}
+}
+
+// TestRunMultiNUMA: a two-node interleaved co-run repeats exactly and
+// sends some, but not all, of its traffic across the interconnect.
+func TestRunMultiNUMA(t *testing.T) {
+	cfg := multiConfig()
+	cfg.NUMA = &NUMAConfig{Nodes: 2, NodeBytes: 64 << 20, Placement: "interleave"}
+	ws := []workload.Workload{streamWorkload(2048, 2), streamWorkload(2048, 2)}
+	r1 := MustRunMulti(cfg, ws)
+	r2 := MustRunMulti(cfg, ws)
+	if multiDigest(r1) != multiDigest(r2) {
+		t.Fatalf("NUMA co-run nondeterministic: %d/%f vs %d/%f",
+			r1.Cycles, r1.RemoteFraction, r2.Cycles, r2.RemoteFraction)
+	}
+	if r1.RemoteFraction <= 0 || r1.RemoteFraction >= 1 {
+		t.Errorf("interleave placement remote fraction = %f, want in (0,1)", r1.RemoteFraction)
+	}
+}
+
+// TestRunMultiAllocPolicies: every frame-allocation policy serves a shared
+// co-run.
+func TestRunMultiAllocPolicies(t *testing.T) {
+	for _, alloc := range []AllocPolicy{AllocSequential, AllocRandom, AllocXMemPlacement} {
+		cfg := multiConfig()
+		cfg.Core.Alloc = alloc
+		cfg.Core.AllocSeed = 7
+		r := MustRunMulti(cfg, corunWorkloads(2))
+		if r.Cycles == 0 || r.DRAM.Reads == 0 {
+			t.Errorf("alloc=%s: empty result", alloc)
+		}
+	}
 }
 
 func TestRunMultiSingleMatchesSoloShape(t *testing.T) {
