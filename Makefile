@@ -31,10 +31,11 @@ vet-json:
 
 # Static proof of the hot-path contracts: every //xmem:allocfree function
 # (the AMU lookup path) must be provably allocation-free and every
-# //xmem:statsneutral function (the Peek/span-observer family) provably
-# free of stats/counter/LRU mutations, transitively through the call
-# graph. The static twin of alloc-gate and TestSpanTimingNeutral; exits
-# non-zero on any finding (see DESIGN.md, "Hot-path contracts").
+# //xmem:statsneutral function (the Peek family and the span tracer's stage
+# recorders) provably free of stats/counter/LRU mutations, transitively
+# through the call graph. The static twin of alloc-gate and
+# TestSpanTimingNeutral; exits non-zero on any finding (see DESIGN.md,
+# "Hot-path contracts").
 vet-hotpath:
 	$(GO) run ./cmd/xmem-vet -run allocfree,statsneutral ./...
 
@@ -55,7 +56,7 @@ fmtcheck:
 lint: vet fmtcheck vet-json
 	$(GO) test -race ./internal/core/... ./internal/sim/...
 
-check: build vet test bench-test race alloc-gate vet-hotpath metrics-smoke trace-smoke sweep-smoke
+check: build vet fmtcheck test bench-test race alloc-gate vet-hotpath metrics-smoke trace-smoke sweep-smoke
 
 # Allocs/op regression gate for the AMU lookup path: AMU.Lookup, Peek, and
 # LookupAttributes must be allocation-free in steady state on the ALB-hit,

@@ -1,12 +1,18 @@
 // Command xmem-bench regenerates the paper's evaluation: one sub-experiment
 // per table/figure (Figures 4-8, the §4.2 ALB coverage measurement, and the
-// §4.4 overhead analysis).
+// §4.4 overhead analysis), plus four extensions: the hybrid DRAM+NVM use
+// case, NUMA placement, a design-choice ablation and multi-core co-runs.
 //
 // Usage:
 //
-//	xmem-bench [-preset mini|fast|paper] [-exp all|fig4|fig5|fig6|fig7|fig8|alb|overhead]
-//	           [-kernels gemm,2mm] [-workloads libq,mcf] [-v]
+//	xmem-bench [-preset mini|fast|paper]
+//	           [-exp all|fig4|fig5|fig6|fig7|fig8|alb|overhead|hybrid|numa|ablation|corun]
+//	           [-kernels gemm,2mm] [-workloads libq,mcf] [-v] [-json file]
 //	           [-parallel N] [-timeout 30s] [-checkpoint dir] [-resume]
+//	           [-sweep-metrics file]
+//
+// -exp takes a comma-separated list; all runs every experiment except numa,
+// ablation and corun.
 //
 // Every experiment is a deterministic sweep: -parallel N fans the sweep's
 // points over N workers and produces byte-identical report output to a

@@ -8,10 +8,10 @@
 // that every //xmem:allocfree function (the AMU lookup path) and everything
 // it reaches through the static call graph performs no heap allocation, and
 // the statsneutral analyzer verifies that //xmem:statsneutral functions
-// (the Peek family and the span-tracer observers) transitively mutate no
-// stats, counter, or LRU state. Audited exceptions are written in the
-// source as //xmem:alloc-ok / //xmem:stats-ok with a mandatory reason; see
-// DESIGN.md, "Hot-path contracts".
+// (the Peek family and the span tracer's stage recorders) transitively
+// mutate no stats, counter, or LRU state. Audited exceptions are written in
+// the source as //xmem:alloc-ok / //xmem:stats-ok with a mandatory reason;
+// see DESIGN.md, "Hot-path contracts".
 //
 // Usage:
 //

@@ -9,7 +9,7 @@ import (
 
 // StatsNeutral is the static twin of TestSpanTimingNeutral: it proves that
 // functions annotated //xmem:statsneutral — the Peek family, span
-// completion sweeps, observer read hooks — transitively mutate no
+// completion sweeps, span stage recorders — transitively mutate no
 // stats/counter/LRU state. A statsneutral function must be invisible to
 // the measurement it serves: calling it any number of times may not change
 // AMUStats/LibStats counters, ALB recency or hit/miss accounting, AAM

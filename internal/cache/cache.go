@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"xmem/internal/core"
 	"xmem/internal/mem"
@@ -33,37 +34,21 @@ type Insertion struct {
 type Classifier func(pa mem.Addr, kind mem.AccessKind) Insertion
 
 // Observer is notified of every demand access for prefetcher training.
+// It is kept apart from the probe because training changes timing (the
+// prefetchers it feeds issue requests) and observation must not.
 type Observer func(pa mem.Addr, pc mem.Addr, at uint64, miss bool)
 
-// EvictionObserver is notified when a valid line is evicted; pa is the
-// victim's line address, atom the insertion-time classification (InvalidAtom
-// when no classifier ran), pinned whether the line was pinned. The
-// observability layer uses it for per-atom pinned-eviction attribution.
-type EvictionObserver func(pa mem.Addr, atom core.AtomID, pinned bool)
-
-// UsefulObserver is notified the first time a prefetched line serves a
-// demand access — the standard useful-prefetch definition. lead is how many
-// cycles before the demand access the prefetched fill completed (0 when the
-// fill was late or its completion is still unresolved): the distribution of
-// leads tells whether the prefetcher runs far enough ahead to hide memory.
-type UsefulObserver func(pa mem.Addr, atom core.AtomID, lead uint64)
-
-// LatencyObserver is notified with the service latency (arrival to data)
-// of every demand access resolved at this level — hits whose completion
-// time is already known. The obs layer feeds per-layer latency histograms
-// from it; a nil observer costs one branch per hit.
-type LatencyObserver func(kind mem.AccessKind, cycles uint64)
-
-// SpanEvent describes one demand access's outcome at one cache level for
-// the causal span tracer. Miss events carry the insertion decision the
-// classifier made for the fill (Pin/PinDenied/Low), hit events whether the
-// line was pinned, prefetched, or still in flight — exactly the facts the
-// tracer turns into attribute-tied reason codes.
-type SpanEvent struct {
+// Event is one observable outcome at one cache level, delivered by value to
+// the probe: once per demand hit, delayed hit or miss, and once per eviction
+// of a valid line. Miss events carry the insertion decision the classifier
+// made for the fill (Pin/PinDenied/Low), hit events whether the line was
+// pinned, prefetched, or still in flight.
+type Event struct {
 	// PA is the line address; Level the cache's configured name.
 	PA    mem.Addr
 	Level string
-	// Kind is the demand kind (Read or Write).
+	// Kind is the demand kind (Read or Write); for an eviction, the kind
+	// of the access whose fill displaced the line.
 	Kind mem.AccessKind
 	// Miss is true when the access missed and filled from below.
 	Miss bool
@@ -71,25 +56,31 @@ type SpanEvent struct {
 	Delayed bool
 	// Prefetched marks a hit that consumed a prefetched line (first use).
 	Prefetched bool
-	// Pinned marks a hit on a pinned line, or a miss whose fill was
-	// inserted pinned.
+	// Pinned marks a hit on a pinned line, a miss whose fill was inserted
+	// pinned, or the eviction of a pinned line.
 	Pinned bool
 	// PinDenied marks a miss whose pin request the set cap downgraded.
 	PinDenied bool
 	// LowPriority marks a miss inserted at low priority (streaming bypass).
 	LowPriority bool
-	// Atom is the line's insertion-time atom classification.
+	// Evicted marks an eviction: PA, Atom and Pinned describe the victim.
+	Evicted bool
+	// Resolved reports that Done is the access's completion: a hit whose
+	// data time is known. It is false for misses, evictions and delayed
+	// hits whose fill is still pending.
+	Resolved bool
+	// Atom is the line's insertion-time atom classification (InvalidAtom
+	// when no classifier ran).
 	Atom core.AtomID
+	// Lead is, on a Prefetched hit, how many cycles before the access the
+	// prefetched fill completed (0 when the fill was late or unresolved).
+	Lead uint64
 	// At is the arrival cycle at this level; Done the cycle the level's
 	// answer was available (for misses and unresolved delayed hits, the
 	// cycle the request left for the next level).
 	At   uint64
 	Done uint64
 }
-
-// SpanObserver receives one SpanEvent per demand access while installed.
-// A nil observer costs one branch per access.
-type SpanObserver func(ev SpanEvent)
 
 // Stats counts cache activity.
 type Stats struct {
@@ -162,10 +153,11 @@ const DefaultPinCapFraction = 0.75
 
 // Cache is one level of the simulated hierarchy.
 type Cache struct {
-	cfg    Config
-	sets   int
-	ways   int
-	policy Policy
+	cfg      Config
+	sets     int
+	setShift uint // log2(sets): a line index's tag is line >> setShift
+	ways     int
+	policy   Policy
 
 	tags       []uint64
 	valid      []bool
@@ -178,13 +170,10 @@ type Cache struct {
 	pinnedInSet []int
 	pinCapWays  int
 
-	next      Lower
-	classify  Classifier
-	observer  Observer
-	evictObs  EvictionObserver
-	usefulObs UsefulObserver
-	latObs    LatencyObserver
-	spanObs   SpanObserver
+	next     Lower
+	classify Classifier
+	observer Observer
+	probe    func(Event)
 
 	stats Stats
 }
@@ -226,7 +215,8 @@ func New(cfg Config, next Lower) (*Cache, error) {
 	}
 	n := sets * cfg.Ways
 	return &Cache{
-		cfg: cfg, sets: sets, ways: cfg.Ways, policy: pol,
+		cfg: cfg, sets: sets, setShift: uint(bits.TrailingZeros(uint(sets))),
+		ways: cfg.Ways, policy: pol,
 		tags: make([]uint64, n), valid: make([]bool, n),
 		dirty: make([]bool, n), pinned: make([]bool, n),
 		prefetched: make([]bool, n),
@@ -266,30 +256,18 @@ func (c *Cache) SetClassifier(f Classifier) { c.classify = f }
 // SetObserver installs a demand-access observer (prefetcher training).
 func (c *Cache) SetObserver(f Observer) { c.observer = f }
 
-// SetEvictionObserver installs an eviction observer (obs layer).
-func (c *Cache) SetEvictionObserver(f EvictionObserver) { c.evictObs = f }
-
-// SetUsefulObserver installs a useful-prefetch observer (obs layer).
-func (c *Cache) SetUsefulObserver(f UsefulObserver) { c.usefulObs = f }
-
-// SetLatencyObserver installs a hit-service-latency observer (obs layer).
-func (c *Cache) SetLatencyObserver(f LatencyObserver) { c.latObs = f }
-
-// SetSpanObserver installs a causal-span observer (span tracer).
-func (c *Cache) SetSpanObserver(f SpanObserver) { c.spanObs = f }
+// SetProbe installs the observation probe, which receives every Event. A
+// nil probe costs one branch per demand access and eviction.
+func (c *Cache) SetProbe(f func(Event)) { c.probe = f }
 
 func (c *Cache) index(pa mem.Addr) (set int, tag uint64) {
 	line := mem.LineIndex(pa)
-	return int(line) & (c.sets - 1), line >> uint(log2(c.sets))
+	return int(line) & (c.sets - 1), line >> c.setShift
 }
 
-func log2(n int) int {
-	k := 0
-	for n > 1 {
-		n >>= 1
-		k++
-	}
-	return k
+// lineAddr reconstructs the line address held at slot idx of set.
+func (c *Cache) lineAddr(set, idx int) mem.Addr {
+	return mem.Addr((c.tags[idx]<<c.setShift | uint64(set)) << mem.LineShift)
 }
 
 func (c *Cache) find(set int, tag uint64) int {
@@ -326,13 +304,6 @@ func (c *Cache) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.Addr)
 				consumedPrefetch = true
 				c.prefetched[idx] = false
 				c.stats.PrefetchUseful++
-				if c.usefulObs != nil {
-					lead := uint64(0)
-					if done, ok := c.fill[idx].Peek(); ok && done < at {
-						lead = at - done
-					}
-					c.usefulObs(pa, c.atoms[idx], lead)
-				}
 			}
 		}
 		if kind != mem.Prefetch {
@@ -341,35 +312,28 @@ func (c *Cache) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.Addr)
 		if kind == mem.Write {
 			c.dirty[idx] = true
 		}
-		if done, ok := c.fill[idx].Peek(); !ok || done > lookupDone {
-			// The line is still in flight (e.g., an earlier prefetch).
-			if demand {
-				c.stats.DelayedHits++
-				evDone := lookupDone
-				if ok {
-					evDone = done
-					if c.latObs != nil {
-						c.latObs(kind, done-at)
-					}
-				}
-				if c.spanObs != nil {
-					c.spanObs(SpanEvent{PA: pa, Level: c.cfg.Name, Kind: kind,
-						Delayed: true, Prefetched: consumedPrefetch,
-						Pinned: c.pinned[idx], Atom: c.atoms[idx],
-						At: at, Done: evDone})
-				}
-			}
-			return c.fill[idx].DeferredMax(lookupDone)
-		}
+		// A line still in flight (e.g., an earlier prefetch) is a delayed hit.
+		done, ok := c.fill[idx].Peek()
+		delayed := !ok || done > lookupDone
 		if demand {
-			if c.latObs != nil {
-				c.latObs(kind, lookupDone-at)
+			if delayed {
+				c.stats.DelayedHits++
 			}
-			if c.spanObs != nil {
-				c.spanObs(SpanEvent{PA: pa, Level: c.cfg.Name, Kind: kind,
-					Prefetched: consumedPrefetch, Pinned: c.pinned[idx],
-					Atom: c.atoms[idx], At: at, Done: lookupDone})
+			if c.probe != nil {
+				ev := Event{PA: pa, Level: c.cfg.Name, Kind: kind, Delayed: delayed,
+					Prefetched: consumedPrefetch, Pinned: c.pinned[idx], Resolved: ok,
+					Atom: c.atoms[idx], At: at, Done: lookupDone}
+				if delayed && ok {
+					ev.Done = done
+				}
+				if consumedPrefetch && ok && done < at {
+					ev.Lead = at - done
+				}
+				c.probe(ev)
 			}
+		}
+		if delayed {
+			return c.fill[idx].DeferredMax(lookupDone)
 		}
 		return mem.Done(lookupDone)
 	}
@@ -377,7 +341,8 @@ func (c *Cache) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.Addr)
 	// Miss.
 	c.recordMiss(kind)
 	c.policy.Miss(set)
-	if kind.IsDemand() && c.observer != nil {
+	demand := kind.IsDemand()
+	if demand && c.observer != nil {
 		c.observer(pa, pc, at, true)
 	}
 	fetchKind := mem.Read
@@ -386,8 +351,8 @@ func (c *Cache) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.Addr)
 	}
 	fill := c.next.Access(pa, fetchKind, lookupDone, pc)
 	ins, pinDenied := c.install(pa, set, tag, kind, at, fill, pc)
-	if kind.IsDemand() && c.spanObs != nil {
-		c.spanObs(SpanEvent{PA: pa, Level: c.cfg.Name, Kind: kind, Miss: true,
+	if demand && c.probe != nil {
+		c.probe(Event{PA: pa, Level: c.cfg.Name, Kind: kind, Miss: true,
 			Pinned: ins.Pin, PinDenied: pinDenied, LowPriority: ins.Pri == InsertLow,
 			Atom: ins.Atom, At: at, Done: lookupDone})
 	}
@@ -432,7 +397,7 @@ func (c *Cache) recordMiss(kind mem.AccessKind) {
 
 // install fills pa into the cache, evicting a victim if needed. It returns
 // the applied insertion decision and whether a requested pin was denied by
-// the set cap (the span tracer reports both).
+// the set cap (the miss Event reports both).
 func (c *Cache) install(pa mem.Addr, set int, tag uint64, kind mem.AccessKind, at uint64, fill mem.Result, pc mem.Addr) (Insertion, bool) {
 	ins := Insertion{Pri: InsertDefault, Atom: core.InvalidAtom}
 	if c.classify != nil {
@@ -460,15 +425,15 @@ func (c *Cache) install(pa mem.Addr, set int, tag uint64, kind mem.AccessKind, a
 			c.stats.PinEvictions++
 			c.pinnedInSet[set]--
 		}
-		if c.evictObs != nil {
-			victimPA := mem.Addr((c.tags[idx]<<uint(log2(c.sets)) | uint64(set)) << mem.LineShift)
-			c.evictObs(victimPA, c.atoms[idx], wasPinned)
+		if c.probe != nil {
+			c.probe(Event{PA: c.lineAddr(set, idx), Level: c.cfg.Name, Kind: kind,
+				Evicted: true, Pinned: wasPinned, Atom: c.atoms[idx], At: at})
 		}
 		if c.dirty[idx] {
 			c.stats.Writebacks++
-			victimPA := mem.Addr((c.tags[idx]<<uint(log2(c.sets)) | uint64(set)) << mem.LineShift)
+			victimPA := c.lineAddr(set, idx)
 			// The victim leaves when the fill arrives; if the fill time
-			// is still pending, approximate with the probe time (writes
+			// is still pending, approximate with the access time (writes
 			// are fire-and-forget and scheduled lazily anyway).
 			wbAt := at
 			if done, ok := fill.Peek(); ok {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"xmem/internal/mem"
+	"xmem/internal/obs"
 )
 
 // Stats aggregates controller activity.
@@ -26,8 +27,8 @@ type Stats struct {
 	// utilisation = BusBusy / (channels × elapsed)).
 	BusBusy uint64
 	// ReadLatency histograms demand-read latencies for percentile
-	// reporting.
-	ReadLatency LatencyHistogram
+	// reporting (Figure 8's p95).
+	ReadLatency obs.Histogram
 }
 
 // RowHitRate returns the fraction of scheduled commands that hit the open row.

@@ -110,39 +110,6 @@ func TestControllerBandwidthBound(t *testing.T) {
 	}
 }
 
-func TestLatencyHistogram(t *testing.T) {
-	var h LatencyHistogram
-	if h.String() != "latency: no samples" {
-		t.Errorf("empty string = %q", h.String())
-	}
-	if h.Percentile(50) != 0 {
-		t.Error("empty percentile nonzero")
-	}
-	for i := uint64(1); i <= 1000; i++ {
-		h.Observe(i)
-	}
-	if h.Count() != 1000 || h.Max() != 1000 {
-		t.Fatalf("count=%d max=%d", h.Count(), h.Max())
-	}
-	if m := h.Mean(); m < 500 || m > 501 {
-		t.Errorf("mean = %f, want 500.5", m)
-	}
-	p50 := h.Percentile(50)
-	// Bucketed upper bound: p50 of 1..1000 is ~500, bucket edge 511.
-	if p50 < 500 || p50 > 1023 {
-		t.Errorf("p50 = %d", p50)
-	}
-	if h.Percentile(99) < p50 {
-		t.Error("p99 < p50")
-	}
-	var h2 LatencyHistogram
-	h2.Observe(5000)
-	h.Merge(&h2)
-	if h.Count() != 1001 || h.Max() != 5000 {
-		t.Errorf("after merge count=%d max=%d", h.Count(), h.Max())
-	}
-}
-
 func TestControllerRecordsLatencyHistogram(t *testing.T) {
 	c := testController(t, false)
 	c.Access(addrAt(0, 0, 0), mem.Read, 0, 0).Wait()

@@ -11,10 +11,12 @@ import (
 // [2^(i-1), 2^i), which covers any plausible cycle latency.
 const histBuckets = 40
 
-// Histogram accumulates latencies in fixed log2 buckets — the obs-layer
-// sibling of dram.LatencyHistogram (obs cannot import dram: the dependency
-// runs the other way). One Observe is a handful of arithmetic ops, cheap
-// enough to run on every demand access when metrics are on.
+// Histogram accumulates latencies in fixed log2 buckets. It is the
+// simulator's one latency histogram: the DRAM controller keeps its
+// demand-read latencies in one (dram.Stats.ReadLatency, Figure 8's p95),
+// and the metrics report's latency section is built from them. One Observe
+// is a handful of arithmetic ops, cheap enough to run on every demand
+// access when metrics are on.
 type Histogram struct {
 	buckets [histBuckets]uint64
 	count   uint64

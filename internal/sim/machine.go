@@ -107,7 +107,8 @@ type Machine struct {
 	// is a registry-less boundary ticker and reg stays nil). pageAtoms is
 	// the OS-side PA-page→atom index built at Malloc time for attribution
 	// fallback. lat carries the latency histograms (with Metrics); spans
-	// the causal tracer (with Config.SpanSample).
+	// the causal tracer (with Config.SpanSample). The probe (probe.go)
+	// feeds attrib, lat and spans.
 	reg       *obs.Registry
 	sampler   *obs.Sampler
 	attrib    *obs.AtomTable
@@ -266,7 +267,7 @@ func buildMachine(cfg Config, w workload.Workload, atoms []xm.Atom,
 			l3.SetClassifier(m.classifyL3)
 		}
 	}
-	l3.SetObserver(m.observeL3)
+	l3.SetObserver(m.trainL3)
 	if cfg.Metrics {
 		m.enableMetrics()
 	} else if cfg.OnEpoch != nil {
@@ -275,7 +276,13 @@ func buildMachine(cfg Config, w workload.Workload, atoms []xm.Atom,
 		m.sampler = obs.NewSampler(nil, cfg.EpochCycles, nil)
 	}
 	if cfg.SpanSample > 0 {
-		m.enableSpans()
+		m.spans = &spanState{
+			tr:       span.NewTracer(cfg.SpanSample, cfg.SpanBuffer),
+			inflight: make(map[uint64]*span.Span),
+		}
+	}
+	if cfg.Metrics || cfg.SpanSample > 0 {
+		m.installProbe()
 	}
 	return m, nil
 }
@@ -344,7 +351,7 @@ func Run(cfg Config, w workload.Workload) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if m.attrib != nil || m.lat != nil || m.spans != nil {
+	if cfg.Metrics || cfg.SpanSample > 0 {
 		m.observeDRAM()
 	}
 	w.Run(m)
@@ -457,10 +464,9 @@ func (m *Machine) Lib() *xm.Lib { return m.lib }
 
 // --- hierarchy hooks ---
 
-func (m *Machine) observeL3(pa, pc mem.Addr, at uint64, miss bool) {
-	if m.attrib != nil && miss {
-		m.attrib.DemandMiss(m.resolveAtom(pa))
-	}
+// trainL3 feeds L3 demand accesses to the prefetchers. It is the cache's
+// Observer, not part of the probe: the prefetches it triggers change timing.
+func (m *Machine) trainL3(pa, pc mem.Addr, at uint64, miss bool) {
 	if m.strider != nil {
 		m.strider.Observe(pa, pc, at, miss)
 	}

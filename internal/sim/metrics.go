@@ -5,8 +5,6 @@ import (
 
 	"xmem/internal/cache"
 	xm "xmem/internal/core"
-	"xmem/internal/dram"
-	"xmem/internal/hybrid"
 	"xmem/internal/mem"
 	"xmem/internal/obs"
 )
@@ -24,91 +22,16 @@ type EpochProgress struct {
 }
 
 // enableMetrics builds the machine's observability state: the registry with
-// every subsystem's counters, the per-atom attribution table, and the epoch
-// sampler. Called from buildMachine only when cfg.Metrics is set — a
-// machine without metrics carries nil fields and one branch per access.
+// every subsystem's counters, the per-atom attribution table, the latency
+// histograms the probe feeds, and the epoch sampler. Called from
+// buildMachine only when cfg.Metrics is set — a machine without metrics
+// carries nil fields and one branch per access.
 func (m *Machine) enableMetrics() {
 	m.reg = obs.NewRegistry()
 	m.attrib = obs.NewAtomTable()
 	m.lat = newLatencyState()
 	m.registerMetrics()
 	m.sampler = obs.NewSampler(m.reg, m.cfg.EpochCycles, m.attrib)
-
-	m.l3.SetEvictionObserver(func(pa mem.Addr, _ xm.AtomID, pinned bool) {
-		if pinned {
-			m.attrib.PinEviction(m.resolveAtom(pa))
-		}
-	})
-	m.l3.SetUsefulObserver(func(pa mem.Addr, _ xm.AtomID, lead uint64) {
-		m.attrib.PrefetchUseful(m.resolveAtom(pa))
-		if lead > 0 {
-			m.lat.lead.Observe(lead)
-		}
-	})
-	for c, h := range map[*cache.Cache]*obs.Histogram{
-		m.l1d: &m.lat.l1d, m.l2: &m.lat.l2, m.l3: &m.lat.l3,
-	} {
-		h := h
-		c.SetLatencyObserver(func(_ mem.AccessKind, cycles uint64) {
-			h.Observe(cycles)
-		})
-	}
-	if m.xmemPf != nil {
-		m.xmemPf.SetIssueObserver(m.observePrefetchIssue)
-	}
-}
-
-// dramObservable is implemented by memory systems that can report scheduled
-// commands (dram.Controller, hybrid.Memory).
-type dramObservable interface {
-	SetObserver(dram.Observer)
-}
-
-// observeDRAM wires the memory system's scheduling observer into per-atom
-// row-buffer attribution, the per-layer/per-atom service-latency histograms,
-// and the span tracer's DRAM stage. Run calls it on single-core machines
-// whenever any of those consumers exist; on multi-core machines the
-// controller is shared and per-core attribution of its commands would be
-// ambiguous, so RunMulti leaves it unwired (multicore spans carry cache
-// stages only).
-func (m *Machine) observeDRAM() {
-	o, ok := m.ctl.(dramObservable)
-	if !ok {
-		return
-	}
-	hyb, _ := m.ctl.(*hybrid.Memory)
-	o.SetObserver(func(pa mem.Addr, kind mem.AccessKind, rowHit bool, arrival, done uint64) {
-		tier := "dram"
-		if hyb != nil && hyb.TierOf(pa) == hybrid.TierNVM {
-			tier = "nvm"
-		}
-		if m.attrib != nil {
-			id := m.resolveAtom(pa)
-			if rowHit {
-				m.attrib.RowHit(id)
-			} else {
-				m.attrib.RowMiss(id)
-			}
-			if m.lat != nil && kind.IsDemand() {
-				lat := done - arrival
-				if tier == "nvm" {
-					m.lat.nvm.Observe(lat)
-				} else {
-					m.lat.dram.Observe(lat)
-				}
-				m.lat.atomObserve(id, lat)
-			}
-		}
-		if m.spans != nil && kind.IsDemand() {
-			if sp := m.spans.inflight[mem.LineIndex(pa)]; sp != nil {
-				outcome := "row-miss"
-				if rowHit {
-					outcome = "row-hit"
-				}
-				sp.AddStage(tier, outcome, "", arrival, done)
-			}
-		}
-	})
 }
 
 // resolveAtom attributes a physical address to an atom: the AMU's dynamic

@@ -22,13 +22,13 @@ type spanState struct {
 	// cur is the span of the sampled access currently in flight through
 	// the hierarchy (nil outside one); curLine its line index, curRes its
 	// L1 result. Only demand accesses to curLine can occur while cur is
-	// set, so the cache observers match events to it by line.
+	// set, so the probe matches cache events to it by line.
 	cur     *span.Span
 	curLine uint64
 	curRes  mem.Result
 	// pending holds issued spans whose completion futures are unresolved.
 	pending []pendingSpan
-	// inflight indexes unresolved spans by line so the DRAM observer can
+	// inflight indexes unresolved spans by line so the DRAM sink can
 	// attach the service stage when the command actually schedules.
 	inflight map[uint64]*span.Span
 }
@@ -36,22 +36,6 @@ type spanState struct {
 type pendingSpan struct {
 	s   *span.Span
 	res mem.Result
-}
-
-// enableSpans builds the tracer and installs the per-level cache observers.
-// Called from buildMachine only when cfg.SpanSample > 0; without it every
-// hook is nil and the hot path pays one nil check.
-func (m *Machine) enableSpans() {
-	m.spans = &spanState{
-		tr:       span.NewTracer(m.cfg.SpanSample, m.cfg.SpanBuffer),
-		inflight: make(map[uint64]*span.Span),
-	}
-	for _, c := range []*cache.Cache{m.l1d, m.l2, m.l3} {
-		c.SetSpanObserver(m.observeSpanCache)
-	}
-	if m.xmemPf != nil {
-		m.xmemPf.SetIssueObserver(m.observePrefetchIssue)
-	}
 }
 
 // spanBegin opens the sampled span at the true issue cycle (inside the
@@ -139,12 +123,12 @@ func (ss *spanState) sweep() {
 	ss.pending = kept
 }
 
-// observeSpanCache turns one cache level's outcome into a span stage with
-// the attribute-tied reason code. Events for other lines (none can occur
-// while cur is set, but the check keeps it airtight) are ignored.
+// observeSpanCache turns one cache level's demand outcome into a span stage
+// with the attribute-tied reason code. Events for other lines (none can
+// occur while cur is set, but the check keeps it airtight) are ignored.
 //
 //xmem:statsneutral
-func (m *Machine) observeSpanCache(ev cache.SpanEvent) {
+func (m *Machine) observeSpanCache(ev *cache.Event) {
 	ss := m.spans
 	sp := ss.cur
 	if sp == nil || mem.LineIndex(ev.PA) != ss.curLine {
@@ -180,18 +164,6 @@ func (m *Machine) observeSpanCache(ev cache.SpanEvent) {
 		}
 	}
 	sp.AddStage(strings.ToLower(ev.Level), outcome, reason, ev.At, ev.Done)
-}
-
-// observePrefetchIssue fans the XMem prefetcher's issue notification out to
-// per-atom attribution (metrics) and the current span, which records that
-// it triggered run-ahead along its atom's Regular stride.
-func (m *Machine) observePrefetchIssue(id xm.AtomID, n int) {
-	if m.attrib != nil {
-		m.attrib.PrefetchIssued(id, n)
-	}
-	if ss := m.spans; ss != nil && ss.cur != nil {
-		ss.cur.AddStage("prefetch", "issued", span.ReasonPrefetchIssued, ss.cur.Start, ss.cur.Start)
-	}
 }
 
 // spanNoteThrottle records on the current span that its prefetches were
