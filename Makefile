@@ -58,12 +58,16 @@ lint: vet fmtcheck vet-json
 
 check: build vet fmtcheck test bench-test race alloc-gate vet-hotpath metrics-smoke trace-smoke sweep-smoke
 
-# Allocs/op regression gate for the AMU lookup path: AMU.Lookup, Peek, and
-# LookupAttributes must be allocation-free in steady state on the ALB-hit,
-# miss+evict, and unmapped-page paths (testing.AllocsPerRun == 0). Cheap
-# enough for every check/CI run.
+# Allocation regression gate for the per-access path. In steady state the
+# AMU lookup path (AMU.Lookup, Peek, LookupAttributes on ALB hit, miss+evict
+# and unmapped pages), cpu.IssueMem under ROB and LSQ stalls, cache hits and
+# misses with the probe on and off, and the stride and XMem prefetchers'
+# train+Drain allocate nothing; on a warmed sim Machine an L1-hitting load
+# allocates nothing and a thrashing stream at most one object per DRAM
+# request. Cheap enough for every check/CI run.
 alloc-gate:
-	$(GO) test -run 'TestHotPath' -v ./internal/core/
+	$(GO) test -run 'TestHotPath|TestProbeAllocs' -v ./internal/core/ \
+		./internal/cpu/ ./internal/cache/ ./internal/prefetch/ ./internal/sim/
 
 # Full race-detector pass over every package (the parallel sweep runner
 # is the main concurrent surface).

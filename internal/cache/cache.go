@@ -462,7 +462,8 @@ func (c *Cache) install(pa mem.Addr, set int, tag uint64, kind mem.AccessKind, a
 }
 
 // chooseVictim prefers invalid ways, then unpinned lines; pinned lines are
-// victims of last resort.
+// victims of last resort. The set's pinned bits are the policy's skip mask,
+// so choosing a victim allocates nothing.
 func (c *Cache) chooseVictim(set int) int {
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
@@ -470,18 +471,10 @@ func (c *Cache) chooseVictim(set int) int {
 			return w
 		}
 	}
-	unpinnedExists := false
-	for w := 0; w < c.ways; w++ {
-		if !c.pinned[base+w] {
-			unpinnedExists = true
-			break
-		}
+	if c.pinnedInSet[set] < c.ways { // an unpinned way exists
+		return c.policy.Victim(set, c.pinned[base:base+c.ways])
 	}
-	eligible := func(w int) bool { return true }
-	if unpinnedExists {
-		eligible = func(w int) bool { return !c.pinned[base+w] }
-	}
-	return c.policy.Victim(set, eligible)
+	return c.policy.Victim(set, nil)
 }
 
 // AgePinned removes the pin from every line whose atom fails keep, and ages

@@ -327,15 +327,16 @@ func TestDRRIPScanResistance(t *testing.T) {
 }
 
 func TestRRIPVictimAgesUntilFound(t *testing.T) {
-	p := NewSRRIP(1, 4)
-	all := func(int) bool { return true }
-	for w := 0; w < 4; w++ {
-		p.Insert(0, w, InsertDefault) // RRPV = 2
-	}
-	p.Hit(0, 1) // RRPV[1] = 0
-	v := p.Victim(0, all)
-	if v == 1 {
-		t.Errorf("victim = way 1, the most recently hit line")
+	for _, skip := range [][]bool{nil, make([]bool, 4)} {
+		p := NewSRRIP(1, 4)
+		for w := 0; w < 4; w++ {
+			p.Insert(0, w, InsertDefault) // RRPV = 2
+		}
+		p.Hit(0, 1) // RRPV[1] = 0
+		v := p.Victim(0, skip)
+		if v == 1 {
+			t.Errorf("skip %v: victim = way 1, the most recently hit line", skip)
+		}
 	}
 }
 
@@ -344,8 +345,24 @@ func TestRRIPVictimRespectsEligibility(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		p.Insert(0, w, InsertLow) // all RRPV = 3
 	}
-	v := p.Victim(0, func(w int) bool { return w == 2 })
+	v := p.Victim(0, []bool{true, true, false, true})
 	if v != 2 {
+		t.Errorf("victim = %d, want the only eligible way 2", v)
+	}
+}
+
+func TestLRUVictimRespectsEligibility(t *testing.T) {
+	p := NewLRU(2, 4)
+	for w := 0; w < 4; w++ {
+		p.Insert(1, w, InsertDefault) // way 0 is least recently used
+	}
+	if v := p.Victim(1, nil); v != 0 {
+		t.Errorf("victim = %d, want the LRU way 0", v)
+	}
+	if v := p.Victim(1, []bool{true, false, true, false}); v != 1 {
+		t.Errorf("victim = %d, want way 1, the LRU way among eligible 1 and 3", v)
+	}
+	if v := p.Victim(1, []bool{true, true, false, true}); v != 2 {
 		t.Errorf("victim = %d, want the only eligible way 2", v)
 	}
 }

@@ -29,10 +29,10 @@ type Policy interface {
 	Insert(set, way int, pri InsertPriority)
 	// Miss notifies the policy of a miss in set (for set dueling).
 	Miss(set int)
-	// Victim picks the way to evict in set; every way is valid and
-	// eligible(way) reports whether it may be chosen. At least one way is
-	// always eligible.
-	Victim(set int, eligible func(way int) bool) int
+	// Victim picks the way to evict in set; every way is valid. A nil skip
+	// makes every way eligible; otherwise way w may be chosen only when
+	// skip[w] is false, and at least one way is always eligible.
+	Victim(set int, skip []bool) int
 	// Age demotes the line at (set, way) so the default policy will evict
 	// it soon (used when pinned lines lose their pin, §5.2(3)).
 	Age(set, way int)
@@ -73,10 +73,10 @@ func (p *lru) Insert(set, way int, pri InsertPriority) {
 
 func (p *lru) Miss(int) {}
 
-func (p *lru) Victim(set int, eligible func(way int) bool) int {
+func (p *lru) Victim(set int, skip []bool) int {
 	best, bestStamp := -1, uint64(0)
 	for w := 0; w < p.ways; w++ {
-		if !eligible(w) {
+		if skip != nil && skip[w] {
 			continue
 		}
 		if s := p.stamp[set*p.ways+w]; best == -1 || s < bestStamp {
@@ -218,10 +218,10 @@ func (p *rrip) Miss(set int) {
 	}
 }
 
-func (p *rrip) Victim(set int, eligible func(way int) bool) int {
+func (p *rrip) Victim(set int, skip []bool) int {
 	for {
 		for w := 0; w < p.ways; w++ {
-			if eligible(w) && p.rrpv[set*p.ways+w] == rripMax {
+			if (skip == nil || !skip[w]) && p.rrpv[set*p.ways+w] == rripMax {
 				return w
 			}
 		}
@@ -237,7 +237,7 @@ func (p *rrip) Victim(set int, eligible func(way int) bool) int {
 			// All lines already distant but ineligible ones block them:
 			// pick the first eligible way.
 			for w := 0; w < p.ways; w++ {
-				if eligible(w) {
+				if skip == nil || !skip[w] {
 					return w
 				}
 			}

@@ -119,7 +119,7 @@ func (m *AAM) page(pageIdx uint64) *aamPage {
 // ensurePage returns the directory entry for pageIdx, allocating the page
 // (and growing the dense directory) if needed. Only Map reaches this.
 //
-//xmem:alloc-ok cold pool-refill path: a page allocates only the first time its index is mapped; steady-state churn reuses freePages (TestHotPathMapChurnAllocFree)
+//xmem:alloc-ok cold pool-refill path: a page allocates only the first time its index is mapped, and the dense directory grows geometrically, so n ascending pages reallocate it O(log n) times (TestAAMDirectoryGrowsGeometrically); steady-state churn reuses freePages (TestHotPathMapChurnAllocFree)
 func (m *AAM) ensurePage(pageIdx uint64) *aamPage {
 	if p := m.page(pageIdx); p != nil {
 		return p
@@ -136,10 +136,8 @@ func (m *AAM) ensurePage(pageIdx uint64) *aamPage {
 		}
 	}
 	if pageIdx < maxDirectPages {
-		if pageIdx >= uint64(len(m.dir)) {
-			grown := make([]*aamPage, pageIdx+1)
-			copy(grown, m.dir)
-			m.dir = grown
+		if n := uint64(len(m.dir)); pageIdx >= n {
+			m.dir = append(m.dir, make([]*aamPage, pageIdx+1-n)...)
 		}
 		m.dir[pageIdx] = p
 	} else {

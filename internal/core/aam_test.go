@@ -194,6 +194,31 @@ func TestAAMDirectoryShrinksToFootprint(t *testing.T) {
 	}
 }
 
+// TestAAMDirectoryGrowsGeometrically: mapping ascending pages one at a time
+// reallocates the dense directory O(log n) times, not once per new page.
+func TestAAMDirectoryGrowsGeometrically(t *testing.T) {
+	const pages = 4096
+	m := NewAAM(512)
+	grows, lastCap := 0, cap(m.dir)
+	for p := 0; p < pages; p++ {
+		m.Map(mem.Addr(p)*mem.PageBytes, mem.PageBytes, AtomID(p%8))
+		if c := cap(m.dir); c != lastCap {
+			grows, lastCap = grows+1, c
+		}
+	}
+	if len(m.dir) != pages {
+		t.Fatalf("directory covers %d pages, want %d", len(m.dir), pages)
+	}
+	if grows > 24 {
+		t.Errorf("directory reallocated %d times for %d ascending pages, want <= 24", grows, pages)
+	}
+	for p := 0; p < pages; p++ {
+		if id, ok := m.Lookup(mem.Addr(p) * mem.PageBytes); !ok || id != AtomID(p%8) {
+			t.Fatalf("page %d maps to %d,%v, want %d", p, id, ok, p%8)
+		}
+	}
+}
+
 // TestAAMPageAtomsInto: the caller-owned buffer is reused across calls, so
 // repeated snapshots are allocation-free.
 func TestAAMPageAtomsInto(t *testing.T) {

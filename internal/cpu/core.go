@@ -57,6 +57,54 @@ type robEntry struct {
 	res   mem.Result
 }
 
+// ring is a fixed-capacity FIFO. The window loops in IssueMem pop before
+// they push, so occupancy never exceeds size. The buffer is allocated by
+// the first push rather than by New, so building a machine costs what it
+// did with the growable slices the rings replaced; after that the issue
+// path never allocates.
+type ring[T any] struct {
+	buf  []T // nil until the first push, then size entries
+	size int
+	head int // index of the oldest entry
+	n    int // occupancy
+}
+
+func newRing[T any](size int) ring[T] { return ring[T]{size: size} }
+
+func (r *ring[T]) full() bool { return r.n == r.size }
+
+// front returns the oldest entry; the ring must not be empty.
+func (r *ring[T]) front() *T { return &r.buf[r.head] }
+
+func (r *ring[T]) pop() {
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+}
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		if r.buf != nil {
+			panic("cpu: ring overflow")
+		}
+		r.buf = make([]T, r.size)
+	}
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = v
+	r.n++
+}
+
+// reset empties the ring and drops its references to pending futures.
+func (r *ring[T]) reset() {
+	clear(r.buf)
+	r.head, r.n = 0, 0
+}
+
 // Core is the timing model. It is not safe for concurrent use.
 type Core struct {
 	cfg Config
@@ -65,9 +113,9 @@ type Core struct {
 	nextIssue uint64 // cycle the next instruction issues at
 	frac      int    // instructions already issued in cycle nextIssue
 
-	rob []robEntry // in-flight memory ops, oldest first (in-order commit)
-	lq  []mem.Result
-	sq  []mem.Result
+	rob ring[robEntry] // in-flight memory ops, oldest first (in-order commit)
+	lq  ring[mem.Result]
+	sq  ring[mem.Result]
 
 	stats Stats
 }
@@ -88,7 +136,8 @@ func New(cfg Config) *Core {
 	if cfg.SQSize <= 0 {
 		cfg.SQSize = def.SQSize
 	}
-	return &Core{cfg: cfg}
+	return &Core{cfg: cfg, rob: newRing[robEntry](cfg.ROBSize),
+		lq: newRing[mem.Result](cfg.LQSize), sq: newRing[mem.Result](cfg.SQSize)}
 }
 
 // Now returns the cycle at which the next instruction would issue.
@@ -116,24 +165,24 @@ func (c *Core) stallUntil(at uint64) uint64 {
 
 // retire pops ROB entries that have completed and committed by nextIssue.
 func (c *Core) retire() {
-	for len(c.rob) > 0 {
-		done, ok := c.rob[0].res.Peek()
+	for c.rob.n > 0 {
+		done, ok := c.rob.front().res.Peek()
 		if !ok || done > c.nextIssue {
 			return
 		}
-		c.rob = c.rob[1:]
+		c.rob.pop()
 	}
 }
 
-func drainQueue(q []mem.Result, now uint64) []mem.Result {
-	for len(q) > 0 {
-		if done, ok := q[0].Peek(); ok && done <= now {
-			q = q[1:]
-			continue
+// drainQueue pops the load or store queue's oldest entries that have
+// completed by now.
+func drainQueue(q *ring[mem.Result], now uint64) {
+	for q.n > 0 {
+		if done, ok := q.front().Peek(); !ok || done > now {
+			return
 		}
-		return q
+		q.pop()
 	}
-	return q
 }
 
 // IssueMem issues one memory instruction. The access callback performs the
@@ -151,28 +200,26 @@ func (c *Core) IssueMem(isLoad bool, access func(at uint64) mem.Result) {
 	// ROB window: the oldest in-flight op must be within ROBSize
 	// instructions of this one.
 	c.retire()
-	for len(c.rob) > 0 && c.instr-c.rob[0].instr >= uint64(c.cfg.ROBSize) {
-		c.stats.ROBStallCycles += c.stallUntil(c.rob[0].res.Wait())
-		c.rob = c.rob[1:]
+	for c.rob.n > 0 && c.instr-c.rob.front().instr >= uint64(c.cfg.ROBSize) {
+		c.stats.ROBStallCycles += c.stallUntil(c.rob.front().res.Wait())
+		c.rob.pop()
 	}
 
 	// Load/store queue occupancy.
 	q := &c.lq
-	limit := c.cfg.LQSize
 	if !isLoad {
 		q = &c.sq
-		limit = c.cfg.SQSize
 	}
-	*q = drainQueue(*q, c.nextIssue)
-	for len(*q) >= limit {
-		c.stats.LSQStallCycles += c.stallUntil((*q)[0].Wait())
-		*q = (*q)[1:]
-		*q = drainQueue(*q, c.nextIssue)
+	drainQueue(q, c.nextIssue)
+	for q.full() {
+		c.stats.LSQStallCycles += c.stallUntil(q.front().Wait())
+		q.pop()
+		drainQueue(q, c.nextIssue)
 	}
 
 	res := access(c.nextIssue)
-	c.rob = append(c.rob, robEntry{instr: c.instr, res: res})
-	*q = append(*q, res)
+	c.rob.push(robEntry{instr: c.instr, res: res})
+	q.push(res)
 
 	// Issuing the instruction consumes an issue slot.
 	c.frac++
@@ -185,14 +232,14 @@ func (c *Core) IssueMem(isLoad bool, access func(at uint64) mem.Result) {
 // Finish retires everything outstanding and returns the final cycle count.
 func (c *Core) Finish() uint64 {
 	end := c.nextIssue
-	for _, e := range c.rob {
-		if d := e.res.Wait(); d > end {
+	for ; c.rob.n > 0; c.rob.pop() {
+		if d := c.rob.front().res.Wait(); d > end {
 			end = d
 		}
 	}
-	c.rob = nil
-	c.lq = nil
-	c.sq = nil
+	c.rob.reset()
+	c.lq.reset()
+	c.sq.reset()
 	c.nextIssue = end
 	c.stats.Cycles = end
 	return end

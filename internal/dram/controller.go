@@ -76,12 +76,16 @@ type Config struct {
 	FCFS bool
 }
 
+// request is one queued command. A read's Future lives inside it, so a
+// read costs one allocation, like a writeback. Requests are never pooled:
+// cache fill slots, the core's window and span state keep the Results that
+// point at their futures after the request has left the queue.
 type request struct {
+	fut     mem.Future // reads only: resolved by issue, forced through the channel
 	addr    mem.Addr
 	kind    mem.AccessKind
 	arrival uint64
 	loc     Location
-	fut     *mem.Future
 }
 
 type bank struct {
@@ -91,6 +95,7 @@ type bank struct {
 }
 
 type channel struct {
+	ctl          *Controller
 	banks        []bank
 	banksPerRank int
 	busReadyAt   uint64
@@ -160,6 +165,7 @@ func NewController(cfg Config) (*Controller, error) {
 	}
 	for i := 0; i < cfg.Geometry.Channels; i++ {
 		ch := &channel{
+			ctl:          c,
 			banks:        make([]bank, cfg.Geometry.BanksPerChannel()),
 			banksPerRank: cfg.Geometry.BanksPerRank,
 		}
@@ -204,7 +210,6 @@ func (c *Controller) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.
 		return mem.Done(at)
 	}
 
-	req := &request{addr: pa, kind: kind, arrival: at, loc: loc}
 	// Write-queue hit: the line's latest data is in the controller.
 	for _, w := range ch.writeQ {
 		if w.addr == pa {
@@ -216,18 +221,20 @@ func (c *Controller) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.
 			return mem.Done(at + c.timing.CAS)
 		}
 	}
-	req.fut = mem.NewFuture(func() { c.drainFor(ch, req) })
+	req := &request{addr: pa, kind: kind, arrival: at, loc: loc}
+	req.fut.Init(ch)
 	ch.readQ = append(ch.readQ, req)
 	if len(ch.readQ) > c.readCap {
-		c.drainFor(ch, ch.readQ[0])
+		ch.Force(&ch.readQ[0].fut)
 	}
-	return mem.Pending(req.fut)
+	return mem.Pending(&req.fut)
 }
 
-// drainFor steps the channel's scheduler until req completes.
-func (c *Controller) drainFor(ch *channel, req *request) {
-	for !req.fut.Resolved() {
-		if !c.step(ch) {
+// Force implements mem.Forcer: it steps the channel's scheduler until f,
+// the future of one of its reads, is resolved.
+func (ch *channel) Force(f *mem.Future) {
+	for !f.Resolved() {
+		if !ch.ctl.step(ch) {
 			panic("dram: scheduler stalled with unresolved request")
 		}
 	}

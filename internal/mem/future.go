@@ -2,17 +2,39 @@ package mem
 
 // Future is the eventually-known completion time of a memory request whose
 // scheduling depends on other requests that may not have arrived yet (DRAM
-// requests under FR-FCFS). The owner (the memory controller) installs a
-// force callback that advances its scheduler until the request completes.
+// requests under FR-FCFS). Its owner (the memory controller) advances its
+// scheduler until the request completes when the future is forced.
 type Future struct {
 	done     uint64
 	resolved bool
-	force    func()
+	owner    Forcer
 }
+
+// Forcer is the owner of pending futures. Force runs the owner's scheduler
+// until f is resolved. An owner that keeps the Future inside its own
+// request record and implements Forcer on a pointer type makes a pending
+// request cost one allocation: storing a pointer in an interface does not
+// allocate.
+type Forcer interface {
+	Force(f *Future)
+}
+
+// Init makes f, typically a field of the owner's request record, an
+// unresolved future forced through owner.
+func (f *Future) Init(owner Forcer) { *f = Future{owner: owner} }
+
+// forceFunc adapts a callback to Forcer.
+type forceFunc func()
+
+func (fn forceFunc) Force(*Future) { fn() }
 
 // NewFuture returns an unresolved future whose Force drains via the given
 // callback. The callback must leave the future resolved.
-func NewFuture(force func()) *Future { return &Future{force: force} }
+func NewFuture(force func()) *Future {
+	f := new(Future)
+	f.Init(forceFunc(force))
+	return f
+}
 
 // Resolve records the completion cycle. Resolving twice is a bug in the
 // owner and panics.
@@ -22,7 +44,7 @@ func (f *Future) Resolve(cycle uint64) {
 	}
 	f.done = cycle
 	f.resolved = true
-	f.force = nil
+	f.owner = nil
 }
 
 // Resolved reports whether the completion time is known.
@@ -32,7 +54,7 @@ func (f *Future) Resolved() bool { return f.resolved }
 // is known, then returns it.
 func (f *Future) Force() uint64 {
 	if !f.resolved {
-		f.force()
+		f.owner.Force(f)
 		if !f.resolved {
 			panic("mem: force did not resolve future")
 		}
@@ -62,8 +84,8 @@ func (r Result) Peek() (uint64, bool) {
 	}
 	if r.fut.Resolved() {
 		// Force on a resolved future is a pure read: Resolve cleared the
-		// callback, so no scheduler work can run from here.
-		return r.fut.Force(), true //xmem:stats-ok Force after Resolved() returns the stored cycle; the force callback was nilled by Resolve
+		// owner, so no scheduler work can run from here.
+		return r.fut.Force(), true //xmem:stats-ok Force after Resolved() returns the stored cycle; Resolve nilled the owner
 	}
 	return 0, false
 }

@@ -89,6 +89,56 @@ func TestFutureForceResolves(t *testing.T) {
 	}
 }
 
+// recordOwner keeps its futures inside its own request records, the way
+// the DRAM controller does, and resolves one when it is forced.
+type recordOwner struct {
+	records []*ownedRecord
+	forced  []*Future
+}
+
+type ownedRecord struct {
+	fut  Future
+	done uint64
+}
+
+func (o *recordOwner) Force(f *Future) {
+	o.forced = append(o.forced, f)
+	for _, r := range o.records {
+		if &r.fut == f {
+			f.Resolve(r.done)
+		}
+	}
+}
+
+func TestFutureForcedThroughOwner(t *testing.T) {
+	a, b := &ownedRecord{done: 70}, &ownedRecord{done: 90}
+	o := &recordOwner{records: []*ownedRecord{a, b}}
+	a.fut.Init(o)
+	b.fut.Init(o)
+	ra, rb := Pending(&a.fut), Pending(&b.fut)
+	if got := rb.Wait(); got != 90 {
+		t.Fatalf("Wait = %d, want 90", got)
+	}
+	if _, ok := ra.Peek(); ok {
+		t.Fatal("forcing b resolved a")
+	}
+	if got := ra.Wait(); got != 70 || len(o.forced) != 2 || o.forced[0] != &b.fut || o.forced[1] != &a.fut {
+		t.Fatalf("Wait = %d, forced %v; want 70 and b then a", got, o.forced)
+	}
+	// A resolved future no longer reaches its owner.
+	ra.Wait()
+	if len(o.forced) != 2 {
+		t.Fatalf("resolved future forced its owner again: %d forces", len(o.forced))
+	}
+	// Init on a record and Pending on its field allocate nothing.
+	if allocs := testing.AllocsPerRun(100, func() {
+		a.fut.Init(o)
+		_ = Pending(&a.fut)
+	}); allocs != 0 {
+		t.Errorf("Init+Pending allocates %v, want 0", allocs)
+	}
+}
+
 func TestFutureDoubleResolvePanics(t *testing.T) {
 	f := NewFuture(nil)
 	f.Resolve(1)

@@ -132,9 +132,11 @@ func (p *MultiStride) enqueue(r Request) {
 	p.stats.Issued++
 }
 
-// Drain returns and clears the queued prefetches.
+// Drain returns and clears the queued prefetches. The queue keeps its
+// backing array, so the returned slice is valid only until the next
+// Observe.
 func (p *MultiStride) Drain() []Request {
 	q := p.queue
-	p.queue = nil
+	p.queue = p.queue[:0]
 	return q
 }

@@ -237,9 +237,11 @@ func (p *XMemPrefetcher) OnMiss(pa mem.Addr, id core.AtomID, at uint64) {
 	p.OnAccess(pa, id, at)
 }
 
-// Drain returns and clears the queued prefetches.
+// Drain returns and clears the queued prefetches. The queue keeps its
+// backing array, so the returned slice is valid only until the next
+// OnAccess.
 func (p *XMemPrefetcher) Drain() []Request {
 	q := p.queue
-	p.queue = nil
+	p.queue = p.queue[:0]
 	return q
 }
