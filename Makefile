@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test test-short vet xmem-vet vet-json vet-hotpath \
         infer-validate lint fmtcheck check bench bench-test alloc-gate race \
-        sweep-smoke metrics-smoke trace-smoke experiments experiments-paper \
+        fuzz-smoke sweep-smoke metrics-smoke trace-smoke experiments experiments-paper \
         examples clean
 
 all: build vet test
@@ -56,18 +56,30 @@ fmtcheck:
 lint: vet fmtcheck vet-json
 	$(GO) test -race ./internal/core/... ./internal/sim/...
 
-check: build vet fmtcheck test bench-test race alloc-gate vet-hotpath metrics-smoke trace-smoke sweep-smoke
+check: build vet fmtcheck test bench-test race alloc-gate fuzz-smoke vet-hotpath metrics-smoke trace-smoke sweep-smoke
 
 # Allocation regression gate for the per-access path. In steady state the
 # AMU lookup path (AMU.Lookup, Peek, LookupAttributes on ALB hit, miss+evict
-# and unmapped pages), cpu.IssueMem under ROB and LSQ stalls, cache hits and
-# misses with the probe on and off, and the stride and XMem prefetchers'
-# train+Drain allocate nothing; on a warmed sim Machine an L1-hitting load
-# allocates nothing and a thrashing stream at most one object per DRAM
-# request. Cheap enough for every check/CI run.
+# and unmapped pages), page-table translation, cpu.IssueMem under ROB and
+# LSQ stalls, cache hits and misses with the probe on and off, the stride
+# and XMem prefetchers' train+Drain, and DRAM writebacks and write-queue
+# hits allocate nothing; a DRAM read allocates exactly its Future. On a
+# warmed sim Machine an L1-hitting load allocates nothing and a thrashing
+# stream at most one object per DRAM read. Cheap enough for every check/CI
+# run.
 alloc-gate:
 	$(GO) test -run 'TestHotPath|TestProbeAllocs' -v ./internal/core/ \
-		./internal/cpu/ ./internal/cache/ ./internal/prefetch/ ./internal/sim/
+		./internal/kernel/ ./internal/cpu/ ./internal/cache/ \
+		./internal/prefetch/ ./internal/dram/ ./internal/sim/
+
+# Short coverage-guided runs of the reference-model differentials: the
+# fill-counted cache against the valid-array cache, and the by-value DRAM
+# controller against the pointer-queue one. Plain go test runs only their
+# seed corpora; this mutates inputs for a few seconds per target. A failing
+# input is saved under the package's testdata/fuzz/ directory.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime 5s ./internal/cache/
+	$(GO) test -run '^$$' -fuzz '^FuzzControllerMatchesReference$$' -fuzztime 5s ./internal/dram/
 
 # Full race-detector pass over every package (the parallel sweep runner
 # is the main concurrent surface).

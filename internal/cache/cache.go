@@ -159,8 +159,11 @@ type Cache struct {
 	ways     int
 	policy   Policy
 
-	tags       []uint64
-	valid      []bool
+	tags []uint64
+	// used counts each set's valid ways. Lines are never invalidated and
+	// chooseVictim fills the first free way, so ways [0, used[set]) are
+	// exactly the set's valid lines.
+	used       []int
 	dirty      []bool
 	pinned     []bool
 	prefetched []bool
@@ -217,7 +220,7 @@ func New(cfg Config, next Lower) (*Cache, error) {
 	return &Cache{
 		cfg: cfg, sets: sets, setShift: uint(bits.TrailingZeros(uint(sets))),
 		ways: cfg.Ways, policy: pol,
-		tags: make([]uint64, n), valid: make([]bool, n),
+		tags: make([]uint64, n), used: make([]int, sets),
 		dirty: make([]bool, n), pinned: make([]bool, n),
 		prefetched: make([]bool, n),
 		atoms:      make([]core.AtomID, n), fill: make([]mem.Result, n),
@@ -272,8 +275,8 @@ func (c *Cache) lineAddr(set, idx int) mem.Addr {
 
 func (c *Cache) find(set int, tag uint64) int {
 	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
+	for w, t := range c.tags[base : base+c.used[set]] {
+		if t == tag {
 			return w
 		}
 	}
@@ -314,6 +317,11 @@ func (c *Cache) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.Addr)
 		}
 		// A line still in flight (e.g., an earlier prefetch) is a delayed hit.
 		done, ok := c.fill[idx].Peek()
+		if ok {
+			// Collapse a resolved fill so later hits skip the future and
+			// the lower level's Future can be collected.
+			c.fill[idx] = mem.Done(done)
+		}
 		delayed := !ok || done > lookupDone
 		if demand {
 			if delayed {
@@ -418,7 +426,7 @@ func (c *Cache) install(pa mem.Addr, set int, tag uint64, kind mem.AccessKind, a
 
 	way := c.chooseVictim(set)
 	idx := set*c.ways + way
-	if c.valid[idx] {
+	if way < c.used[set] {
 		c.stats.Evictions++
 		wasPinned := c.pinned[idx]
 		if wasPinned {
@@ -441,10 +449,11 @@ func (c *Cache) install(pa mem.Addr, set int, tag uint64, kind mem.AccessKind, a
 			}
 			c.next.Access(victimPA, mem.Writeback, wbAt, pc)
 		}
+	} else {
+		c.used[set]++
 	}
 
 	c.tags[idx] = tag
-	c.valid[idx] = true
 	c.dirty[idx] = kind == mem.Write
 	c.pinned[idx] = ins.Pin
 	c.prefetched[idx] = kind == mem.Prefetch
@@ -461,16 +470,14 @@ func (c *Cache) install(pa mem.Addr, set int, tag uint64, kind mem.AccessKind, a
 	return ins, pinDenied
 }
 
-// chooseVictim prefers invalid ways, then unpinned lines; pinned lines are
-// victims of last resort. The set's pinned bits are the policy's skip mask,
-// so choosing a victim allocates nothing.
+// chooseVictim prefers the first free way, then unpinned lines; pinned
+// lines are victims of last resort. The set's pinned bits are the policy's
+// skip mask, so choosing a victim allocates nothing.
 func (c *Cache) chooseVictim(set int) int {
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if !c.valid[base+w] {
-			return w
-		}
+	if n := c.used[set]; n < c.ways {
+		return n
 	}
+	base := set * c.ways
 	if c.pinnedInSet[set] < c.ways { // an unpinned way exists
 		return c.policy.Victim(set, c.pinned[base:base+c.ways])
 	}
@@ -483,9 +490,9 @@ func (c *Cache) chooseVictim(set int) int {
 func (c *Cache) AgePinned(keep func(core.AtomID) bool) {
 	for set := 0; set < c.sets; set++ {
 		base := set * c.ways
-		for w := 0; w < c.ways; w++ {
+		for w := 0; w < c.used[set]; w++ {
 			idx := base + w
-			if !c.valid[idx] || !c.pinned[idx] {
+			if !c.pinned[idx] {
 				continue
 			}
 			if keep != nil && keep(c.atoms[idx]) {

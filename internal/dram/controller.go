@@ -76,16 +76,19 @@ type Config struct {
 	FCFS bool
 }
 
-// request is one queued command. A read's Future lives inside it, so a
-// read costs one allocation, like a writeback. Requests are never pooled:
-// cache fill slots, the core's window and span state keep the Results that
-// point at their futures after the request has left the queue.
+// request is one queued command, held by value in its channel's queue.
+// Access decodes the address once and stores the per-channel bank index and
+// the row, so the scheduler's scans read contiguous memory. A read's Future
+// is its only allocation; a writeback allocates nothing. Futures are never
+// pooled: cache fill slots, the core's window and span state keep the
+// Results that point at them after the request has left the queue.
 type request struct {
-	fut     mem.Future // reads only: resolved by issue, forced through the channel
+	fut     *mem.Future // reads only: resolved by issue, forced through the channel
 	addr    mem.Addr
-	kind    mem.AccessKind
 	arrival uint64
-	loc     Location
+	row     int64
+	bank    int32 // rank-major index within the channel
+	kind    mem.AccessKind
 }
 
 type bank struct {
@@ -100,8 +103,8 @@ type channel struct {
 	banksPerRank int
 	busReadyAt   uint64
 	clock        uint64
-	readQ        []*request
-	writeQ       []*request
+	readQ        []request
+	writeQ       []request
 	// draining latches write-drain mode: once the write queue reaches the
 	// high watermark, writes drain in a batch down to the low watermark
 	// rather than ping-ponging rows with interleaved reads.
@@ -199,9 +202,11 @@ func (c *Controller) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.
 	pa = mem.LineAddr(pa)
 	loc := c.mapping.Map(pa)
 	ch := c.chans[loc.Channel]
+	req := request{addr: pa, arrival: at, row: int64(loc.Row),
+		bank: int32(loc.Rank*ch.banksPerRank + loc.Bank), kind: kind}
 
 	if kind == mem.Writeback {
-		ch.writeQ = append(ch.writeQ, &request{addr: pa, kind: kind, arrival: at, loc: loc})
+		ch.writeQ = append(ch.writeQ, req)
 		// Bound the write queue so a write-only phase cannot grow it
 		// without limit.
 		for len(ch.writeQ) > 4*c.writeHi {
@@ -211,8 +216,8 @@ func (c *Controller) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.
 	}
 
 	// Write-queue hit: the line's latest data is in the controller.
-	for _, w := range ch.writeQ {
-		if w.addr == pa {
+	for i := range ch.writeQ {
+		if ch.writeQ[i].addr == pa {
 			c.stats.WriteQueueHits++
 			if kind.IsDemand() {
 				c.stats.DemandReads++
@@ -221,13 +226,13 @@ func (c *Controller) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.
 			return mem.Done(at + c.timing.CAS)
 		}
 	}
-	req := &request{addr: pa, kind: kind, arrival: at, loc: loc}
+	req.fut = new(mem.Future)
 	req.fut.Init(ch)
 	ch.readQ = append(ch.readQ, req)
 	if len(ch.readQ) > c.readCap {
-		ch.Force(&ch.readQ[0].fut)
+		ch.Force(ch.readQ[0].fut)
 	}
-	return mem.Pending(&req.fut)
+	return mem.Pending(req.fut)
 }
 
 // Force implements mem.Forcer: it steps the channel's scheduler until f,
@@ -255,9 +260,10 @@ func (c *Controller) DrainAll() {
 // it is the oldest row hit if any bank row matches, otherwise the oldest
 // request; under plain FCFS, always the oldest. Only requests that have
 // arrived by the channel clock are eligible.
-func (ch *channel) pick(q []*request, fcfs bool) int {
+func (ch *channel) pick(q []request, fcfs bool) int {
 	oldest, oldestHit := -1, -1
-	for i, r := range q {
+	for i := range q {
+		r := &q[i]
 		if r.arrival > ch.clock {
 			continue
 		}
@@ -267,7 +273,7 @@ func (ch *channel) pick(q []*request, fcfs bool) int {
 		if fcfs {
 			continue
 		}
-		if ch.banks[ch.bankIndex(r.loc)].openRow == int64(r.loc.Row) {
+		if ch.banks[r.bank].openRow == r.row {
 			if oldestHit == -1 || r.arrival < q[oldestHit].arrival {
 				oldestHit = i
 			}
@@ -283,20 +289,21 @@ func (ch *channel) pick(q []*request, fcfs bool) int {
 // arrived read, or -1 when every write's bank has read traffic.
 func (ch *channel) pickWriteReadIdle(fcfs bool) int {
 	var readBanks uint64
-	for _, r := range ch.readQ {
-		if r.arrival <= ch.clock {
-			readBanks |= 1 << uint(ch.bankIndex(r.loc))
+	for i := range ch.readQ {
+		if r := &ch.readQ[i]; r.arrival <= ch.clock {
+			readBanks |= 1 << uint(r.bank)
 		}
 	}
 	best, bestHit := -1, -1
-	for i, w := range ch.writeQ {
-		if w.arrival > ch.clock || readBanks&(1<<uint(ch.bankIndex(w.loc))) != 0 {
+	for i := range ch.writeQ {
+		w := &ch.writeQ[i]
+		if w.arrival > ch.clock || readBanks&(1<<uint(w.bank)) != 0 {
 			continue
 		}
 		if best == -1 || w.arrival < ch.writeQ[best].arrival {
 			best = i
 		}
-		if !fcfs && ch.banks[ch.bankIndex(w.loc)].openRow == int64(w.loc.Row) {
+		if !fcfs && ch.banks[w.bank].openRow == w.row {
 			if bestHit == -1 || w.arrival < ch.writeQ[bestHit].arrival {
 				bestHit = i
 			}
@@ -328,14 +335,14 @@ func (c *Controller) step(ch *channel) bool {
 		// Nothing has arrived: jump to the earliest arrival.
 		next := uint64(0)
 		found := false
-		for _, r := range ch.readQ {
-			if !found || r.arrival < next {
-				next, found = r.arrival, true
+		for i := range ch.readQ {
+			if a := ch.readQ[i].arrival; !found || a < next {
+				next, found = a, true
 			}
 		}
-		for _, r := range ch.writeQ {
-			if !found || r.arrival < next {
-				next, found = r.arrival, true
+		for i := range ch.writeQ {
+			if a := ch.writeQ[i].arrival; !found || a < next {
+				next, found = a, true
 			}
 		}
 		if !found {
@@ -349,13 +356,13 @@ func (c *Controller) step(ch *channel) bool {
 		if len(ch.writeQ) >= c.writeHi {
 			ch.draining = true
 		}
-		c.issue(ch, ch.writeQ[writeIdx])
+		c.issue(ch, &ch.writeQ[writeIdx])
 		ch.writeQ = append(ch.writeQ[:writeIdx], ch.writeQ[writeIdx+1:]...)
 		if len(ch.writeQ) <= c.writeHi/4 {
 			ch.draining = false
 		}
 	default:
-		c.issue(ch, ch.readQ[readIdx])
+		c.issue(ch, &ch.readQ[readIdx])
 		ch.readQ = append(ch.readQ[:readIdx], ch.readQ[readIdx+1:]...)
 	}
 	return true
@@ -370,13 +377,13 @@ func max64(a, b uint64) uint64 {
 
 // issue models the bank and bus timing of one command.
 func (c *Controller) issue(ch *channel, r *request) {
-	b := &ch.banks[ch.bankIndex(r.loc)]
+	b := &ch.banks[r.bank]
 	start := max64(max64(ch.clock, r.arrival), b.readyAt)
 
 	var lat uint64
 	rowHit := false
 	switch {
-	case c.idealRBL || b.openRow == int64(r.loc.Row):
+	case c.idealRBL || b.openRow == r.row:
 		c.stats.RowHits++
 		rowHit = true
 		lat = c.timing.CAS
@@ -391,7 +398,7 @@ func (c *Controller) issue(ch *channel, r *request) {
 		lat = (pre - start) + c.timing.RP + c.timing.RCD + c.timing.CAS
 		b.activateAt = pre + c.timing.RP
 	}
-	b.openRow = int64(r.loc.Row)
+	b.openRow = r.row
 	if r.kind == mem.Writeback {
 		lat += c.timing.WritePenalty
 	}
@@ -422,9 +429,4 @@ func (c *Controller) issue(ch *channel, r *request) {
 		c.stats.ReadLatency.Observe(done - r.arrival)
 	}
 	r.fut.Resolve(done)
-}
-
-// bankIndexIn returns the per-channel (rank-major) bank index.
-func (ch *channel) bankIndex(l Location) int {
-	return l.Rank*ch.banksPerRank + l.Bank
 }

@@ -26,27 +26,26 @@ func (l Location) GlobalBank(g Geometry) int {
 	return l.Channel*g.BanksPerChannel() + l.BankIndex(g)
 }
 
-// field identifies one component of the address decomposition.
-type field int
-
-const (
-	fChan field = iota
-	fRank
-	fBank
-	fRow
-	fCol
-)
-
 // Mapping decomposes physical line addresses into DRAM locations. Schemes
 // differ in the LSB-to-MSB order in which address bits feed the fields, and
 // optionally permute the bank index with low row bits (the XOR/permutation
 // schemes of [106, 107]).
 type Mapping struct {
-	name     string
-	orderLSB []field
-	geom     Geometry
-	xorBank  bool
+	name    string
+	geom    Geometry
+	xorBank bool
+	// Each field's position in the line index, fixed by NewMapping so
+	// that Map only shifts and masks.
+	ch, rank, bank, row, col bitField
 }
+
+// bitField is one field's bit range within a line index.
+type bitField struct {
+	shift uint
+	mask  uint64
+}
+
+func (b bitField) get(line uint64) uint64 { return line >> b.shift & b.mask }
 
 // SchemeNames lists every supported mapping scheme. The first seven are the
 // bit-order permutations (DRAMSim2-style, written MSB:LSB with ro=row,
@@ -87,19 +86,21 @@ func NewMapping(name string, g Geometry) (*Mapping, error) {
 	}
 	seen := map[string]bool{}
 	// parts are MSB-first; consume LSB-first.
+	var shift uint
 	for i := len(parts) - 1; i >= 0; i-- {
-		var f field
+		var f *bitField
+		var n int
 		switch parts[i] {
 		case "ch":
-			f = fChan
+			f, n = &m.ch, bits.Len(uint(g.Channels))-1
 		case "ra":
-			f = fRank
+			f, n = &m.rank, bits.Len(uint(g.RanksPerChannel))-1
 		case "ba":
-			f = fBank
+			f, n = &m.bank, bits.Len(uint(g.BanksPerRank))-1
 		case "ro":
-			f = fRow
+			f, n = &m.row, bits.Len(uint(g.RowsPerBank()))-1
 		case "co":
-			f = fCol
+			f, n = &m.col, bits.Len(uint(g.RowBytes/mem.LineBytes))-1
 		default:
 			return nil, fmt.Errorf("dram: unknown mapping field %q in %q", parts[i], name)
 		}
@@ -107,7 +108,15 @@ func NewMapping(name string, g Geometry) (*Mapping, error) {
 			return nil, fmt.Errorf("dram: duplicate field %q in %q", parts[i], name)
 		}
 		seen[parts[i]] = true
-		m.orderLSB = append(m.orderLSB, f)
+		if n < 0 {
+			// No rows (capacity below one row per bank): the field
+			// takes every remaining bit and the fields above it none.
+			*f = bitField{shift: shift, mask: ^uint64(0)}
+			shift = 64
+			continue
+		}
+		*f = bitField{shift: shift, mask: 1<<uint(n) - 1}
+		shift += uint(n)
 	}
 	return m, nil
 }
@@ -124,41 +133,15 @@ func MustMapping(name string, g Geometry) *Mapping {
 // Name returns the scheme name.
 func (m *Mapping) Name() string { return m.name }
 
-func (m *Mapping) fieldBits(f field) int {
-	switch f {
-	case fChan:
-		return bits.Len(uint(m.geom.Channels)) - 1
-	case fRank:
-		return bits.Len(uint(m.geom.RanksPerChannel)) - 1
-	case fBank:
-		return bits.Len(uint(m.geom.BanksPerRank)) - 1
-	case fCol:
-		return bits.Len(uint(m.geom.RowBytes/mem.LineBytes)) - 1
-	default:
-		return bits.Len(uint(m.geom.RowsPerBank())) - 1
-	}
-}
-
 // Map decomposes pa.
 func (m *Mapping) Map(pa mem.Addr) Location {
 	line := mem.LineIndex(pa)
-	var loc Location
-	for _, f := range m.orderLSB {
-		n := m.fieldBits(f)
-		val := line & (1<<uint(n) - 1)
-		line >>= uint(n)
-		switch f {
-		case fChan:
-			loc.Channel = int(val)
-		case fRank:
-			loc.Rank = int(val)
-		case fBank:
-			loc.Bank = int(val)
-		case fRow:
-			loc.Row = val
-		case fCol:
-			loc.Col = val
-		}
+	loc := Location{
+		Channel: int(m.ch.get(line)),
+		Rank:    int(m.rank.get(line)),
+		Bank:    int(m.bank.get(line)),
+		Row:     m.row.get(line),
+		Col:     m.col.get(line),
 	}
 	if m.xorBank && m.geom.BanksPerRank > 1 {
 		loc.Bank ^= int(loc.Row) & (m.geom.BanksPerRank - 1)

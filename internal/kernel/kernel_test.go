@@ -147,6 +147,86 @@ func TestAddressSpaceMallocAndTranslate(t *testing.T) {
 	}
 }
 
+// TestAddressSpaceTranslateBoundaries: the dense page table translates
+// exactly the mapped pages: frame 0 is a real frame, while the null page,
+// addresses below vaBase, guard pages and addresses past the last mapping
+// are unmapped. MappedPages counts only mapped pages, and a failed Malloc
+// maps nothing.
+func TestAddressSpaceTranslateBoundaries(t *testing.T) {
+	as := NewAddressSpace(NewSequentialAllocator(16*mem.PageBytes), nil)
+	var bases []mem.Addr
+	for i, size := range []uint64{3*mem.PageBytes + 5, mem.PageBytes, 2 * mem.PageBytes} {
+		va, err := as.Malloc("r", size, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases = append(bases, va)
+		if want := []int{4, 5, 7}[i]; as.MappedPages() != want {
+			t.Fatalf("after malloc %d: mapped pages = %d, want %d", i, as.MappedPages(), want)
+		}
+	}
+	a, b, c := bases[0], bases[1], bases[2]
+	for _, tc := range []struct {
+		name string
+		va   mem.Addr
+		ok   bool
+		pa   mem.Addr
+	}{
+		{"null", 0, false, 0},
+		{"below vaBase", vaBase - 1, false, 0},
+		{"frame 0", a, true, 0},
+		{"last byte of the first region", a + 4*mem.PageBytes - 1, true, 4*mem.PageBytes - 1},
+		{"guard page", a + 4*mem.PageBytes, false, 0},
+		{"byte before the second region", b - 1, false, 0},
+		{"second region", b + 7, true, 4*mem.PageBytes + 7},
+		{"last guard page", c + 2*mem.PageBytes, false, 0},
+		{"page past the last mapping", c + 3*mem.PageBytes, false, 0},
+		{"far address", 1 << 62, false, 0},
+	} {
+		pa, ok := as.Translate(tc.va)
+		if ok != tc.ok || pa != tc.pa {
+			t.Errorf("%s: Translate(%#x) = %#x, %v; want %#x, %v", tc.name, tc.va, pa, ok, tc.pa, tc.ok)
+		}
+	}
+
+	// Nine frames remain; a ten-page Malloc takes them and fails.
+	next := c + 3*mem.PageBytes
+	if _, err := as.Malloc("big", 10*mem.PageBytes, 0); err == nil {
+		t.Fatal("oversized malloc succeeded")
+	}
+	if as.MappedPages() != 7 {
+		t.Errorf("after a failed malloc: mapped pages = %d, want 7", as.MappedPages())
+	}
+	if _, ok := as.Translate(next); ok {
+		t.Error("a failed malloc left its first page mapped")
+	}
+}
+
+func TestHotPathTranslateAllocFree(t *testing.T) {
+	as := NewAddressSpace(NewSequentialAllocator(1<<20), nil)
+	va, err := as.Malloc("buf", 64*mem.PageBytes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var off mem.Addr
+	var mapped int
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 256; i++ {
+			// Mapped pages, the guard page and the pages past it.
+			if _, ok := as.Translate(va + off); ok {
+				mapped++
+			}
+			off = (off + 1000) % (70 * mem.PageBytes)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Translate allocates %v per 256 calls, want 0", allocs)
+	}
+	if mapped == 0 {
+		t.Fatal("no translation hit a mapped page")
+	}
+}
+
 func TestAddressSpaceRegions(t *testing.T) {
 	as := NewAddressSpace(NewSequentialAllocator(1<<20), nil)
 	vaA, _ := as.Malloc("A", mem.PageBytes, 1)

@@ -30,7 +30,11 @@ func (r Region) End() mem.Addr { return r.Base + mem.Addr(r.Size) }
 // an Atom ID, so the OS can place data-structure pages deliberately before
 // they are ever touched).
 type AddressSpace struct {
-	pages   map[uint64]mem.Addr // virtual page index -> frame base
+	// pages is the page table, indexed by virtual page number minus
+	// vaBase's. VAs are handed out in increasing order and never unmapped,
+	// so it only grows. An entry holds the frame base plus one, so that 0
+	// marks an unmapped page (a guard page) while frame 0 stays mappable.
+	pages   []mem.Addr
 	nextVA  mem.Addr
 	alloc   FrameAllocator
 	policy  PlacementPolicy
@@ -44,7 +48,6 @@ const vaBase = mem.Addr(1 << 20)
 // policy may be nil (no placement steering).
 func NewAddressSpace(alloc FrameAllocator, policy PlacementPolicy) *AddressSpace {
 	return &AddressSpace{
-		pages:  make(map[uint64]mem.Addr),
 		nextVA: vaBase,
 		alloc:  alloc,
 		policy: policy,
@@ -53,18 +56,20 @@ func NewAddressSpace(alloc FrameAllocator, policy PlacementPolicy) *AddressSpace
 
 // Translate implements core.AddressTranslator.
 func (as *AddressSpace) Translate(va mem.Addr) (mem.Addr, bool) {
-	frame, ok := as.pages[mem.PageIndex(va)]
-	if !ok {
+	// Below vaBase the index wraps past every mapped page.
+	i := mem.PageIndex(va) - mem.PageIndex(vaBase)
+	if i >= uint64(len(as.pages)) || as.pages[i] == 0 {
 		return 0, false
 	}
-	return frame + mem.Addr(mem.PageOffset(va)), true
+	return as.pages[i] - 1 + mem.Addr(mem.PageOffset(va)), true
 }
 
 // Malloc allocates size bytes tagged with the given atom and returns the
 // virtual base address. Pages are mapped eagerly so the placement policy
 // applies before first touch (§4.1.2: the augmented allocator lets the OS
 // manipulate the virtual-to-physical mapping without extra system calls).
-// The region is page-aligned with a guard page after it.
+// The region is page-aligned with a guard page after it. A failed Malloc
+// maps nothing.
 func (as *AddressSpace) Malloc(name string, size uint64, atom core.AtomID) (mem.Addr, error) {
 	if size == 0 {
 		return 0, fmt.Errorf("kernel: zero-size malloc of %q", name)
@@ -75,14 +80,18 @@ func (as *AddressSpace) Malloc(name string, size uint64, atom core.AtomID) (mem.
 	if as.policy != nil {
 		preferred = as.policy.PreferredBanks(atom)
 	}
+	first := len(as.pages)
 	for p := uint64(0); p < npages; p++ {
 		frame, err := as.alloc.AllocFrame(preferred)
 		if err != nil {
+			as.pages = as.pages[:first]
 			return 0, fmt.Errorf("kernel: malloc %q: %w", name, err)
 		}
-		as.pages[mem.PageIndex(base)+p] = frame
+		as.pages = append(as.pages, frame+1)
 	}
-	as.nextVA = base + mem.Addr(npages+1)*mem.PageBytes // +1 guard page
+	// A guard page follows the region.
+	as.pages = append(as.pages, 0)
+	as.nextVA = base + mem.Addr(npages+1)*mem.PageBytes
 	as.regions = append(as.regions, Region{Name: name, Base: base, Size: size, Atom: atom})
 	return base, nil
 }
@@ -106,4 +115,12 @@ func (as *AddressSpace) RegionAtom(va mem.Addr) (core.AtomID, bool) {
 }
 
 // MappedPages returns the number of mapped virtual pages.
-func (as *AddressSpace) MappedPages() int { return len(as.pages) }
+func (as *AddressSpace) MappedPages() int {
+	n := 0
+	for _, f := range as.pages {
+		if f != 0 {
+			n++
+		}
+	}
+	return n
+}

@@ -11,16 +11,14 @@ type Future struct {
 }
 
 // Forcer is the owner of pending futures. Force runs the owner's scheduler
-// until f is resolved. An owner that keeps the Future inside its own
-// request record and implements Forcer on a pointer type makes a pending
-// request cost one allocation: storing a pointer in an interface does not
-// allocate.
+// until f is resolved. An owner that implements Forcer on a pointer type
+// makes a pending request cost one allocation, the Future itself: storing
+// a pointer in an interface does not allocate.
 type Forcer interface {
 	Force(f *Future)
 }
 
-// Init makes f, typically a field of the owner's request record, an
-// unresolved future forced through owner.
+// Init makes f an unresolved future forced through owner.
 func (f *Future) Init(owner Forcer) { *f = Future{owner: owner} }
 
 // forceFunc adapts a callback to Forcer.

@@ -13,7 +13,7 @@ import (
 // alloc-gate`) on a warmed FastConfig machine with the XMem cache and the
 // stride prefetcher on: a load that hits L1 allocates nothing, and over a
 // stream that thrashes every level the only allocations are the DRAM
-// controller's, one per request.
+// controller's, one Future per read (writebacks allocate nothing).
 func TestHotPathMachineAccess(t *testing.T) {
 	const l3 = 64 << 10
 	cfg := FastConfig(l3)
@@ -25,7 +25,7 @@ func TestHotPathMachineAccess(t *testing.T) {
 	attrs := xm.Attributes{Pattern: xm.PatternRegular, StrideBytes: mem.LineBytes, Reuse: 200}
 	const lines = 4 * l3 / mem.LineBytes
 	var hitAllocs float64
-	var mallocs, requests, strideIssued, xmemIssued uint64
+	var mallocs, reads, strideIssued, xmemIssued uint64
 	w := workload.Workload{
 		Name:    "hotpath",
 		Declare: func(lib *xm.Lib) { lib.CreateAtom("hot.buf", attrs) },
@@ -64,7 +64,7 @@ func TestHotPathMachineAccess(t *testing.T) {
 			mallocs = ms.Mallocs - before
 			m.ctl.DrainAll()
 			end := m.ctl.Stats()
-			requests = end.Reads + end.Writes - st.Reads - st.Writes
+			reads = end.Reads - st.Reads
 			strideIssued, xmemIssued = m.strider.Stats().Issued, m.xmemPf.Stats().Issued
 		},
 	}
@@ -76,8 +76,8 @@ func TestHotPathMachineAccess(t *testing.T) {
 		t.Fatalf("stream did not exercise the hierarchy: L3 read misses %d, DRAM writes %d, prefetches issued %d stride, %d XMem",
 			res.L3.ReadMisses, res.DRAM.Writes, strideIssued, xmemIssued)
 	}
-	if requests == 0 || mallocs > requests {
-		t.Errorf("thrashing stream: %d allocations for %d DRAM requests, want at most one per request", mallocs, requests)
+	if reads == 0 || mallocs > reads {
+		t.Errorf("thrashing stream: %d allocations for %d DRAM reads, want at most one per read", mallocs, reads)
 	}
-	t.Logf("thrashing stream: %d allocations, %d DRAM requests", mallocs, requests)
+	t.Logf("thrashing stream: %d allocations, %d DRAM reads", mallocs, reads)
 }
