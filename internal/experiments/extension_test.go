@@ -1,17 +1,12 @@
 package experiments
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestHybridMiniShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	p := Mini()
-	res := RunHybrid(p, nil)
+	res := miniReport(t, "hybrid").(HybridResult)
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(res.Rows))
 	}
@@ -32,21 +27,13 @@ func TestHybridMiniShape(t *testing.T) {
 			t.Errorf("%s: gap closed %.2f out of plausible range", row.Workload, g)
 		}
 	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if !strings.Contains(buf.String(), "Hybrid-memory") {
-		t.Error("print missing header")
-	}
 }
 
 func TestCorunMiniShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	p := Mini()
-	p.UC1Kernels = []string{"gemm"}
-	p.UC1N = 96
-	res := RunCorun(p, nil)
+	res := miniReport(t, "corun").(CorunResult)
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 co-runner counts", len(res.Rows))
 	}
@@ -68,18 +55,13 @@ func TestCorunMiniShape(t *testing.T) {
 		t.Errorf("baseline slowdown not increasing: +1 -> %.3f, +3 -> %.3f",
 			res.Rows[1].BaselineSlowdown(), res.Rows[3].BaselineSlowdown())
 	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if !strings.Contains(buf.String(), "Co-run") {
-		t.Error("print missing header")
-	}
 }
 
 func TestNumaMiniShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	res := RunNuma(Mini(), nil)
+	res := miniReport(t, "numa").(NumaResult)
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -111,10 +93,7 @@ func TestAblationMiniShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	p := Mini()
-	p.UC1Kernels = []string{"gemm"}
-	p.UC1N = 96
-	res := RunAblation(p, nil)
+	res := miniReport(t, "ablation").(AblationResult)
 	knobs := map[string]int{}
 	for _, pt := range res.Points {
 		knobs[pt.Knob]++
