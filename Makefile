@@ -133,11 +133,11 @@ bench:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# Regenerate every figure/table at the fast preset (minutes).
+# Regenerate every figure/table at the fast preset (minutes): the files
+# EXPERIMENTS.md cites.
 experiments:
 	$(GO) run ./cmd/xmem-bench -preset fast -exp all -json results_fast.json | tee results_fast.txt
-	$(GO) run ./cmd/xmem-bench -preset fast -exp numa | tee results_ext.txt
-	$(GO) run ./cmd/xmem-bench -preset fast -exp ablation | tee -a results_ext.txt
+	$(GO) run ./cmd/xmem-bench -preset fast -exp numa,ablation | tee results_ext.txt
 	$(GO) run ./cmd/xmem-bench -preset fast -exp corun -kernels gemm,2mm,jacobi-2d | tee -a results_ext.txt
 
 # Table 3 scale (hours).

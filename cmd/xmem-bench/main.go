@@ -5,14 +5,17 @@
 //
 // Usage:
 //
-//	xmem-bench [-preset mini|fast|paper]
-//	           [-exp all|fig4|fig5|fig6|fig7|fig8|alb|overhead|hybrid|numa|ablation|corun]
+//	xmem-bench [-preset mini|fast|paper] [-exp names]
 //	           [-kernels gemm,2mm] [-workloads libq,mcf] [-v] [-json file]
 //	           [-parallel N] [-timeout 30s] [-checkpoint dir] [-resume]
 //	           [-sweep-metrics file]
 //
-// -exp takes a comma-separated list; all runs every experiment except numa,
-// ablation and corun.
+// -exp takes a comma-separated list of experiment names; the table in
+// internal/experiments defines them, and xmem-bench -h lists them. The
+// name all selects every experiment the table marks as part of it and
+// combines with other names (-exp all,numa). Each experiment prints once,
+// in table order, and experiments that show the same result share its
+// sweep: fig8 prints Figure 8 from fig7's runs.
 //
 // Every experiment is a deterministic sweep: -parallel N fans the sweep's
 // points over N workers and produces byte-identical report output to a
@@ -42,7 +45,7 @@ import (
 func main() {
 	var (
 		presetName = flag.String("preset", "fast", "scale preset: mini, fast, or paper")
-		exp        = flag.String("exp", "all", "experiment: all, fig4, fig5, fig6, fig7, fig8, alb, overhead, hybrid, numa, ablation, corun (the last three are not part of all)")
+		exp        = flag.String("exp", "all", "experiments to run: "+experiments.Usage())
 		kernels    = flag.String("kernels", "", "comma-separated kernel filter for use case 1")
 		workloads  = flag.String("workloads", "", "comma-separated workload filter for use case 2")
 		verbose    = flag.Bool("v", false, "print per-run progress to stderr")
@@ -59,6 +62,11 @@ func main() {
 	preset, ok := experiments.PresetByName(*presetName)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "xmem-bench: unknown preset %q\n", *presetName)
+		os.Exit(2)
+	}
+	sel, err := experiments.Select(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xmem-bench: %v\n", err)
 		os.Exit(2)
 	}
 	if *kernels != "" {
@@ -96,116 +104,21 @@ func main() {
 		}
 	}
 
-	want := func(name string) bool {
-		if *exp == "all" {
-			return true
+	// results holds each shown result by JSON key; entries that show the
+	// same result (fig7, fig8) share one sweep.
+	results := map[string]experiments.Report{}
+	for _, e := range sel {
+		res, ok := results[e.Result]
+		if !ok {
+			res, err = e.Run(preset, opt)
+			fatal(err)
+			results[e.Result] = res
 		}
-		for _, e := range strings.Split(*exp, ",") {
-			if e == name {
-				return true
-			}
-		}
-		return false
-	}
-	ran := false
-	jsonOut := map[string]interface{}{}
-
-	var fig4 *experiments.Fig4Result
-	if want("fig4") || want("fig5") {
-		res, err := experiments.RunFig4Sweep(preset, opt)
-		fatal(err)
-		fig4 = &res
-		if want("fig4") {
-			res.Print(out)
-			fmt.Fprintln(out)
-			jsonOut["fig4"] = res
-			ran = true
-		}
-	}
-	if want("fig5") {
-		res, err := experiments.RunFig5Sweep(preset, fig4, opt)
-		fatal(err)
-		res.Print(out)
+		e.Print(res, out)
 		fmt.Fprintln(out)
-		jsonOut["fig5"] = res
-		ran = true
-	}
-	if want("fig6") {
-		res, err := experiments.RunFig6Sweep(preset, nil, opt)
-		fatal(err)
-		res.Print(out)
-		fmt.Fprintln(out)
-		jsonOut["fig6"] = res
-		ran = true
-	}
-	if want("fig7") || want("fig8") {
-		res, err := experiments.RunFig7Sweep(preset, opt)
-		fatal(err)
-		if want("fig7") {
-			res.Print(out)
-			fmt.Fprintln(out)
-		}
-		if want("fig8") {
-			res.PrintFig8(out)
-			fmt.Fprintln(out)
-		}
-		jsonOut["fig7"] = res
-		ran = true
-	}
-	if want("alb") {
-		res, err := experiments.RunALBSweep(preset, opt)
-		fatal(err)
-		res.Print(out)
-		fmt.Fprintln(out)
-		jsonOut["alb"] = res
-		ran = true
-	}
-	if want("overhead") {
-		res, err := experiments.RunOverheadSweep(preset, opt)
-		fatal(err)
-		res.Print(out)
-		fmt.Fprintln(out)
-		jsonOut["overhead"] = res
-		ran = true
-	}
-	if want("hybrid") {
-		res, err := experiments.RunHybridSweep(preset, opt)
-		fatal(err)
-		res.Print(out)
-		fmt.Fprintln(out)
-		jsonOut["hybrid"] = res
-		ran = true
-	}
-	if want("numa") && *exp != "all" {
-		res, err := experiments.RunNumaSweep(preset, opt)
-		fatal(err)
-		res.Print(out)
-		fmt.Fprintln(out)
-		jsonOut["numa"] = res
-		ran = true
-	}
-	if want("ablation") && *exp != "all" {
-		res, err := experiments.RunAblationSweep(preset, opt)
-		fatal(err)
-		res.Print(out)
-		fmt.Fprintln(out)
-		jsonOut["ablation"] = res
-		ran = true
-	}
-	if want("corun") && *exp != "all" {
-		res, err := experiments.RunCorunSweep(preset, opt)
-		fatal(err)
-		res.Print(out)
-		fmt.Fprintln(out)
-		jsonOut["corun"] = res
-		ran = true
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "xmem-bench: unknown experiment %q\n", *exp)
-		os.Exit(2)
 	}
 	if *jsonPath != "" {
-		data, err := json.MarshalIndent(jsonOut, "", "  ")
+		data, err := json.MarshalIndent(results, "", "  ")
 		if err == nil {
 			err = os.WriteFile(*jsonPath, data, 0o644)
 		}

@@ -44,10 +44,10 @@ type AblationResult struct {
 // appear in the result itself.
 const ablationKnobRef = "ref"
 
-// AblationPoints builds the sweep: one independent point per knob setting,
+// ablationPoints builds the sweep: one independent point per knob setting,
 // plus the hidden reference point. All points are pure functions of the
 // preset, so they parallelize and checkpoint freely.
-func AblationPoints(p Preset) []runner.Point[AblationPoint] {
+func ablationPoints(p Preset) []runner.Point[AblationPoint] {
 	tile := tunedTile(p.UC1Tiles, p.UC1L3) * 2 // past the cache: thrash regime
 	kern := uc1Kernels(p)[0]
 	mkWork := func() workload.Workload {
@@ -128,15 +128,11 @@ func AblationPoints(p Preset) []runner.Point[AblationPoint] {
 	return pts
 }
 
-// RunAblationSweep sweeps each knob on a thrashing tiled kernel (the
+// runAblationSweep sweeps each knob on a thrashing tiled kernel (the
 // regime the XMem machinery exists for) and, for the scheduler knob,
 // additionally on a representative use-case-2 workload.
-func RunAblationSweep(p Preset, opt runner.Options) (AblationResult, error) {
-	outs, err := runner.Run(sweepName("ablation", p), AblationPoints(p), opt)
-	if err != nil {
-		return AblationResult{Preset: p}, err
-	}
-	rows := runner.Results(outs)
+func runAblationSweep(p Preset, opt runner.Options) (AblationResult, error) {
+	rows, err := runSweep("ablation", p, ablationPoints(p), opt)
 
 	// Stitch the references in: the hidden baseline point feeds the cache
 	// knobs; FR-FCFS feeds the scheduler knob; then drop the hidden point.
@@ -161,16 +157,7 @@ func RunAblationSweep(p Preset, opt runner.Options) (AblationResult, error) {
 		}
 		res.Points = append(res.Points, a)
 	}
-	return res, runner.FailErr(outs)
-}
-
-// RunAblation is the sequential entry point (panics on failure).
-func RunAblation(p Preset, progress io.Writer) AblationResult {
-	res, err := RunAblationSweep(p, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
+	return res, err
 }
 
 // Print renders the sweeps.

@@ -75,10 +75,10 @@ func antagonist(idx int, lines int) workload.Workload {
 	}
 }
 
-// CorunPoints builds the sweep: one independent point per (kernel,
+// corunPoints builds the sweep: one independent point per (kernel,
 // co-runner count). Solo references are stitched in after the sweep from
 // each kernel's 0-co-runner row.
-func CorunPoints(p Preset) []runner.Point[CorunRow] {
+func corunPoints(p Preset) []runner.Point[CorunRow] {
 	tile := p.UC1L3 / 2
 	antagonistLines := int(4 * p.UC1L3 / mem.LineBytes)
 	var pts []runner.Point[CorunRow]
@@ -126,15 +126,11 @@ func CorunPoints(p Preset) []runner.Point[CorunRow] {
 	return pts
 }
 
-// RunCorunSweep measures kernel slowdown under 0-3 streaming co-runners
+// runCorunSweep measures kernel slowdown under 0-3 streaming co-runners
 // for the Baseline and XMem systems. The kernel uses the tile a static
 // optimizer would pick for the preset's cache.
-func RunCorunSweep(p Preset, opt runner.Options) (CorunResult, error) {
-	outs, err := runner.Run(sweepName("corun", p), CorunPoints(p), opt)
-	if err != nil {
-		return CorunResult{Preset: p}, err
-	}
-	rows := runner.Results(outs)
+func runCorunSweep(p Preset, opt runner.Options) (CorunResult, error) {
+	rows, err := runSweep("corun", p, corunPoints(p), opt)
 
 	// Stitch the solo (0-co-runner) references into every row.
 	baseSolo := map[string]uint64{}
@@ -149,16 +145,7 @@ func RunCorunSweep(p Preset, opt runner.Options) (CorunResult, error) {
 		r.BaselineSolo, r.XMemSolo = baseSolo[r.Kernel], xmemSolo[r.Kernel]
 		res.Rows = append(res.Rows, r)
 	}
-	return res, runner.FailErr(outs)
-}
-
-// RunCorun is the sequential entry point (panics on failure).
-func RunCorun(p Preset, progress io.Writer) CorunResult {
-	res, err := RunCorunSweep(p, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
+	return res, err
 }
 
 // Print renders the co-run sweep.

@@ -55,8 +55,8 @@ func uc1Config(p Preset, l3 uint64, xmemCache, xmemPrefOnly bool) sim.Config {
 	return cfg
 }
 
-// Fig4Points builds the sweep: one independent point per (kernel, tile).
-func Fig4Points(p Preset) []runner.Point[Fig4Row] {
+// fig4Points builds the sweep: one independent point per (kernel, tile).
+func fig4Points(p Preset) []runner.Point[Fig4Row] {
 	var pts []runner.Point[Fig4Row]
 	for _, k := range uc1Kernels(p) {
 		k := k
@@ -91,27 +91,11 @@ func Fig4Points(p Preset) []runner.Point[Fig4Row] {
 	return pts
 }
 
-// RunFig4Sweep reproduces Figure 4 on the sweep runner: execution time
+// runFig4Sweep reproduces Figure 4 on the sweep runner: execution time
 // across tile sizes, Baseline vs XMem, total work held constant per kernel.
-// Rows come back in point order regardless of worker scheduling; the error
-// covers infrastructure problems and failed points (the result still holds
-// every successful row).
-func RunFig4Sweep(p Preset, opt runner.Options) (Fig4Result, error) {
-	outs, err := runner.Run(sweepName("fig4", p), Fig4Points(p), opt)
-	if err != nil {
-		return Fig4Result{Preset: p}, err
-	}
-	return Fig4Result{Preset: p, Rows: runner.Results(outs)}, runner.FailErr(outs)
-}
-
-// RunFig4 is the sequential entry point (panics on failure, like
-// sim.MustRun).
-func RunFig4(p Preset, progress io.Writer) Fig4Result {
-	res, err := RunFig4Sweep(p, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
+func runFig4Sweep(p Preset, opt runner.Options) (Fig4Result, error) {
+	rows, err := runSweep("fig4", p, fig4Points(p), opt)
+	return Fig4Result{Preset: p, Rows: rows}, err
 }
 
 // kernelRows returns the rows of one kernel in tile order.

@@ -69,9 +69,9 @@ func tunedTile(tiles []uint64, l3 uint64) uint64 {
 	return best
 }
 
-// Fig5Points builds the sweep: one point per kernel, each running the
+// fig5Points builds the sweep: one point per kernel, each running the
 // tuned tile against the full, half, and quarter caches.
-func Fig5Points(p Preset) []runner.Point[Fig5Row] {
+func fig5Points(p Preset) []runner.Point[Fig5Row] {
 	sizes := []uint64{p.UC1L3, p.UC1L3 / 2, p.UC1L3 / 4}
 	var pts []runner.Point[Fig5Row]
 	for _, k := range uc1Kernels(p) {
@@ -111,26 +111,12 @@ func Fig5Points(p Preset) []runner.Point[Fig5Row] {
 	return pts
 }
 
-// RunFig5Sweep reproduces Figure 5 on the sweep runner: the tile is tuned
+// runFig5Sweep reproduces Figure 5 on the sweep runner: the tile is tuned
 // for the preset's full L3 and the same binary runs with the full, half,
-// and quarter caches. The fig4 argument is accepted for API symmetry (its
-// sweep can sanity-check the tuned tile) and may be nil.
-func RunFig5Sweep(p Preset, fig4 *Fig4Result, opt runner.Options) (Fig5Result, error) {
-	_ = fig4
-	outs, err := runner.Run(sweepName("fig5", p), Fig5Points(p), opt)
-	if err != nil {
-		return Fig5Result{Preset: p}, err
-	}
-	return Fig5Result{Preset: p, Rows: runner.Results(outs)}, runner.FailErr(outs)
-}
-
-// RunFig5 is the sequential entry point (panics on failure).
-func RunFig5(p Preset, fig4 *Fig4Result, progress io.Writer) Fig5Result {
-	res, err := RunFig5Sweep(p, fig4, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
+// and quarter caches.
+func runFig5Sweep(p Preset, opt runner.Options) (Fig5Result, error) {
+	rows, err := runSweep("fig5", p, fig5Points(p), opt)
+	return Fig5Result{Preset: p, Rows: rows}, err
 }
 
 // Summary reports the §5.4 portability statistic: average worst-case

@@ -9,10 +9,10 @@ import (
 	"xmem/internal/workload"
 )
 
-// DefaultFig6Bandwidths returns the per-core DRAM bandwidths the paper's
-// Figure 6 sweeps (a fresh slice per call, so callers can't share mutable
-// state across concurrent sweeps).
-func DefaultFig6Bandwidths() []float64 { return []float64{2e9, 1e9, 0.5e9} }
+// fig6Bandwidths returns the per-core DRAM bandwidths the paper's
+// Figure 6 sweeps, largest first (a fresh slice per call, so no two
+// results share one).
+func fig6Bandwidths() []float64 { return []float64{2e9, 1e9, 0.5e9} }
 
 // Fig6Row is one (kernel, bandwidth) point: speedups of the two XMem design
 // points over the Baseline at the largest tile size (§5.4 "Effect of
@@ -45,14 +45,14 @@ type Fig6Result struct {
 	Rows       []Fig6Row
 }
 
-// Fig6Points builds the sweep: one independent point per (kernel,
+// fig6Points builds the sweep: one independent point per (kernel,
 // bandwidth) at the largest tile size.
-func Fig6Points(p Preset, bandwidths []float64) []runner.Point[Fig6Row] {
+func fig6Points(p Preset) []runner.Point[Fig6Row] {
 	largest := p.UC1Tiles[len(p.UC1Tiles)-1]
 	var pts []runner.Point[Fig6Row]
 	for _, k := range uc1Kernels(p) {
 		k := k
-		for _, bw := range bandwidths {
+		for _, bw := range fig6Bandwidths() {
 			bw := bw
 			pts = append(pts, runner.Point[Fig6Row]{
 				Key: fmt.Sprintf("%s/bw=%.1fGB", k.Name, bw/1e9),
@@ -89,29 +89,12 @@ func Fig6Points(p Preset, bandwidths []float64) []runner.Point[Fig6Row] {
 	return pts
 }
 
-// RunFig6Sweep reproduces Figure 6 on the sweep runner: Baseline vs
+// runFig6Sweep reproduces Figure 6 on the sweep runner: Baseline vs
 // XMem-Pref vs XMem at the largest tile size, across per-core memory
-// bandwidths. A nil bandwidths slice means DefaultFig6Bandwidths.
-func RunFig6Sweep(p Preset, bandwidths []float64, opt runner.Options) (Fig6Result, error) {
-	if bandwidths == nil {
-		bandwidths = DefaultFig6Bandwidths()
-	}
-	outs, err := runner.Run(sweepName("fig6", p), Fig6Points(p, bandwidths), opt)
-	if err != nil {
-		return Fig6Result{Preset: p, Bandwidths: bandwidths}, err
-	}
-	res := Fig6Result{Preset: p, Bandwidths: bandwidths, Rows: runner.Results(outs)}
-	return res, runner.FailErr(outs)
-}
-
-// RunFig6 is the sequential entry point at the default bandwidths (panics
-// on failure).
-func RunFig6(p Preset, progress io.Writer) Fig6Result {
-	res, err := RunFig6Sweep(p, nil, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
+// bandwidths.
+func runFig6Sweep(p Preset, opt runner.Options) (Fig6Result, error) {
+	rows, err := runSweep("fig6", p, fig6Points(p), opt)
+	return Fig6Result{Preset: p, Bandwidths: fig6Bandwidths(), Rows: rows}, err
 }
 
 // GapAt returns the average advantage of full XMem over XMem-Pref at the
@@ -139,7 +122,7 @@ func (r Fig6Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "\nSummary: XMem over XMem-Pref: ")
 	bws := r.Bandwidths
 	if bws == nil {
-		bws = DefaultFig6Bandwidths()
+		bws = fig6Bandwidths()
 	}
 	for i, bw := range bws {
 		if i > 0 {

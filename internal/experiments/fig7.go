@@ -102,11 +102,11 @@ func uc2Config(p Preset, scheme string, alloc sim.AllocPolicy, pf, ideal bool) s
 	return cfg
 }
 
-// Fig7Points builds the sweep: one independent point per workload. Each
+// fig7Points builds the sweep: one independent point per workload. Each
 // point runs the full baseline scheme search, the XMem placement search,
 // and the ideal-RBL bound; the randomized allocator seed stays fixed so a
 // point's result is a pure function of the preset.
-func Fig7Points(p Preset) []runner.Point[Fig7Row] {
+func fig7Points(p Preset) []runner.Point[Fig7Row] {
 	var pts []runner.Point[Fig7Row]
 	for _, spec := range uc2Specs(p) {
 		spec := spec
@@ -188,22 +188,10 @@ func runFig7Workload(p Preset, spec workload.SynthSpec) (Fig7Row, error) {
 	}, nil
 }
 
-// RunFig7Sweep reproduces Figures 7 and 8 on the sweep runner.
-func RunFig7Sweep(p Preset, opt runner.Options) (Fig7Result, error) {
-	outs, err := runner.Run(sweepName("fig7", p), Fig7Points(p), opt)
-	if err != nil {
-		return Fig7Result{Preset: p}, err
-	}
-	return Fig7Result{Preset: p, Rows: runner.Results(outs)}, runner.FailErr(outs)
-}
-
-// RunFig7 is the sequential entry point (panics on failure).
-func RunFig7(p Preset, progress io.Writer) Fig7Result {
-	res, err := RunFig7Sweep(p, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
+// runFig7Sweep reproduces Figures 7 and 8 on the sweep runner.
+func runFig7Sweep(p Preset, opt runner.Options) (Fig7Result, error) {
+	rows, err := runSweep("fig7", p, fig7Points(p), opt)
+	return Fig7Result{Preset: p, Rows: rows}, err
 }
 
 // Fig7Summary condenses the experiment the way §6.4 reports it.

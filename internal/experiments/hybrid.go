@@ -121,10 +121,10 @@ func rwRandom(name string, mb int, intensity uint8, writePct int) workload.Struc
 // hybridDRAMFraction of the footprint fits in the fast tier.
 const hybridDRAMFraction = 0.25
 
-// HybridPoints builds the sweep: one independent point per workload, each
+// hybridPoints builds the sweep: one independent point per workload, each
 // running the all-DRAM reference, the naive first-touch hybrid, and the
 // XMem-placed hybrid.
-func HybridPoints(p Preset) []runner.Point[HybridRow] {
+func hybridPoints(p Preset) []runner.Point[HybridRow] {
 	var pts []runner.Point[HybridRow]
 	for _, base := range hybridSpecs() {
 		spec := base.Scaled(p.UC2Scale)
@@ -172,24 +172,11 @@ func HybridPoints(p Preset) []runner.Point[HybridRow] {
 	return pts
 }
 
-// RunHybridSweep compares all-DRAM, naive hybrid, and XMem hybrid
+// runHybridSweep compares all-DRAM, naive hybrid, and XMem hybrid
 // placement on the sweep runner.
-func RunHybridSweep(p Preset, opt runner.Options) (HybridResult, error) {
-	outs, err := runner.Run(sweepName("hybrid", p), HybridPoints(p), opt)
-	if err != nil {
-		return HybridResult{Preset: p, DRAMFraction: hybridDRAMFraction}, err
-	}
-	res := HybridResult{Preset: p, DRAMFraction: hybridDRAMFraction, Rows: runner.Results(outs)}
-	return res, runner.FailErr(outs)
-}
-
-// RunHybrid is the sequential entry point (panics on failure).
-func RunHybrid(p Preset, progress io.Writer) HybridResult {
-	res, err := RunHybridSweep(p, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
+func runHybridSweep(p Preset, opt runner.Options) (HybridResult, error) {
+	rows, err := runSweep("hybrid", p, hybridPoints(p), opt)
+	return HybridResult{Preset: p, DRAMFraction: hybridDRAMFraction, Rows: rows}, err
 }
 
 func pageAlign(b uint64) uint64 {

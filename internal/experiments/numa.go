@@ -75,9 +75,9 @@ func numaWorker(t int, scale float64) workload.Workload {
 	return workload.Synthetic(spec.Scaled(scale))
 }
 
-// NumaPoints builds the sweep: one independent point per placement policy
+// numaPoints builds the sweep: one independent point per placement policy
 // on a two-node machine with one worker per node.
-func NumaPoints(p Preset) []runner.Point[NumaRow] {
+func numaPoints(p Preset) []runner.Point[NumaRow] {
 	var pts []runner.Point[NumaRow]
 	for _, placement := range []string{"node0", "interleave", "xmem"} {
 		placement := placement
@@ -113,22 +113,10 @@ func NumaPoints(p Preset) []runner.Point[NumaRow] {
 	return pts
 }
 
-// RunNumaSweep compares the placement policies on the sweep runner.
-func RunNumaSweep(p Preset, opt runner.Options) (NumaResult, error) {
-	outs, err := runner.Run(sweepName("numa", p), NumaPoints(p), opt)
-	if err != nil {
-		return NumaResult{Preset: p}, err
-	}
-	return NumaResult{Preset: p, Rows: runner.Results(outs)}, runner.FailErr(outs)
-}
-
-// RunNuma is the sequential entry point (panics on failure).
-func RunNuma(p Preset, progress io.Writer) NumaResult {
-	res, err := RunNumaSweep(p, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
+// runNumaSweep compares the placement policies on the sweep runner.
+func runNumaSweep(p Preset, opt runner.Options) (NumaResult, error) {
+	rows, err := runSweep("numa", p, numaPoints(p), opt)
+	return NumaResult{Preset: p, Rows: rows}, err
 }
 
 // Print renders the comparison.

@@ -26,9 +26,9 @@ type ALBResult struct {
 	Points   []ALBPoint
 }
 
-// ALBPoints builds the sweep: one independent point per ALB size on a
+// albPoints builds the sweep: one independent point per ALB size on a
 // representative use-case-1 kernel.
-func ALBPoints(p Preset) []runner.Point[ALBPoint] {
+func albPoints(p Preset) []runner.Point[ALBPoint] {
 	k := uc1Kernels(p)[0]
 	tile := p.UC1Tiles[len(p.UC1Tiles)/2]
 	var pts []runner.Point[ALBPoint]
@@ -54,26 +54,13 @@ func ALBPoints(p Preset) []runner.Point[ALBPoint] {
 	return pts
 }
 
-// RunALBSweep measures ALB hit rates across ALB sizes on the sweep runner.
-func RunALBSweep(p Preset, opt runner.Options) (ALBResult, error) {
+// runALBSweep measures ALB hit rates across ALB sizes on the sweep runner.
+func runALBSweep(p Preset, opt runner.Options) (ALBResult, error) {
 	k := uc1Kernels(p)[0]
 	tile := p.UC1Tiles[len(p.UC1Tiles)/2]
 	name := k.Make(workload.TiledConfig{N: p.UC1N, TileBytes: tile, Steps: p.UC1Steps}).Name
-	outs, err := runner.Run(sweepName("alb", p), ALBPoints(p), opt)
-	if err != nil {
-		return ALBResult{Preset: p, Workload: name}, err
-	}
-	res := ALBResult{Preset: p, Workload: name, Points: runner.Results(outs)}
-	return res, runner.FailErr(outs)
-}
-
-// RunALB is the sequential entry point (panics on failure).
-func RunALB(p Preset, progress io.Writer) ALBResult {
-	res, err := RunALBSweep(p, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
+	pts, err := runSweep("alb", p, albPoints(p), opt)
+	return ALBResult{Preset: p, Workload: name, Points: pts}, err
 }
 
 // Print renders the ALB coverage table.
@@ -129,9 +116,9 @@ type OverheadResult struct {
 	CtxPoints []CtxSwitchPoint
 }
 
-// OverheadKernelPoints builds the instruction-overhead sweep: one point
+// overheadKernelPoints builds the instruction-overhead sweep: one point
 // per use-case-1 kernel.
-func OverheadKernelPoints(p Preset) []runner.Point[OverheadRow] {
+func overheadKernelPoints(p Preset) []runner.Point[OverheadRow] {
 	tile := p.UC1Tiles[len(p.UC1Tiles)/2]
 	var pts []runner.Point[OverheadRow]
 	for _, k := range uc1Kernels(p) {
@@ -164,9 +151,9 @@ func OverheadKernelPoints(p Preset) []runner.Point[OverheadRow] {
 	return pts
 }
 
-// OverheadCtxPoints builds the context-switch sensitivity sweep on the
+// overheadCtxPoints builds the context-switch sensitivity sweep on the
 // first kernel: one point per forced-switch interval.
-func OverheadCtxPoints(p Preset) []runner.Point[CtxSwitchPoint] {
+func overheadCtxPoints(p Preset) []runner.Point[CtxSwitchPoint] {
 	tile := p.UC1Tiles[len(p.UC1Tiles)/2]
 	k0 := uc1Kernels(p)[0]
 	var pts []runner.Point[CtxSwitchPoint]
@@ -198,10 +185,10 @@ func OverheadCtxPoints(p Preset) []runner.Point[CtxSwitchPoint] {
 	return pts
 }
 
-// RunOverheadSweep computes the §4.4 numbers: analytic storage overheads
+// runOverheadSweep computes the §4.4 numbers: analytic storage overheads
 // inline, then the instruction-overhead and context-switch sweeps on the
 // runner.
-func RunOverheadSweep(p Preset, opt runner.Options) (OverheadResult, error) {
+func runOverheadSweep(p Preset, opt runner.Options) (OverheadResult, error) {
 	phys := uint64(8) << 30 // the paper's 8 GB example
 	res := OverheadResult{
 		Preset:    p,
@@ -214,13 +201,13 @@ func RunOverheadSweep(p Preset, opt runner.Options) (OverheadResult, error) {
 	res.AAMFraction = float64(res.AAMBytes) / float64(phys)
 	res.AAMSmallFrac = float64(res.AAMSmallBytes) / float64(phys)
 
-	kernelOuts, err := runner.Run(sweepName("overhead-kernels", p), OverheadKernelPoints(p), opt)
+	kernelOuts, err := runner.Run(sweepName("overhead-kernels", p), overheadKernelPoints(p), opt)
 	if err != nil {
 		return res, err
 	}
 	res.Rows = runner.Results(kernelOuts)
 
-	ctxOuts, err := runner.Run(sweepName("overhead-ctx", p), OverheadCtxPoints(p), opt)
+	ctxOuts, err := runner.Run(sweepName("overhead-ctx", p), overheadCtxPoints(p), opt)
 	if err != nil {
 		return res, err
 	}
@@ -230,15 +217,6 @@ func RunOverheadSweep(p Preset, opt runner.Options) (OverheadResult, error) {
 		return res, err
 	}
 	return res, runner.FailErr(ctxOuts)
-}
-
-// RunOverhead is the sequential entry point (panics on failure).
-func RunOverhead(p Preset, progress io.Writer) OverheadResult {
-	res, err := RunOverheadSweep(p, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
 }
 
 // AvgInstructionOverhead returns the mean instruction-overhead fraction.

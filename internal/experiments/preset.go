@@ -1,8 +1,3 @@
-// Package experiments contains one driver per table/figure of the paper's
-// evaluation (Figures 4-8, the ALB coverage claim of §4.2, and the overhead
-// analysis of §4.4), plus the presets that scale them between test, default,
-// and paper-sized runs. Each driver returns a typed result and can render
-// the same rows/series the paper reports.
 package experiments
 
 import (

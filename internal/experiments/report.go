@@ -3,24 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
-)
 
-// geomean returns the geometric mean of xs (1.0 for an empty slice).
-func geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
+	"xmem/internal/experiments/runner"
+)
 
 // mean returns the arithmetic mean of xs (0 for an empty slice).
 func mean(xs []float64) float64 {
@@ -114,9 +100,13 @@ func sizeLabel(b uint64) string {
 // checkpoint files, and runner metric names all hang off it.
 func sweepName(fig string, p Preset) string { return fig + "/" + p.Name }
 
-// progressf writes progress output if w is non-nil.
-func progressf(w io.Writer, format string, args ...interface{}) {
-	if w != nil {
-		fmt.Fprintf(w, format, args...)
+// runSweep runs fig's sweep at p and returns the successful results in
+// point order, whatever order the workers finished them in. The error
+// covers infrastructure problems and failed points.
+func runSweep[R any](fig string, p Preset, pts []runner.Point[R], opt runner.Options) ([]R, error) {
+	outs, err := runner.Run(sweepName(fig, p), pts, opt)
+	if err != nil {
+		return nil, err
 	}
+	return runner.Results(outs), runner.FailErr(outs)
 }

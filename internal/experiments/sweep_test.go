@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xmem/internal/experiments/runner"
+	"xmem/internal/obs"
 )
 
 // TestFig4SweepParallelMatchesSequential is the acceptance check for the
@@ -19,21 +20,22 @@ func TestFig4SweepParallelMatchesSequential(t *testing.T) {
 	p := Mini()
 	p.UC1Kernels = []string{"gemm"}
 	p.UC1N = 96
+	fig4 := experiment(t, "fig4")
 
-	seq, err := RunFig4Sweep(p, runner.Options{Parallel: 1})
+	seq, err := fig4.Run(p, runner.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunFig4Sweep(p, runner.Options{Parallel: 4})
+	par, err := fig4.Run(p, runner.Options{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seq.Rows, par.Rows) {
-		t.Errorf("rows differ:\nsequential %+v\nparallel   %+v", seq.Rows, par.Rows)
+	if !reflect.DeepEqual(seq, par) {
+		t.Errorf("results differ:\nsequential %+v\nparallel   %+v", seq, par)
 	}
 	var a, b bytes.Buffer
-	seq.Print(&a)
-	par.Print(&b)
+	fig4.Print(seq, &a)
+	fig4.Print(par, &b)
 	if a.String() != b.String() {
 		t.Error("report output not byte-identical between sequential and parallel runs")
 	}
@@ -50,51 +52,26 @@ func TestFig4SweepCheckpointResume(t *testing.T) {
 	p.UC1Kernels = []string{"gemm"}
 	p.UC1N = 96
 	dir := t.TempDir()
+	fig4 := experiment(t, "fig4")
 
-	first, err := RunFig4Sweep(p, runner.Options{Parallel: 2, CheckpointDir: dir})
+	first, err := fig4.Run(p, runner.Options{Parallel: 2, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := runner.Run(sweepName("fig4", p), Fig4Points(p),
-		runner.Options{Parallel: 2, CheckpointDir: dir, Resume: true})
+	reg := obs.NewRegistry()
+	resumed, err := fig4.Run(p, runner.Options{Parallel: 2, CheckpointDir: dir, Resume: true, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range outs {
-		if !o.Resumed {
-			t.Errorf("point %s re-ran instead of resuming", o.Key)
-		}
+	counters := map[string]float64{}
+	for i, v := range reg.Snapshot() {
+		counters[reg.Names()[i]] = v
 	}
-	if got := runner.Results(outs); !reflect.DeepEqual(got, first.Rows) {
-		t.Errorf("resumed rows differ:\nfirst   %+v\nresumed %+v", first.Rows, got)
+	total, restored := counters["runner.fig4_mini.points_total"], counters["runner.fig4_mini.points_resumed"]
+	if total == 0 || restored != total {
+		t.Errorf("resumed %v of %v points; every point must restore instead of re-running", restored, total)
 	}
-}
-
-// TestFig6SweepBandwidthsParameter exercises the bandwidths parameter that
-// replaced the old mutable package-level default.
-func TestFig6SweepBandwidthsParameter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
-	p := Mini()
-	p.UC1Kernels = []string{"gemm"}
-	p.UC1N = 96
-	bws := []float64{1e9}
-	res, err := RunFig6Sweep(p, bws, runner.Options{Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0].BandwidthPerSec != 1e9 {
-		t.Fatalf("rows = %+v, want exactly the requested bandwidth", res.Rows)
-	}
-	if !reflect.DeepEqual(res.Bandwidths, bws) {
-		t.Errorf("result bandwidths = %v, want %v", res.Bandwidths, bws)
-	}
-	// The default set is a fresh slice per call: mutating one copy must not
-	// leak into the next.
-	d := DefaultFig6Bandwidths()
-	d[0] = 0
-	if DefaultFig6Bandwidths()[0] == 0 {
-		t.Error("DefaultFig6Bandwidths shares state across calls")
+	if !reflect.DeepEqual(resumed, first) {
+		t.Errorf("resumed result differs:\nfirst   %+v\nresumed %+v", first, resumed)
 	}
 }
