@@ -73,7 +73,8 @@ alloc-gate:
 		./internal/prefetch/ ./internal/dram/ ./internal/sim/
 
 # Short coverage-guided runs of the reference-model differentials: the
-# fill-counted cache against the valid-array cache, and the by-value DRAM
+# fingerprinted, fill-counted cache against the valid-array cache built on
+# the frozen rescanning LRU and RRIP policies, and the by-value DRAM
 # controller against the pointer-queue one. Plain go test runs only their
 # seed corpora; this mutates inputs for a few seconds per target. A failing
 # input is saved under the package's testdata/fuzz/ directory.

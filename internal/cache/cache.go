@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -160,6 +161,12 @@ type Cache struct {
 	policy   Policy
 
 	tags []uint64
+	// fps holds one fingerprint byte per way, fpWays bytes per set (ways
+	// rounded up to whole 8-byte words): fingerprint(tag) for a valid line,
+	// 0 for a free way or padding. find compares a word of them at a time
+	// and reads a full tag only where its fingerprint matches.
+	fps    []byte
+	fpWays int
 	// used counts each set's valid ways. Lines are never invalidated and
 	// chooseVictim fills the first free way, so ways [0, used[set]) are
 	// exactly the set's valid lines.
@@ -217,11 +224,12 @@ func New(cfg Config, next Lower) (*Cache, error) {
 		capWays = 1
 	}
 	n := sets * cfg.Ways
+	fpWays := (cfg.Ways + 7) &^ 7
 	return &Cache{
 		cfg: cfg, sets: sets, setShift: uint(bits.TrailingZeros(uint(sets))),
 		ways: cfg.Ways, policy: pol,
-		tags: make([]uint64, n), used: make([]int, sets),
-		dirty: make([]bool, n), pinned: make([]bool, n),
+		tags: make([]uint64, n), fps: make([]byte, sets*fpWays), fpWays: fpWays,
+		used: make([]int, sets), dirty: make([]bool, n), pinned: make([]bool, n),
 		prefetched: make([]bool, n),
 		atoms:      make([]core.AtomID, n), fill: make([]mem.Result, n),
 		pinnedInSet: make([]int, sets), pinCapWays: capWays,
@@ -273,11 +281,29 @@ func (c *Cache) lineAddr(set, idx int) mem.Addr {
 	return mem.Addr((c.tags[idx]<<c.setShift | uint64(set)) << mem.LineShift)
 }
 
+// fingerprint is the byte find compares before a tag: the tag's low seven
+// bits with the top bit set, so no valid line's fingerprint is 0.
+func fingerprint(tag uint64) byte { return 0x80 | byte(tag&0x7f) }
+
+const (
+	lowBytes  = 0x0101010101010101
+	highBytes = 0x8080808080808080
+)
+
 func (c *Cache) find(set int, tag uint64) int {
+	want := uint64(fingerprint(tag)) * lowBytes
 	base := set * c.ways
-	for w, t := range c.tags[base : base+c.used[set]] {
-		if t == tag {
-			return w
+	fps := c.fps[set*c.fpWays : (set+1)*c.fpWays]
+	for off := 0; off < len(fps); off += 8 {
+		// Each zero byte of x is a way whose fingerprint matches. The
+		// subtraction's borrow can also flag a byte of 0x01 above a zero
+		// byte, so the full tag confirms every flag; a free way or padding
+		// gives a byte of 0x80 or more and is never flagged.
+		x := binary.LittleEndian.Uint64(fps[off:]) ^ want
+		for m := (x - lowBytes) &^ x & highBytes; m != 0; m &= m - 1 {
+			if w := off + bits.TrailingZeros64(m)>>3; c.tags[base+w] == tag {
+				return w
+			}
 		}
 	}
 	return -1
@@ -454,6 +480,7 @@ func (c *Cache) install(pa mem.Addr, set int, tag uint64, kind mem.AccessKind, a
 	}
 
 	c.tags[idx] = tag
+	c.fps[set*c.fpWays+way] = fingerprint(tag)
 	c.dirty[idx] = kind == mem.Write
 	c.pinned[idx] = ins.Pin
 	c.prefetched[idx] = kind == mem.Prefetch
@@ -472,16 +499,18 @@ func (c *Cache) install(pa mem.Addr, set int, tag uint64, kind mem.AccessKind, a
 
 // chooseVictim prefers the first free way, then unpinned lines; pinned
 // lines are victims of last resort. The set's pinned bits are the policy's
-// skip mask, so choosing a victim allocates nothing.
+// skip mask, so choosing a victim allocates nothing. A set with no pinned
+// line, or only pinned lines, passes no mask: every way is eligible.
 func (c *Cache) chooseVictim(set int) int {
 	if n := c.used[set]; n < c.ways {
 		return n
 	}
-	base := set * c.ways
-	if c.pinnedInSet[set] < c.ways { // an unpinned way exists
-		return c.policy.Victim(set, c.pinned[base:base+c.ways])
+	var skip []bool
+	if p := c.pinnedInSet[set]; p > 0 && p < c.ways {
+		base := set * c.ways
+		skip = c.pinned[base : base+c.ways]
 	}
-	return c.policy.Victim(set, nil)
+	return c.policy.Victim(set, skip)
 }
 
 // AgePinned removes the pin from every line whose atom fails keep, and ages

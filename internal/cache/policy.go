@@ -73,14 +73,24 @@ func (p *lru) Insert(set, way int, pri InsertPriority) {
 
 func (p *lru) Miss(int) {}
 
+// Victim returns the first eligible way with the oldest stamp in one pass.
+// The loop without a skip mask, the only one L1D runs, branches on nothing
+// but the comparison the compiler turns into conditional moves.
 func (p *lru) Victim(set int, skip []bool) int {
-	best, bestStamp := -1, uint64(0)
-	for w := 0; w < p.ways; w++ {
-		if skip != nil && skip[w] {
-			continue
+	stamps := p.stamp[set*p.ways : (set+1)*p.ways]
+	if skip == nil {
+		best, oldest := 0, stamps[0]
+		for w, s := range stamps {
+			if s < oldest {
+				best, oldest = w, s
+			}
 		}
-		if s := p.stamp[set*p.ways+w]; best == -1 || s < bestStamp {
-			best, bestStamp = w, s
+		return best
+	}
+	best, oldest := -1, uint64(0)
+	for w, s := range stamps {
+		if !skip[w] && (best < 0 || s < oldest) {
+			best, oldest = w, s
 		}
 	}
 	return best
@@ -218,32 +228,32 @@ func (p *rrip) Miss(set int) {
 	}
 }
 
+// Victim returns the first eligible way with the highest RRPV and then ages
+// every line in the set by that RRPV's distance from rripMax, saturating.
+// That is what aging the set one step at a time until an eligible line
+// reaches rripMax computes: after rripMax-top steps the first eligible way
+// that started at top is the first to get there, and no eligible line got
+// there sooner. An eligible line already at rripMax ends the pass early with
+// nothing aged.
 func (p *rrip) Victim(set int, skip []bool) int {
-	for {
-		for w := 0; w < p.ways; w++ {
-			if (skip == nil || !skip[w]) && p.rrpv[set*p.ways+w] == rripMax {
-				return w
-			}
+	rrpv := p.rrpv[set*p.ways : (set+1)*p.ways]
+	best, top := -1, uint8(0)
+	for w, r := range rrpv {
+		if skip != nil && skip[w] {
+			continue
 		}
-		// Age every line in the set and rescan.
-		aged := false
-		for w := 0; w < p.ways; w++ {
-			if p.rrpv[set*p.ways+w] < rripMax {
-				p.rrpv[set*p.ways+w]++
-				aged = true
-			}
+		if r == rripMax {
+			return w
 		}
-		if !aged {
-			// All lines already distant but ineligible ones block them:
-			// pick the first eligible way.
-			for w := 0; w < p.ways; w++ {
-				if skip == nil || !skip[w] {
-					return w
-				}
-			}
-			return 0
+		if best < 0 || r > top {
+			best, top = w, r
 		}
 	}
+	age := rripMax - top
+	for w, r := range rrpv {
+		rrpv[w] = min(r+age, rripMax)
+	}
+	return best
 }
 
 func (p *rrip) Age(set, way int) { p.rrpv[set*p.ways+way] = rripMax }

@@ -11,8 +11,10 @@ import (
 )
 
 // This file preserves the cache that tracked residency in a per-line valid
-// array as the test-only reference refCache. FuzzCacheMatchesReference
-// drives it and the fill-counted Cache through identical op streams over a
+// array and scanned every tag as the test-only reference refCache, with the
+// replacement policies that rescanned a set after each aging step as
+// refLRUPolicy and refRRIP. FuzzCacheMatchesReference drives it and the
+// fingerprinted, fill-counted Cache through identical op streams over a
 // fake lower level and asserts identical results, stats, probe events,
 // training calls, lower-level requests and residency after every op.
 
@@ -58,13 +60,13 @@ func newRefCache(cfg Config, next Lower) (*refCache, error) {
 	var pol Policy
 	switch cfg.Policy {
 	case "", "lru":
-		pol = NewLRU(sets, cfg.Ways)
+		pol = newRefLRUPolicy(sets, cfg.Ways)
 	case "srrip":
-		pol = NewSRRIP(sets, cfg.Ways)
+		pol = newRefRRIP("SRRIP", sets, cfg.Ways, 0)
 	case "brrip":
-		pol = NewBRRIP(sets, cfg.Ways)
+		pol = newRefRRIP("BRRIP", sets, cfg.Ways, 1)
 	case "drrip":
-		pol = NewDRRIP(sets, cfg.Ways)
+		pol = newRefDRRIP(sets, cfg.Ways)
 	default:
 		return nil, fmt.Errorf("cache %s: unknown policy %q", cfg.Name, cfg.Policy)
 	}
@@ -356,6 +358,193 @@ func (c *refCache) PinnedLines() int {
 	return n
 }
 
+// refLRUPolicy is the LRU policy that tested the skip mask on every way.
+type refLRUPolicy struct {
+	ways  int
+	stamp []uint64
+	clock uint64
+}
+
+func newRefLRUPolicy(sets, ways int) *refLRUPolicy {
+	return &refLRUPolicy{ways: ways, stamp: make([]uint64, sets*ways)}
+}
+
+func (p *refLRUPolicy) Name() string { return "LRU" }
+
+func (p *refLRUPolicy) touch(set, way int) {
+	p.clock++
+	p.stamp[set*p.ways+way] = p.clock
+}
+
+func (p *refLRUPolicy) Hit(set, way int) { p.touch(set, way) }
+
+func (p *refLRUPolicy) Insert(set, way int, pri InsertPriority) {
+	switch pri {
+	case InsertLow:
+		// Insert at LRU position: first eviction candidate.
+		p.stamp[set*p.ways+way] = 0
+	default:
+		p.touch(set, way)
+	}
+}
+
+func (p *refLRUPolicy) Miss(int) {}
+
+func (p *refLRUPolicy) Victim(set int, skip []bool) int {
+	best, bestStamp := -1, uint64(0)
+	for w := 0; w < p.ways; w++ {
+		if skip != nil && skip[w] {
+			continue
+		}
+		if s := p.stamp[set*p.ways+w]; best == -1 || s < bestStamp {
+			best, bestStamp = w, s
+		}
+	}
+	return best
+}
+
+func (p *refLRUPolicy) Age(set, way int) { p.stamp[set*p.ways+way] = 0 }
+
+// refRRIP is the RRIP family that aged a set one step at a time and
+// rescanned it after each step.
+type refRRIP struct {
+	name string
+	ways int
+	rrpv []uint8
+	// mode selects the insertion for InsertDefault in a given set:
+	// 0 = SRRIP, 1 = BRRIP, 2 = duel (consult PSEL + leader sets).
+	mode int
+	// set dueling state (DRRIP).
+	leader  []int8 // per set: +1 SRRIP leader, -1 BRRIP leader, 0 follower
+	psel    int
+	pselMax int
+	// deterministic counter driving BRRIP's 1/32 long insertions.
+	brripCtr uint32
+}
+
+func newRefDRRIP(sets, ways int) *refRRIP {
+	p := newRefRRIP("DRRIP", sets, ways, 2)
+	p.leader = make([]int8, sets)
+	// Dedicate up to 32 leader sets per policy, spread through the index
+	// space deterministically.
+	leaders := 32
+	if leaders > sets/2 {
+		leaders = sets / 2
+	}
+	if leaders == 0 {
+		leaders = 1
+	}
+	stride := sets / (2 * leaders)
+	if stride == 0 {
+		stride = 1
+	}
+	for i := 0; i < leaders; i++ {
+		p.leader[(2*i)*stride%sets] = +1   // SRRIP leader
+		p.leader[(2*i+1)*stride%sets] = -1 // BRRIP leader
+	}
+	p.pselMax = 1024
+	p.psel = p.pselMax / 2
+	return p
+}
+
+func newRefRRIP(name string, sets, ways, mode int) *refRRIP {
+	rr := &refRRIP{name: name, ways: ways, rrpv: make([]uint8, sets*ways), mode: mode}
+	for i := range rr.rrpv {
+		rr.rrpv[i] = rripMax
+	}
+	return rr
+}
+
+func (p *refRRIP) Name() string { return p.name }
+
+func (p *refRRIP) Hit(set, way int) { p.rrpv[set*p.ways+way] = 0 }
+
+func (p *refRRIP) useBRRIP(set int) bool {
+	switch p.mode {
+	case 0:
+		return false
+	case 1:
+		return true
+	default:
+		switch p.leader[set] {
+		case +1:
+			return false
+		case -1:
+			return true
+		default:
+			// PSEL high means SRRIP is missing more; follow BRRIP.
+			return p.psel > p.pselMax/2
+		}
+	}
+}
+
+func (p *refRRIP) Insert(set, way int, pri InsertPriority) {
+	idx := set*p.ways + way
+	switch pri {
+	case InsertHigh:
+		p.rrpv[idx] = 0
+	case InsertLow:
+		p.rrpv[idx] = rripMax
+	default:
+		if p.useBRRIP(set) {
+			p.brripCtr++
+			if p.brripCtr%brripEpsilon == 0 {
+				p.rrpv[idx] = rripLong
+			} else {
+				p.rrpv[idx] = rripMax
+			}
+		} else {
+			p.rrpv[idx] = rripLong
+		}
+	}
+}
+
+func (p *refRRIP) Miss(set int) {
+	if p.mode != 2 {
+		return
+	}
+	switch p.leader[set] {
+	case +1: // SRRIP leader missed: SRRIP looks worse
+		if p.psel < p.pselMax {
+			p.psel++
+		}
+	case -1: // BRRIP leader missed
+		if p.psel > 0 {
+			p.psel--
+		}
+	}
+}
+
+func (p *refRRIP) Victim(set int, skip []bool) int {
+	for {
+		for w := 0; w < p.ways; w++ {
+			if (skip == nil || !skip[w]) && p.rrpv[set*p.ways+w] == rripMax {
+				return w
+			}
+		}
+		// Age every line in the set and rescan.
+		aged := false
+		for w := 0; w < p.ways; w++ {
+			if p.rrpv[set*p.ways+w] < rripMax {
+				p.rrpv[set*p.ways+w]++
+				aged = true
+			}
+		}
+		if !aged {
+			// All lines already distant but ineligible ones block them:
+			// pick the first eligible way.
+			for w := 0; w < p.ways; w++ {
+				if skip == nil || !skip[w] {
+					return w
+				}
+			}
+			return 0
+		}
+	}
+}
+
+func (p *refRRIP) Age(set, way int) { p.rrpv[set*p.ways+way] = rripMax }
+
 // fakeLower is the level below a cache under test. It logs every request
 // and answers from an rng seeded identically on both sides: mem.Done, or a
 // pending future that the stream resolves later in any order (or that a
@@ -463,7 +652,7 @@ var policyNames = [...]string{"lru", "srrip", "brrip", "drrip"}
 
 // decodeCacheConfig draws any policy, 1-16 ways, 1-8 sets, a pin cap of
 // 50%, 75% or 100%, and a line space about twice the capacity.
-func decodeCacheConfig(s *byteStream) (cfg Config, lines int, classify bool) {
+func decodeCacheConfig(s *byteStream) (cfg Config, space lineSpace, classify bool) {
 	b0, b1, b2 := s.next(), s.next(), s.next()
 	sets := 1 << (b1 & 3)
 	cfg = Config{
@@ -474,12 +663,71 @@ func decodeCacheConfig(s *byteStream) (cfg Config, lines int, classify bool) {
 		PinCapFraction: [...]float64{0, 0.5, 1, 0}[b2&3],
 	}
 	cfg.SizeBytes = uint64(sets*cfg.Ways) * mem.LineBytes
-	return cfg, 2*sets*cfg.Ways + 1 + int(b2>>2&7), b2&0x20 == 0
+	space = lineSpace{lines: 2*sets*cfg.Ways + 1 + int(b2>>2&7), sets: sets, keep: uint(b1 >> 5)}
+	return cfg, space, b2&0x20 == 0
 }
 
-// cacheCoverage counts the paths one stream exercised.
+// lineSpace spreads the stream's line numbers over addresses, as the DRAM
+// differential spreads its own. Number i keeps its set, i mod sets; its tag
+// keeps the low keep bits of i/sets and moves the rest above bit 7, so two
+// tags that agree in those bits share their low seven bits, and with them
+// their fingerprint. keep 0 gives every tag one fingerprint; keep 6 or 7
+// gives none a shared one.
+type lineSpace struct {
+	lines, sets int
+	keep        uint
+}
+
+func (l lineSpace) addr(i int) mem.Addr {
+	n := uint64(i / l.sets)
+	tag := n&(1<<l.keep-1) | n>>l.keep<<7
+	return mem.Addr((tag*uint64(l.sets) + uint64(i%l.sets)) << mem.LineShift)
+}
+
+// cacheCoverage counts the paths one stream exercised: fpCollisions counts
+// resident lines whose fingerprint matched a lookup's but whose tag did
+// not, aged[k] RRIP victim choices that aged their set by k steps, and
+// skipVictims victim choices made under a pinned-bit skip mask.
 type cacheCoverage struct {
 	pinEvictions, delayedHits, pinDowngrades, collapses uint64
+	fpCollisions, skipVictims                           uint64
+	aged                                                [rripMax + 1]uint64
+}
+
+// victimCounter wraps the policy of the Cache under test and records in
+// cov what each victim choice did.
+type victimCounter struct {
+	Policy
+	cov *cacheCoverage
+}
+
+func (v victimCounter) Victim(set int, skip []bool) int {
+	if skip != nil {
+		v.cov.skipVictims++
+	}
+	rr, ok := v.Policy.(*rrip)
+	if !ok {
+		return v.Policy.Victim(set, skip)
+	}
+	var before [16]uint8
+	copy(before[:], rr.rrpv[set*rr.ways:(set+1)*rr.ways])
+	w := v.Policy.Victim(set, skip)
+	v.cov.aged[rripMax-before[w]]++
+	return w
+}
+
+// fpCollisions counts the resident lines of pa's set whose fingerprint
+// equals pa's while their tag differs.
+func fpCollisions(c *Cache, pa mem.Addr) uint64 {
+	set, tag := c.index(pa)
+	base := set * c.ways
+	n := uint64(0)
+	for w := 0; w < c.used[set]; w++ {
+		if c.fps[set*c.fpWays+w] == fingerprint(tag) && c.tags[base+w] != tag {
+			n++
+		}
+	}
+	return n
 }
 
 // runCacheDiff decodes data into a config and an op stream, runs it on the
@@ -487,13 +735,15 @@ type cacheCoverage struct {
 // difference.
 func runCacheDiff(t testing.TB, data []byte) cacheCoverage {
 	s := &byteStream{b: data}
-	cfg, lines, classify := decodeCacheConfig(s)
+	cfg, space, classify := decodeCacheConfig(s)
 	seed := int64(s.next())
 	g, r := newCacheSide(seed), newCacheSide(seed)
 	got, err := New(cfg, g.lower)
 	if err != nil {
 		t.Fatalf("%+v: %v", cfg, err)
 	}
+	var cov cacheCoverage
+	got.policy = victimCounter{got.policy, &cov}
 	ref, err := newRefCache(cfg, r.lower)
 	if err != nil {
 		t.Fatalf("%+v: reference: %v", cfg, err)
@@ -507,15 +757,15 @@ func runCacheDiff(t testing.TB, data []byte) cacheCoverage {
 		ref.SetClassifier(classifyByLine)
 	}
 
-	var collapses uint64
 	var now uint64
 	for op := 0; s.more() && op < 300; op++ {
 		code := s.next()
 		switch code % 10 {
 		case 0, 1, 2, 3, 4, 5, 6:
 			kind := [...]mem.AccessKind{mem.Read, mem.Read, mem.Read, mem.Write, mem.Write, mem.Writeback, mem.Prefetch}[code%10]
-			pa := mem.Addr(int(s.next())%lines) << mem.LineShift
+			pa := space.addr(int(s.next()) % space.lines)
 			now += uint64(s.next() & 0x3f)
+			cov.fpCollisions += fpCollisions(got, pa)
 			// A hit on a resolved fill collapses the slot to mem.Done; a
 			// hit on a pending one leaves it alone.
 			set, tag := got.index(pa)
@@ -536,7 +786,7 @@ func runCacheDiff(t testing.TB, data []byte) cacheCoverage {
 				case !ok && after != before:
 					t.Fatalf("%+v op %d: hit on a pending fill rewrote its slot", cfg, op)
 				case after != before:
-					collapses++
+					cov.collapses++
 				}
 			}
 		case 7:
@@ -557,13 +807,14 @@ func runCacheDiff(t testing.TB, data []byte) cacheCoverage {
 			got.AgePinned(keepEvenAtoms)
 			ref.AgePinned(keepEvenAtoms)
 		}
-		compareCaches(t, cfg, op, lines, got, ref, g, r)
+		compareCaches(t, cfg, op, space, got, ref, g, r)
 	}
 	st := got.Stats()
-	return cacheCoverage{st.PinEvictions, st.DelayedHits, st.PinDowngrades, collapses}
+	cov.pinEvictions, cov.delayedHits, cov.pinDowngrades = st.PinEvictions, st.DelayedHits, st.PinDowngrades
+	return cov
 }
 
-func compareCaches(t testing.TB, cfg Config, op, lines int, got *Cache, ref *refCache, g, r *cacheSide) {
+func compareCaches(t testing.TB, cfg Config, op int, space lineSpace, got *Cache, ref *refCache, g, r *cacheSide) {
 	t.Helper()
 	if gs, rs := got.Stats(), ref.Stats(); gs != rs {
 		t.Fatalf("%+v op %d: stats = %+v, reference %+v", cfg, op, gs, rs)
@@ -584,8 +835,8 @@ func compareCaches(t testing.TB, cfg Config, op, lines int, got *Cache, ref *ref
 	if i, ok := equalSeq(g.lower.reqs, r.lower.reqs); !ok {
 		t.Fatalf("%+v op %d: lower-level requests diverge at %d of %d/%d", cfg, op, i, len(g.lower.reqs), len(r.lower.reqs))
 	}
-	for l := 0; l < lines; l++ {
-		pa := mem.Addr(l) << mem.LineShift
+	for l := 0; l < space.lines; l++ {
+		pa := space.addr(l)
 		if gc, rc := got.Contains(pa), ref.Contains(pa); gc != rc {
 			t.Fatalf("%+v op %d: Contains(%#x) = %v, reference %v", cfg, op, pa, gc, rc)
 		}
@@ -629,8 +880,10 @@ func FuzzCacheMatchesReference(f *testing.F) {
 }
 
 // TestCacheSeedsCoverPinsAndDelays: the seed corpus evicts pinned lines,
-// downgrades pins at the cap, takes delayed hits and collapses resolved
-// fills, under every policy and way count.
+// downgrades pins at the cap, takes delayed hits, collapses resolved fills,
+// looks up tags whose fingerprints collide, ages RRIP sets by 1, 2 and 3
+// steps and chooses victims under a skip mask, under every policy and way
+// count.
 func TestCacheSeedsCoverPinsAndDelays(t *testing.T) {
 	var total cacheCoverage
 	configs := map[string]bool{}
@@ -640,14 +893,61 @@ func TestCacheSeedsCoverPinsAndDelays(t *testing.T) {
 		total.delayedHits += c.delayedHits
 		total.pinDowngrades += c.pinDowngrades
 		total.collapses += c.collapses
+		total.fpCollisions += c.fpCollisions
+		total.skipVictims += c.skipVictims
+		for k, n := range c.aged {
+			total.aged[k] += n
+		}
 		cfg, _, _ := decodeCacheConfig(&byteStream{b: s})
 		configs[fmt.Sprintf("%s/%d", cfg.Policy, cfg.Ways)] = true
 	}
 	t.Logf("%d seeds, %d configurations: %+v", len(cacheSeeds()), len(configs), total)
-	if total.pinEvictions == 0 || total.delayedHits == 0 || total.pinDowngrades == 0 || total.collapses == 0 {
+	if total.pinEvictions == 0 || total.delayedHits == 0 || total.pinDowngrades == 0 || total.collapses == 0 ||
+		total.fpCollisions == 0 || total.skipVictims == 0 || total.aged[1] == 0 || total.aged[2] == 0 || total.aged[3] == 0 {
 		t.Fatalf("seed corpus misses a path: %+v", total)
 	}
 	if want := len(policyNames) * 16; len(configs) != want {
 		t.Fatalf("seed corpus covers %d of %d policy/way combinations", len(configs), want)
+	}
+}
+
+// TestVictimMatchesFrozenPolicies compares the one-pass victim choices with
+// the frozen rescanning ones on set 1 of a two-set, 4-way policy: every
+// RRPV vector, and every stamp vector over 0-3 (ties, and the 0 stamps
+// InsertLow and Age leave), under every non-empty eligible mask. The full
+// mask is passed both as a skip slice of falses and as nil. RRIP must also
+// leave every RRPV as the reference does.
+func TestVictimMatchesFrozenPolicies(t *testing.T) {
+	const ways = 4
+	for vec := 0; vec < 1<<(2*ways); vec++ {
+		var vals [2 * ways]uint8
+		for w := 0; w < ways; w++ {
+			vals[ways+w] = uint8(vec >> (2 * w) & 3)
+		}
+		for mask := 1; mask < 1<<ways; mask++ {
+			skip := make([]bool, ways)
+			for w := range skip {
+				skip[w] = mask>>w&1 == 0
+			}
+			skips := [][]bool{skip}
+			if mask == 1<<ways-1 {
+				skips = append(skips, nil)
+			}
+			for _, sk := range skips {
+				got, ref := newRRIP("SRRIP", 2, ways, 0), newRefRRIP("SRRIP", 2, ways, 0)
+				copy(got.rrpv, vals[:])
+				copy(ref.rrpv, vals[:])
+				if gw, rw := got.Victim(1, sk), ref.Victim(1, sk); gw != rw || string(got.rrpv) != string(ref.rrpv) {
+					t.Fatalf("RRIP %v skip %v: victim %d, RRPVs %v; reference %d, %v", vals[ways:], sk, gw, got.rrpv[ways:], rw, ref.rrpv[ways:])
+				}
+				gl, rl := NewLRU(2, ways).(*lru), newRefLRUPolicy(2, ways)
+				for i, v := range vals {
+					gl.stamp[i], rl.stamp[i] = uint64(v), uint64(v)
+				}
+				if gw, rw := gl.Victim(1, sk), rl.Victim(1, sk); gw != rw {
+					t.Fatalf("LRU stamps %v skip %v: victim %d, reference %d", vals[ways:], sk, gw, rw)
+				}
+			}
+		}
 	}
 }

@@ -42,7 +42,12 @@ func DefaultGeometry() Geometry {
 	}
 }
 
-// Validate checks that every field is a positive power of two where needed.
+// maxBanksPerChannel bounds RanksPerChannel*BanksPerRank: the scheduler
+// marks a channel's banks in one uint64.
+const maxBanksPerChannel = 64
+
+// Validate checks that every field is a positive power of two where needed
+// and that a channel has at most 64 banks.
 func (g Geometry) Validate() error {
 	if g.Channels <= 0 || g.Channels&(g.Channels-1) != 0 {
 		return fmt.Errorf("dram: channels = %d, want positive power of two", g.Channels)
@@ -52,6 +57,10 @@ func (g Geometry) Validate() error {
 	}
 	if g.BanksPerRank <= 0 || g.BanksPerRank&(g.BanksPerRank-1) != 0 {
 		return fmt.Errorf("dram: banks = %d, want positive power of two", g.BanksPerRank)
+	}
+	if n := g.BanksPerChannel(); n > maxBanksPerChannel {
+		return fmt.Errorf("dram: %d ranks x %d banks = %d banks per channel, limit %d",
+			g.RanksPerChannel, g.BanksPerRank, n, maxBanksPerChannel)
 	}
 	if g.RowBytes < mem.LineBytes || g.RowBytes&(g.RowBytes-1) != 0 {
 		return fmt.Errorf("dram: row bytes = %d, want power of two >= line size", g.RowBytes)

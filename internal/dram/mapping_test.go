@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"xmem/internal/mem"
@@ -38,6 +39,28 @@ func TestMappingRejectsBadGeometry(t *testing.T) {
 	bad.Channels = 3
 	if _, err := NewMapping("ro:ra:ba:co:ch", bad); err == nil {
 		t.Error("non-power-of-two channels accepted")
+	}
+}
+
+func TestGeometryBanksPerChannelLimit(t *testing.T) {
+	for _, tc := range []struct {
+		ranks, banks int
+		ok           bool
+	}{
+		{1, 64, true},
+		{2, 32, true},
+		{2, 64, false},
+		{1, 128, false},
+	} {
+		g := DefaultGeometry()
+		g.RanksPerChannel, g.BanksPerRank = tc.ranks, tc.banks
+		err := g.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("%d ranks x %d banks: %v", tc.ranks, tc.banks, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "limit 64")) {
+			t.Errorf("%d ranks x %d banks: error %v, want the 64-bank limit", tc.ranks, tc.banks, err)
+		}
 	}
 }
 

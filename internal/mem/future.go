@@ -96,10 +96,11 @@ func (r Result) Wait() uint64 {
 	return r.fut.Force()
 }
 
-// DeferredMax returns a Result that is at least `floor` cycles: if r is
-// already known, the max is computed immediately; otherwise the floor is
-// folded in when the future resolves. Used for hits on in-flight lines where
-// the lookup latency is negligible next to the outstanding fill.
+// DeferredMax returns max(r, floor) when r is already known. A pending r
+// passes through unchanged: the floor is dropped, so the future's cycle is
+// the answer even when it resolves below floor. Used for hits on in-flight
+// lines, where the lookup latency is negligible next to the outstanding
+// fill.
 func (r Result) DeferredMax(floor uint64) Result {
 	if c, ok := r.Peek(); ok {
 		if c < floor {

@@ -174,4 +174,11 @@ func TestDeferredMax(t *testing.T) {
 	if got := Pending(f).DeferredMax(20).Wait(); got != 500 {
 		t.Errorf("pending deferred max = %d", got)
 	}
+	// The floor is dropped, not applied when the future resolves: one that
+	// resolves below it still answers with its own cycle.
+	var low *Future
+	low = NewFuture(func() { low.Resolve(5) })
+	if got := Pending(low).DeferredMax(20).Wait(); got != 5 {
+		t.Errorf("pending deferred max resolving below the floor = %d, want 5", got)
+	}
 }

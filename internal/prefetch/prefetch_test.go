@@ -178,7 +178,7 @@ func TestXMemPrefetchStopsAtEnd(t *testing.T) {
 func TestXMemPrefetchUnpinnedAtomIgnored(t *testing.T) {
 	p := xmemWithAtom(t, 64, []core.PARange{{Base: 0x10000, Size: 4096}})
 	p.SetPinned(nil)
-	p.OnMiss(0x10000, 0, 0)
+	p.OnAccess(0x10000, 0, 0)
 	if got := len(p.Drain()); got != 0 {
 		t.Errorf("unpinned atom issued %d prefetches", got)
 	}
@@ -191,7 +191,7 @@ func TestXMemPrefetchIrregularAtomIgnored(t *testing.T) {
 	p.SetPAT(core.TranslatePrefetch(g))
 	p.AtomMapping(core.MapEvent{ID: 0, Ranges: []core.PARange{{Base: 0x10000, Size: 4096}}})
 	p.SetPinned([]core.AtomID{0})
-	p.OnMiss(0x10000, 0, 0)
+	p.OnAccess(0x10000, 0, 0)
 	if got := len(p.Drain()); got != 0 {
 		t.Errorf("irregular atom issued %d prefetches", got)
 	}
@@ -200,7 +200,7 @@ func TestXMemPrefetchIrregularAtomIgnored(t *testing.T) {
 func TestXMemPrefetchUnmapRemovesRanges(t *testing.T) {
 	p := xmemWithAtom(t, 64, []core.PARange{{Base: 0x10000, Size: 4096}})
 	p.AtomMapping(core.MapEvent{ID: 0, Unmap: true, Ranges: []core.PARange{{Base: 0x10000, Size: 4096}}})
-	p.OnMiss(0x10000, 0, 0)
+	p.OnAccess(0x10000, 0, 0)
 	if got := len(p.Drain()); got != 0 {
 		t.Errorf("unmapped atom issued %d prefetches", got)
 	}

@@ -231,12 +231,6 @@ func (p *XMemPrefetcher) OnAccess(pa mem.Addr, id core.AtomID, at uint64) {
 	}
 }
 
-// OnMiss is a miss-only entry point with OnAccess semantics (kept for
-// callers that observe only misses).
-func (p *XMemPrefetcher) OnMiss(pa mem.Addr, id core.AtomID, at uint64) {
-	p.OnAccess(pa, id, at)
-}
-
 // Drain returns and clears the queued prefetches. The queue keeps its
 // backing array, so the returned slice is valid only until the next
 // OnAccess.
