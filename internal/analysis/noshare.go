@@ -10,10 +10,10 @@ import (
 
 // NoShare turns the runner's comment-only ownership rule into a static
 // proof. The simulator's mutable cores — sim.Machine, core.Lib,
-// dram.Controller, obs.AtomTable, kernel.FrameAllocator — are documented
-// "not safe for concurrent use": every sweep point must build its own
-// (DESIGN.md, "Sweep runner"). The analyzer flags the three ways such a
-// value escapes single-ownership:
+// dram.Controller, dram.RegionMemory, obs.AtomTable,
+// kernel.FrameAllocator — are documented "not safe for concurrent use":
+// every sweep point must build its own (DESIGN.md, "Sweep runner"). The
+// analyzer flags the three ways such a value escapes single-ownership:
 //
 //   - captured free by the function a `go` statement starts;
 //   - captured free by a function literal handed to runner.Run, either as
@@ -50,6 +50,7 @@ var noshareTypes = []struct{ name, pkgSuffix string }{
 	{"Machine", "internal/sim"},
 	{"Lib", "internal/core"},
 	{"Controller", "internal/dram"},
+	{"RegionMemory", "internal/dram"},
 	{"AtomTable", "internal/obs"},
 	{"FrameAllocator", "internal/kernel"},
 }

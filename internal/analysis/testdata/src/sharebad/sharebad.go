@@ -4,6 +4,7 @@ package sharebad
 
 import (
 	"xmem/internal/core"
+	"xmem/internal/dram"
 	"xmem/internal/experiments/runner"
 	"xmem/internal/sim"
 )
@@ -26,6 +27,14 @@ func goCaptureLib(lib *core.Lib) {
 		close(done)
 	}()
 	<-done
+}
+
+// goCaptureRegions leaks a hybrid or NUMA machine's region memory, whose
+// controllers sit in a slice rather than in a guarded field.
+func goCaptureRegions(rm *dram.RegionMemory) {
+	go func() {
+		_ = rm // want "captured by a function started by a go statement"
+	}()
 }
 
 // sweepCapture shares one Machine across concurrently-running sweep points.

@@ -8,22 +8,19 @@
 package hybrid
 
 import (
-	"fmt"
-
 	"xmem/internal/core"
 	"xmem/internal/dram"
-	"xmem/internal/kernel"
-	"xmem/internal/mem"
 )
 
 // Tier identifies a memory tier.
 type Tier int
 
-// Tiers.
+// Tiers, numbered as the regions of the machine's region memory (and so
+// as the preferred bank groups of its region allocator).
 const (
-	// TierDRAM is the fast tier (preferred bank group 0).
+	// TierDRAM is the fast tier, region 0.
 	TierDRAM Tier = iota
-	// TierNVM is the capacity tier (preferred bank group 1).
+	// TierNVM is the capacity tier, region 1.
 	TierNVM
 )
 
@@ -35,10 +32,11 @@ func (t Tier) String() string {
 	return "NVM"
 }
 
-// Config sizes the two tiers.
+// Config sizes the two tiers. Built as dram.NewRegionMemory(DRAM, NVM),
+// the DRAM device spans physical addresses from 0 up to its capacity and
+// the NVM device everything beyond.
 type Config struct {
-	// DRAM and NVM configure the two controllers. DRAM capacity is the
-	// fast-tier budget; physical addresses beyond it route to NVM.
+	// DRAM and NVM configure the two controllers.
 	DRAM dram.Config
 	NVM  dram.Config
 }
@@ -66,162 +64,6 @@ func nextPow2(v uint64) uint64 {
 		p <<= 1
 	}
 	return p
-}
-
-// Memory routes line requests to the tier owning the physical address and
-// implements cache.Lower. Addresses in [0, dramBytes) are DRAM; addresses
-// beyond are NVM (rebased so each controller sees addresses within its own
-// capacity).
-type Memory struct {
-	dramCtl *dram.Controller
-	nvmCtl  *dram.Controller
-	split   mem.Addr
-}
-
-// New builds the two controllers.
-func New(cfg Config) (*Memory, error) {
-	d, err := dram.NewController(cfg.DRAM)
-	if err != nil {
-		return nil, fmt.Errorf("hybrid: dram tier: %w", err)
-	}
-	n, err := dram.NewController(cfg.NVM)
-	if err != nil {
-		return nil, fmt.Errorf("hybrid: nvm tier: %w", err)
-	}
-	return &Memory{dramCtl: d, nvmCtl: n, split: mem.Addr(cfg.DRAM.Geometry.CapacityBytes)}, nil
-}
-
-// Access implements cache.Lower.
-func (m *Memory) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.Addr) mem.Result {
-	if pa < m.split {
-		return m.dramCtl.Access(pa, kind, at, pc)
-	}
-	return m.nvmCtl.Access(pa-m.split, kind, at, pc)
-}
-
-// DrainAll finishes all outstanding requests on both tiers.
-func (m *Memory) DrainAll() {
-	m.dramCtl.DrainAll()
-	m.nvmCtl.DrainAll()
-}
-
-// Mapping returns the fast tier's address mapping (the view bank-aware
-// allocation uses).
-func (m *Memory) Mapping() *dram.Mapping { return m.dramCtl.Mapping() }
-
-// Stats returns the combined counters of both tiers.
-func (m *Memory) Stats() dram.Stats {
-	a, b := m.dramCtl.Stats(), m.nvmCtl.Stats()
-	out := dram.Stats{
-		Reads:                a.Reads + b.Reads,
-		Writes:               a.Writes + b.Writes,
-		DemandReads:          a.DemandReads + b.DemandReads,
-		WriteQueueHits:       a.WriteQueueHits + b.WriteQueueHits,
-		RowHits:              a.RowHits + b.RowHits,
-		RowEmpty:             a.RowEmpty + b.RowEmpty,
-		RowConflicts:         a.RowConflicts + b.RowConflicts,
-		DemandReadLatencySum: a.DemandReadLatencySum + b.DemandReadLatencySum,
-		WriteLatencySum:      a.WriteLatencySum + b.WriteLatencySum,
-		BusBusy:              a.BusBusy + b.BusBusy,
-	}
-	out.ReadLatency.Merge(&a.ReadLatency)
-	out.ReadLatency.Merge(&b.ReadLatency)
-	return out
-}
-
-// TierStats returns the per-tier counters.
-func (m *Memory) TierStats() (dramStats, nvmStats dram.Stats) {
-	return m.dramCtl.Stats(), m.nvmCtl.Stats()
-}
-
-// SetObserver installs a scheduled-command observer on both tiers. NVM-tier
-// addresses are rebased to machine physical addresses before the callback,
-// so attribution sees the same address space the caches do.
-func (m *Memory) SetObserver(f dram.Observer) {
-	m.dramCtl.SetObserver(f)
-	if f == nil {
-		m.nvmCtl.SetObserver(nil)
-		return
-	}
-	m.nvmCtl.SetObserver(func(pa mem.Addr, kind mem.AccessKind, rowHit bool, arrival, done uint64) {
-		f(pa+m.split, kind, rowHit, arrival, done)
-	})
-}
-
-// TierOf reports which tier services machine physical address pa — the
-// routing decision of Access, exposed so observers can label events with
-// the tier ("dram"/"nvm") they came from.
-func (m *Memory) TierOf(pa mem.Addr) Tier {
-	if pa < m.split {
-		return TierDRAM
-	}
-	return TierNVM
-}
-
-// Allocator hands out frames by tier: group 0 is the DRAM tier, group 1 the
-// NVM tier, so it plugs into kernel.AddressSpace through the standard
-// PlacementPolicy interface (PreferredBanks returning {0} or {1}). With no
-// preference it fills DRAM first — the semantics-blind baseline.
-type Allocator struct {
-	next   [2]uint64
-	limit  [2]uint64
-	baseVA [2]mem.Addr
-}
-
-// NewAllocator covers the two capacities. The NVM tier's frames start at
-// the DRAM device boundary (the rounded capacity), matching the routing
-// split of a Memory built with DefaultConfig for the same sizes.
-func NewAllocator(dramBytes, nvmBytes uint64) *Allocator {
-	return &Allocator{
-		limit:  [2]uint64{dramBytes / mem.PageBytes, nvmBytes / mem.PageBytes},
-		baseVA: [2]mem.Addr{0, mem.Addr(nextPow2(dramBytes))},
-	}
-}
-
-// AllocFrame implements kernel.FrameAllocator.
-func (a *Allocator) AllocFrame(preferred []int) (mem.Addr, error) {
-	order := []int{0, 1} // DRAM first by default
-	if len(preferred) > 0 {
-		order = order[:0]
-		for _, p := range preferred {
-			if p == 0 || p == 1 {
-				order = append(order, p)
-			}
-		}
-		// Fall back to the other tier rather than failing.
-		for _, t := range []int{0, 1} {
-			seen := false
-			for _, p := range order {
-				if p == t {
-					seen = true
-				}
-			}
-			if !seen {
-				order = append(order, t)
-			}
-		}
-	}
-	for _, t := range order {
-		if a.next[t] < a.limit[t] {
-			f := a.next[t]
-			a.next[t]++
-			return a.baseVA[t] + mem.Addr(f*mem.PageBytes), nil
-		}
-	}
-	return 0, kernel.ErrOutOfMemory
-}
-
-// FreeFrames implements kernel.FrameAllocator.
-func (a *Allocator) FreeFrames() int {
-	return int(a.limit[0] - a.next[0] + a.limit[1] - a.next[1])
-}
-
-// FrameTier reports which tier a frame belongs to.
-func (a *Allocator) FrameTier(frame mem.Addr) Tier {
-	if frame < a.baseVA[1] {
-		return TierDRAM
-	}
-	return TierNVM
 }
 
 // Placement is the XMem tier policy (Table 1, hybrid memories): structures
@@ -255,19 +97,16 @@ func decide(attrs core.Attributes) Tier {
 	}
 }
 
-// TierFor returns the atom's tier (NVM-by-default keeps unattributed data
-// out of the scarce fast tier only if it is cold; unknown atoms go to
-// DRAM-first like the baseline).
+// TierFor returns the tier decided for the atom; ok is false for an atom
+// the segment did not declare.
 func (p *Placement) TierFor(id core.AtomID) (Tier, bool) {
 	t, ok := p.tiers[id]
 	return t, ok
 }
 
-// PreferredBanks implements kernel.PlacementPolicy over the Allocator's
-// tier groups.
+// PreferredBanks implements kernel.PlacementPolicy: the atom's tier as a
+// region of the region allocator. An atom with no decided tier prefers
+// DRAM, as the first-touch baseline does.
 func (p *Placement) PreferredBanks(id core.AtomID) []int {
-	if t, ok := p.tiers[id]; ok {
-		return []int{int(t)}
-	}
-	return nil
+	return []int{int(p.tiers[id])}
 }

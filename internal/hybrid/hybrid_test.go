@@ -5,23 +5,49 @@ import (
 
 	"xmem/internal/core"
 	"xmem/internal/dram"
+	"xmem/internal/kernel"
 	"xmem/internal/mem"
 )
 
-func testMemory(t *testing.T) *Memory {
+// testMemory builds a 16 MiB DRAM tier in front of a 64 MiB NVM tier, the
+// two regions of one region memory.
+func testMemory(t *testing.T) *dram.RegionMemory {
 	t.Helper()
-	m, err := New(DefaultConfig(16<<20, 64<<20))
+	cfg := DefaultConfig(16<<20, 64<<20)
+	m, err := dram.NewRegionMemory(cfg.DRAM, cfg.NVM)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
+// tierStats returns the per-tier counters of a memory built by testMemory.
+func tierStats(m *dram.RegionMemory) (dramStats, nvmStats dram.Stats) {
+	return m.Controller(int(TierDRAM)).Stats(), m.Controller(int(TierNVM)).Stats()
+}
+
+// testAllocator covers the two tiers as the simulator does: each tier's
+// exact budget, the NVM tier starting at the DRAM device's rounded
+// capacity.
+func testAllocator(dramBytes, nvmBytes uint64) *kernel.RegionAllocator {
+	return kernel.NewRegionAllocator(
+		kernel.FrameRange{Base: 0, Bytes: dramBytes},
+		kernel.FrameRange{Base: mem.Addr(nextPow2(dramBytes)), Bytes: nvmBytes})
+}
+
+// frameTier reports the tier of a frame handed out by testAllocator.
+func frameTier(dramBytes uint64, frame mem.Addr) Tier {
+	if frame < mem.Addr(nextPow2(dramBytes)) {
+		return TierDRAM
+	}
+	return TierNVM
+}
+
 func TestMemoryRoutesByTier(t *testing.T) {
 	m := testMemory(t)
 	m.Access(0x1000, mem.Read, 0, 0).Wait()        // DRAM
 	m.Access(16<<20+0x1000, mem.Read, 0, 0).Wait() // NVM
-	d, n := m.TierStats()
+	d, n := tierStats(m)
 	if d.Reads != 1 || n.Reads != 1 {
 		t.Fatalf("tier reads = %d dram, %d nvm; want 1/1", d.Reads, n.Reads)
 	}
@@ -51,7 +77,7 @@ func TestNVMWriteAsymmetry(t *testing.T) {
 	read := m.Access(nvm+64, mem.Read, 100000, 0).Wait() - 100000
 	m.Access(nvm+128, mem.Writeback, 200000, 0)
 	m.DrainAll()
-	_, n := m.TierStats()
+	_, n := tierStats(m)
 	if n.Writes != 1 {
 		t.Fatalf("nvm writes = %d", n.Writes)
 	}
@@ -61,17 +87,20 @@ func TestNVMWriteAsymmetry(t *testing.T) {
 }
 
 func TestAllocatorDRAMFirstByDefault(t *testing.T) {
-	a := NewAllocator(2*mem.PageBytes, 4*mem.PageBytes)
+	// The semantics-blind baseline is first touch: DRAM fills first.
+	const dramBytes = 2 * mem.PageBytes
+	a := testAllocator(dramBytes, 4*mem.PageBytes)
+	prefer := kernel.FirstTouch{}.PreferredBanks(core.InvalidAtom)
 	for i := 0; i < 2; i++ {
-		f, err := a.AllocFrame(nil)
-		if err != nil || a.FrameTier(f) != TierDRAM {
-			t.Fatalf("frame %d: tier %v err %v; want DRAM", i, a.FrameTier(f), err)
+		f, err := a.AllocFrame(prefer)
+		if err != nil || frameTier(dramBytes, f) != TierDRAM {
+			t.Fatalf("frame %d: tier %v err %v; want DRAM", i, frameTier(dramBytes, f), err)
 		}
 	}
 	// DRAM exhausted: spills to NVM.
-	f, err := a.AllocFrame(nil)
-	if err != nil || a.FrameTier(f) != TierNVM {
-		t.Fatalf("spill frame: tier %v err %v; want NVM", a.FrameTier(f), err)
+	f, err := a.AllocFrame(prefer)
+	if err != nil || frameTier(dramBytes, f) != TierNVM {
+		t.Fatalf("spill frame: tier %v err %v; want NVM", frameTier(dramBytes, f), err)
 	}
 	if a.FreeFrames() != 3 {
 		t.Errorf("free frames = %d, want 3", a.FreeFrames())
@@ -79,26 +108,29 @@ func TestAllocatorDRAMFirstByDefault(t *testing.T) {
 }
 
 func TestAllocatorHonoursTierPreference(t *testing.T) {
-	a := NewAllocator(4*mem.PageBytes, 4*mem.PageBytes)
-	f, err := a.AllocFrame([]int{int(TierNVM)})
-	if err != nil || a.FrameTier(f) != TierNVM {
-		t.Fatalf("preferred NVM got tier %v, err %v", a.FrameTier(f), err)
+	const dramBytes = 4 * mem.PageBytes
+	a := testAllocator(dramBytes, 4*mem.PageBytes)
+	nvm := []int{int(TierNVM)}
+	f, err := a.AllocFrame(nvm)
+	if err != nil || frameTier(dramBytes, f) != TierNVM {
+		t.Fatalf("preferred NVM got tier %v, err %v", frameTier(dramBytes, f), err)
 	}
 	// Preferred tier exhausted falls back.
 	for i := 0; i < 3; i++ {
-		a.AllocFrame([]int{int(TierNVM)})
+		a.AllocFrame(nvm)
 	}
-	f, err = a.AllocFrame([]int{int(TierNVM)})
-	if err != nil || a.FrameTier(f) != TierDRAM {
-		t.Fatalf("fallback got tier %v, err %v", a.FrameTier(f), err)
+	f, err = a.AllocFrame(nvm)
+	if err != nil || frameTier(dramBytes, f) != TierDRAM {
+		t.Fatalf("fallback got tier %v, err %v", frameTier(dramBytes, f), err)
 	}
 }
 
 func TestAllocatorExhaustion(t *testing.T) {
-	a := NewAllocator(mem.PageBytes, mem.PageBytes)
-	a.AllocFrame(nil)
-	a.AllocFrame(nil)
-	if _, err := a.AllocFrame(nil); err == nil {
+	a := testAllocator(mem.PageBytes, mem.PageBytes)
+	prefer := kernel.FirstTouch{}.PreferredBanks(core.InvalidAtom)
+	a.AllocFrame(prefer)
+	a.AllocFrame(prefer)
+	if _, err := a.AllocFrame(prefer); err == nil {
 		t.Error("exhausted allocator succeeded")
 	}
 }
@@ -127,8 +159,8 @@ func TestPlacementDecisions(t *testing.T) {
 	if banks := p.PreferredBanks(1); len(banks) != 1 || banks[0] != int(TierNVM) {
 		t.Errorf("PreferredBanks(coldRO) = %v", banks)
 	}
-	if banks := p.PreferredBanks(core.InvalidAtom); banks != nil {
-		t.Errorf("unknown atom banks = %v, want nil (baseline behaviour)", banks)
+	if banks := p.PreferredBanks(core.InvalidAtom); len(banks) != 1 || banks[0] != int(TierDRAM) {
+		t.Errorf("unknown atom banks = %v, want DRAM (the first-touch baseline)", banks)
 	}
 }
 
@@ -141,7 +173,7 @@ func TestTierString(t *testing.T) {
 func TestNewRejectsBadConfig(t *testing.T) {
 	cfg := DefaultConfig(16<<20, 64<<20)
 	cfg.NVM.Scheme = "bogus"
-	if _, err := New(cfg); err == nil {
+	if _, err := dram.NewRegionMemory(cfg.DRAM, cfg.NVM); err == nil {
 		t.Error("bad NVM scheme accepted")
 	}
 }

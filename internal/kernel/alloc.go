@@ -180,3 +180,62 @@ func (a *BankedAllocator) FreeFrames() int {
 func (a *BankedAllocator) FrameBank(frameBase mem.Addr) int {
 	return a.mapping.Map(frameBase).BankIndex(a.mapping.Geometry())
 }
+
+// FrameRange is one region of physical memory a RegionAllocator draws
+// frames from: the frames of the Bytes usable bytes starting at Base.
+type FrameRange struct {
+	Base  mem.Addr
+	Bytes uint64
+}
+
+// RegionAllocator hands out frames from several regions of physical memory:
+// the nodes of a NUMA machine, or the tiers of a hybrid memory. Preferred
+// bank group i names region i. It tries the preferred regions in order,
+// then round-robins over all regions (the classic OS default for pages
+// nobody placed); within a region, frames go out in address order.
+type RegionAllocator struct {
+	regions []FrameRange
+	used    []uint64
+	rr      int
+}
+
+// NewRegionAllocator covers the given regions.
+func NewRegionAllocator(regions ...FrameRange) *RegionAllocator {
+	return &RegionAllocator{regions: regions, used: make([]uint64, len(regions))}
+}
+
+// AllocFrame implements FrameAllocator.
+func (a *RegionAllocator) AllocFrame(preferred []int) (mem.Addr, error) {
+	for _, r := range preferred {
+		if f, ok := a.take(r); ok {
+			return f, nil
+		}
+	}
+	for i := range a.regions {
+		r := (a.rr + i) % len(a.regions)
+		if f, ok := a.take(r); ok {
+			a.rr = (r + 1) % len(a.regions)
+			return f, nil
+		}
+	}
+	return 0, ErrOutOfMemory
+}
+
+// take hands out region r's next frame, if region r exists and has one left.
+func (a *RegionAllocator) take(r int) (mem.Addr, bool) {
+	if r < 0 || r >= len(a.regions) || a.used[r] >= a.regions[r].Bytes/mem.PageBytes {
+		return 0, false
+	}
+	f := a.regions[r].Base + mem.Addr(a.used[r]*mem.PageBytes)
+	a.used[r]++
+	return f, true
+}
+
+// FreeFrames implements FrameAllocator.
+func (a *RegionAllocator) FreeFrames() int {
+	n := 0
+	for r, fr := range a.regions {
+		n += int(fr.Bytes/mem.PageBytes - a.used[r])
+	}
+	return n
+}

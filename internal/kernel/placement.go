@@ -120,3 +120,12 @@ func (p *XMemPlacement) SharedBanks() []int {
 	copy(out, p.shared)
 	return out
 }
+
+// FirstTouch places every page in region 0 of a RegionAllocator, the
+// semantics-blind default. On a NUMA machine whose main thread initializes
+// the data, everything lands on node 0; on a hybrid memory, the fast tier
+// fills first and later pages spill to the capacity tier.
+type FirstTouch struct{}
+
+// PreferredBanks implements PlacementPolicy.
+func (FirstTouch) PreferredBanks(core.AtomID) []int { return []int{0} }

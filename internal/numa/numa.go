@@ -12,7 +12,6 @@ import (
 
 	"xmem/internal/core"
 	"xmem/internal/dram"
-	"xmem/internal/kernel"
 	"xmem/internal/mem"
 )
 
@@ -26,35 +25,17 @@ type Config struct {
 	Nodes int
 	// NodeBytes is each node's memory capacity (a power of two).
 	NodeBytes uint64
-	// RemoteLatency is the added cycles for a cross-node access (0 =
-	// DefaultRemoteLatency).
-	RemoteLatency uint64
-	// DRAM configures each node's controller (geometry capacity is
-	// overridden by NodeBytes).
+	// Scheme and Timing configure each node's controller ("" and zero
+	// select the DRAM defaults).
 	Scheme string
 	Timing dram.Timing
 }
 
-// Memory is the multi-node memory system. Each node's port (see Port) adds
-// the interconnect penalty to accesses that resolve on another node.
-type Memory struct {
-	nodes  []*dram.Controller
-	node   func(pa mem.Addr) int
-	nodeSz uint64
-	remote uint64
-	// remoteAccesses counts cross-node traffic (the metric placement
-	// minimizes).
-	remoteAccesses uint64
-	localAccesses  uint64
-}
-
-// New builds the node controllers.
-func New(cfg Config) (*Memory, error) {
+// New builds the node memory: one region per node, in node order, so node
+// i owns the physical addresses from i×NodeBytes up to (i+1)×NodeBytes.
+func New(cfg Config) (*dram.RegionMemory, error) {
 	if cfg.Nodes <= 0 || cfg.Nodes&(cfg.Nodes-1) != 0 {
 		return nil, fmt.Errorf("numa: node count %d not a power of two", cfg.Nodes)
-	}
-	if cfg.RemoteLatency == 0 {
-		cfg.RemoteLatency = DefaultRemoteLatency
 	}
 	if cfg.Scheme == "" {
 		cfg.Scheme = "ro:ra:ba:co:ch"
@@ -62,161 +43,52 @@ func New(cfg Config) (*Memory, error) {
 	if cfg.Timing.Burst == 0 {
 		cfg.Timing = dram.DefaultTiming()
 	}
-	m := &Memory{nodeSz: cfg.NodeBytes, remote: cfg.RemoteLatency}
-	m.node = func(pa mem.Addr) int { return int(uint64(pa)/cfg.NodeBytes) % cfg.Nodes }
-	for i := 0; i < cfg.Nodes; i++ {
-		g := dram.DefaultGeometry()
-		g.CapacityBytes = cfg.NodeBytes
-		ctl, err := dram.NewController(dram.Config{
-			Geometry: g, Timing: cfg.Timing, Scheme: cfg.Scheme,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m.nodes = append(m.nodes, ctl)
+	g := dram.DefaultGeometry()
+	g.CapacityBytes = cfg.NodeBytes
+	nodes := make([]dram.Config, cfg.Nodes)
+	for i := range nodes {
+		nodes[i] = dram.Config{Geometry: g, Timing: cfg.Timing, Scheme: cfg.Scheme}
 	}
-	return m, nil
+	return dram.NewRegionMemory(nodes...)
 }
 
-// Nodes returns the node count.
-func (m *Memory) Nodes() int { return len(m.nodes) }
-
-// access routes one request, adding the interconnect penalty when the
-// requester's node differs from the owning node.
-func (m *Memory) access(from int, pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.Addr) mem.Result {
-	owner := m.node(pa)
-	local := owner == from
-	penalty := uint64(0)
-	if !local {
-		penalty = m.remote
-		m.remoteAccesses++
-	} else {
-		m.localAccesses++
-	}
-	res := m.nodes[owner].Access(pa-mem.Addr(uint64(owner)*m.nodeSz), kind, at+penalty, pc)
-	if kind == mem.Writeback {
-		return res
-	}
-	return res.Offset(penalty)
-}
-
-// DrainAll finishes every node.
-func (m *Memory) DrainAll() {
-	for _, n := range m.nodes {
-		n.DrainAll()
-	}
-}
-
-// Stats returns combined controller counters.
-func (m *Memory) Stats() dram.Stats {
-	var out dram.Stats
-	for _, n := range m.nodes {
-		s := n.Stats()
-		out.Reads += s.Reads
-		out.Writes += s.Writes
-		out.DemandReads += s.DemandReads
-		out.WriteQueueHits += s.WriteQueueHits
-		out.RowHits += s.RowHits
-		out.RowEmpty += s.RowEmpty
-		out.RowConflicts += s.RowConflicts
-		out.DemandReadLatencySum += s.DemandReadLatencySum
-		out.WriteLatencySum += s.WriteLatencySum
-		out.BusBusy += s.BusBusy
-		out.ReadLatency.Merge(&s.ReadLatency)
-	}
-	return out
-}
-
-// RemoteFraction is the share of accesses that crossed the interconnect.
-func (m *Memory) RemoteFraction() float64 {
-	total := m.remoteAccesses + m.localAccesses
-	if total == 0 {
-		return 0
-	}
-	return float64(m.remoteAccesses) / float64(total)
-}
-
-// Mapping returns node 0's address mapping (bank-aware allocation view).
-func (m *Memory) Mapping() *dram.Mapping { return m.nodes[0].Mapping() }
-
-// Port is one core's view of the memory: it stamps accesses with the
-// core's node. It implements cache.Lower.
+// Port is one core's view of the node memory. It implements cache.Lower:
+// an access to another node's region pays DefaultRemoteLatency on the way
+// there and, unless it is a posted writeback, again on the way back.
 type Port struct {
-	Mem  *Memory
+	Mem  *dram.RegionMemory
 	Node int
+	// Remote and Local count the port's cross-node and same-node
+	// accesses.
+	Remote, Local uint64
 }
 
 // Access implements cache.Lower.
 func (p *Port) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.Addr) mem.Result {
-	return p.Mem.access(p.Node, pa, kind, at, pc)
+	if p.Mem.Region(pa) == p.Node {
+		p.Local++
+		return p.Mem.Access(pa, kind, at, pc)
+	}
+	p.Remote++
+	res := p.Mem.Access(pa, kind, at+DefaultRemoteLatency, pc)
+	if kind == mem.Writeback {
+		return res
+	}
+	return res.Offset(DefaultRemoteLatency)
 }
 
-// DrainAll delegates to the shared memory.
-func (p *Port) DrainAll() { p.Mem.DrainAll() }
-
-// Stats delegates to the shared memory.
-func (p *Port) Stats() dram.Stats { return p.Mem.Stats() }
-
-// Mapping delegates to the shared memory.
-func (p *Port) Mapping() *dram.Mapping { return p.Mem.Mapping() }
-
-// Allocator hands out frames by node: preferred-bank group i is node i.
-type Allocator struct {
-	next   []uint64
-	limit  uint64
-	nodeSz uint64
-	// rr interleaves nodes for unpreferred allocations (the classic OS
-	// default policy for shared pages).
-	rr int
-}
-
-// NewAllocator covers nodes × nodeBytes.
-func NewAllocator(nodes int, nodeBytes uint64) *Allocator {
-	return &Allocator{
-		next:   make([]uint64, nodes),
-		limit:  nodeBytes / mem.PageBytes,
-		nodeSz: nodeBytes,
+// RemoteFraction is the share of the ports' accesses that crossed the
+// interconnect (the metric placement minimizes); 0 with no accesses.
+func RemoteFraction(ports []*Port) float64 {
+	var remote, total uint64
+	for _, p := range ports {
+		remote += p.Remote
+		total += p.Remote + p.Local
 	}
-}
-
-// AllocFrame implements kernel.FrameAllocator.
-func (a *Allocator) AllocFrame(preferred []int) (mem.Addr, error) {
-	try := func(node int) (mem.Addr, bool) {
-		if node < 0 || node >= len(a.next) || a.next[node] >= a.limit {
-			return 0, false
-		}
-		f := a.next[node]
-		a.next[node]++
-		return mem.Addr(uint64(node)*a.nodeSz + f*mem.PageBytes), true
+	if total == 0 {
+		return 0
 	}
-	for _, p := range preferred {
-		if f, ok := try(p); ok {
-			return f, nil
-		}
-	}
-	// No (usable) preference: interleave round-robin.
-	for i := 0; i < len(a.next); i++ {
-		node := (a.rr + i) % len(a.next)
-		if f, ok := try(node); ok {
-			a.rr = (node + 1) % len(a.next)
-			return f, nil
-		}
-	}
-	return 0, kernel.ErrOutOfMemory
-}
-
-// FreeFrames implements kernel.FrameAllocator.
-func (a *Allocator) FreeFrames() int {
-	n := uint64(0)
-	for _, used := range a.next {
-		n += a.limit - used
-	}
-	return int(n)
-}
-
-// FrameNode reports the node owning a frame.
-func (a *Allocator) FrameNode(frame mem.Addr) int {
-	return int(uint64(frame) / a.nodeSz)
+	return float64(remote) / float64(total)
 }
 
 // Placement is the XMem NUMA policy for the process running on localNode:

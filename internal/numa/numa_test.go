@@ -4,55 +4,73 @@ import (
 	"testing"
 
 	"xmem/internal/core"
+	"xmem/internal/dram"
+	"xmem/internal/kernel"
 	"xmem/internal/mem"
 )
 
-func testMemory(t *testing.T) *Memory {
+const testNodeBytes = 16 << 20
+
+// testMemory builds two 16 MiB nodes and a port on each.
+func testMemory(t *testing.T) (*dram.RegionMemory, [2]*Port) {
 	t.Helper()
-	m, err := New(Config{Nodes: 2, NodeBytes: 16 << 20, RemoteLatency: 100})
+	m, err := New(Config{Nodes: 2, NodeBytes: testNodeBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return m, [2]*Port{{Mem: m, Node: 0}, {Mem: m, Node: 1}}
+}
+
+// testAllocator covers nodes nodes of nodeBytes each, as the simulator
+// does.
+func testAllocator(nodes int, nodeBytes uint64) *kernel.RegionAllocator {
+	ranges := make([]kernel.FrameRange, nodes)
+	for i := range ranges {
+		ranges[i] = kernel.FrameRange{Base: mem.Addr(uint64(i) * nodeBytes), Bytes: nodeBytes}
+	}
+	return kernel.NewRegionAllocator(ranges...)
 }
 
 func TestRemotePenalty(t *testing.T) {
-	m := testMemory(t)
-	local := m.access(0, 0x1000, mem.Read, 0, 0).Wait()
-	remote := m.access(1, 0x1000, mem.Read, 100000, 0).Wait() - 100000
+	_, p := testMemory(t)
+	local := p[0].Access(0x1000, mem.Read, 0, 0).Wait()
+	remote := p[1].Access(0x1000, mem.Read, 100000, 0).Wait() - 100000
 	// Remote pays the penalty twice (request + response), and the row is
 	// already open on the second access, so compare conservatively.
 	if remote <= local {
 		t.Errorf("remote %d <= local %d", remote, local)
 	}
-	if f := m.RemoteFraction(); f != 0.5 {
+	if f := RemoteFraction(p[:]); f != 0.5 {
 		t.Errorf("remote fraction = %.2f, want 0.5", f)
 	}
 }
 
 func TestNodeRouting(t *testing.T) {
-	m := testMemory(t)
-	m.access(0, 0x1000, mem.Read, 0, 0).Wait()
-	m.access(0, mem.Addr(16<<20)+0x1000, mem.Read, 0, 0).Wait()
+	m, p := testMemory(t)
+	p[0].Access(0x1000, mem.Read, 0, 0).Wait()
+	p[0].Access(mem.Addr(testNodeBytes)+0x1000, mem.Read, 0, 0).Wait()
 	m.DrainAll()
-	if m.nodes[0].Stats().Reads != 1 || m.nodes[1].Stats().Reads != 1 {
+	if m.Controller(0).Stats().Reads != 1 || m.Controller(1).Stats().Reads != 1 {
 		t.Errorf("node reads = %d, %d; want 1 each",
-			m.nodes[0].Stats().Reads, m.nodes[1].Stats().Reads)
+			m.Controller(0).Stats().Reads, m.Controller(1).Stats().Reads)
 	}
 	if m.Stats().Reads != 2 {
 		t.Errorf("combined reads = %d", m.Stats().Reads)
+	}
+	if p[0].Local != 1 || p[0].Remote != 1 {
+		t.Errorf("port 0 local/remote = %d/%d, want 1/1", p[0].Local, p[0].Remote)
 	}
 }
 
 func TestWritebackRequestSidePenaltyOnly(t *testing.T) {
 	// A posted write pays the interconnect once (request side) but never
 	// waits for a response.
-	m := testMemory(t)
-	d := m.access(1, 0x1000, mem.Writeback, 50, 0).Wait()
-	if d != 50+100 {
-		t.Errorf("remote writeback ack = %d, want arrival+penalty = 150", d)
+	_, p := testMemory(t)
+	d := p[1].Access(0x1000, mem.Writeback, 50, 0).Wait()
+	if d != 50+DefaultRemoteLatency {
+		t.Errorf("remote writeback ack = %d, want arrival+penalty = %d", d, 50+DefaultRemoteLatency)
 	}
-	dl := m.access(0, 0x2000, mem.Writeback, 50, 0).Wait()
+	dl := p[0].Access(0x2000, mem.Writeback, 50, 0).Wait()
 	if dl != 50 {
 		t.Errorf("local writeback ack = %d, want 50", dl)
 	}
@@ -65,14 +83,15 @@ func TestNewRejectsBadNodeCount(t *testing.T) {
 }
 
 func TestAllocatorInterleavesByDefault(t *testing.T) {
-	a := NewAllocator(2, 1<<20)
+	const nodeBytes = 1 << 20
+	a := testAllocator(2, nodeBytes)
 	nodes := map[int]int{}
 	for i := 0; i < 8; i++ {
 		f, err := a.AllocFrame(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[a.FrameNode(f)]++
+		nodes[int(uint64(f)/nodeBytes)]++
 	}
 	if nodes[0] != 4 || nodes[1] != 4 {
 		t.Errorf("interleave = %v, want 4/4", nodes)
@@ -80,20 +99,19 @@ func TestAllocatorInterleavesByDefault(t *testing.T) {
 }
 
 func TestAllocatorHonoursNodePreference(t *testing.T) {
-	a := NewAllocator(2, 1<<20)
-	for i := 0; i < 8; i++ {
+	const nodeBytes = 1 << 20
+	a := testAllocator(2, nodeBytes)
+	node := func(f mem.Addr) int { return int(uint64(f) / nodeBytes) }
+	// Node 1's frames all go first, then the allocator falls back to node 0.
+	for i := 0; i < nodeBytes/mem.PageBytes; i++ {
 		f, err := a.AllocFrame([]int{1})
-		if err != nil || a.FrameNode(f) != 1 {
-			t.Fatalf("frame on node %d, err %v", a.FrameNode(f), err)
+		if err != nil || node(f) != 1 {
+			t.Fatalf("frame %d on node %d, err %v", i, node(f), err)
 		}
 	}
-	// Exhaust node 1 entirely: falls back to node 0.
-	for a.next[1] < a.limit {
-		a.AllocFrame([]int{1})
-	}
 	f, err := a.AllocFrame([]int{1})
-	if err != nil || a.FrameNode(f) != 0 {
-		t.Fatalf("fallback frame on node %d, err %v", a.FrameNode(f), err)
+	if err != nil || node(f) != 0 {
+		t.Fatalf("fallback frame on node %d, err %v", node(f), err)
 	}
 }
 

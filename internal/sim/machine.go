@@ -55,15 +55,6 @@ type Result struct {
 	Spans *span.Dump
 }
 
-// memorySystem is what sits below the L3: a plain DRAM controller or a
-// hybrid DRAM+NVM memory.
-type memorySystem interface {
-	cache.Lower
-	DrainAll()
-	Stats() dram.Stats
-	Mapping() *dram.Mapping
-}
-
 // Machine is one assembled single-core system executing one workload.
 // It implements workload.Program.
 //
@@ -115,6 +106,10 @@ type Machine struct {
 	pageAtoms map[uint64]xm.AtomID
 	lat       *latencyState
 	spans     *spanState
+
+	// tiers is the hybrid memory ctl holds, for per-tier counters and
+	// labels (nil on other machines).
+	tiers *dram.RegionMemory
 }
 
 // bwWindowCycles is the utilization-sampling window.
@@ -144,61 +139,6 @@ const siteBase = mem.Addr(0x400000)
 
 func pcForSite(site int) mem.Addr { return siteBase + mem.Addr(site)*4 }
 
-// buildDRAM constructs the memory controller and the frame allocator the
-// OS will draw from. policyAtoms drive the XMem placement policy, which is
-// returned separately because it is per-process.
-func buildDRAM(cfg Config, policyAtoms []xm.Atom) (memorySystem, kernel.FrameAllocator, kernel.PlacementPolicy, error) {
-	if cfg.Hybrid != nil {
-		return buildHybrid(cfg, policyAtoms)
-	}
-	ctl, err := dram.NewController(dram.Config{
-		Geometry: cfg.Geometry,
-		Timing:   cfg.Timing,
-		Scheme:   cfg.Scheme,
-		IdealRBL: cfg.IdealRBL,
-		FCFS:     cfg.FCFS,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var alloc kernel.FrameAllocator
-	var policy kernel.PlacementPolicy
-	switch cfg.Alloc {
-	case AllocSequential, "":
-		alloc = kernel.NewSequentialAllocator(cfg.Geometry.CapacityBytes)
-	case AllocRandom:
-		alloc = kernel.NewRandomizedAllocator(cfg.Geometry.CapacityBytes, cfg.AllocSeed)
-	case AllocXMemPlacement:
-		alloc = kernel.NewBankedAllocator(ctl.Mapping())
-		policy = kernel.NewXMemPlacement(policyAtoms, cfg.Geometry.BanksPerChannel())
-	default:
-		return nil, nil, nil, fmt.Errorf("sim: unknown alloc policy %q", cfg.Alloc)
-	}
-	return ctl, alloc, policy, nil
-}
-
-// buildHybrid assembles the two-tier memory of the Table 1 hybrid-memory
-// use case: DRAM in front of NVM, with tier choice made per atom when XMem
-// placement is enabled and DRAM-first otherwise.
-func buildHybrid(cfg Config, policyAtoms []xm.Atom) (memorySystem, kernel.FrameAllocator, kernel.PlacementPolicy, error) {
-	h := cfg.Hybrid
-	hcfg := hybrid.DefaultConfig(h.DRAMBytes, h.NVMBytes)
-	if cfg.IdealRBL {
-		hcfg.DRAM.IdealRBL = true
-		hcfg.NVM.IdealRBL = true
-	}
-	memsys, err := hybrid.New(hcfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	alloc := hybrid.NewAllocator(h.DRAMBytes, h.NVMBytes)
-	var policy kernel.PlacementPolicy
-	if h.XMemPlacement {
-		policy = hybrid.NewPlacement(policyAtoms)
-	}
-	return memsys, alloc, policy, nil
-}
-
 // declareAtoms performs the compile-time CREATE summarization and the OS'
 // load-time decode.
 func declareAtoms(w workload.Workload) ([]xm.Atom, error) {
@@ -221,14 +161,14 @@ func stripAtomAttrs(atoms []xm.Atom) {
 	}
 }
 
-// buildMachine assembles one core's private hierarchy over a (possibly
-// shared) DRAM controller and frame allocator.
-func buildMachine(cfg Config, w workload.Workload, atoms []xm.Atom,
-	ctl memorySystem, alloc kernel.FrameAllocator, policy kernel.PlacementPolicy) (*Machine, error) {
+// buildMachine assembles core i's private hierarchy over the machine's
+// shared memory side.
+func buildMachine(cfg *Config, w workload.Workload, atoms []xm.Atom,
+	side *memorySide, i int, policy kernel.PlacementPolicy) (*Machine, error) {
 
 	gat := xm.NewGAT()
 	gat.LoadAtoms(atoms)
-	as := kernel.NewAddressSpace(alloc, policy)
+	as := kernel.NewAddressSpace(side.alloc, policy)
 	amu := xm.NewAMU(as, cfg.AMU)
 	amu.SetGAT(gat)
 	lib := xm.NewLibWithAtoms(amu, atoms)
@@ -236,8 +176,8 @@ func buildMachine(cfg Config, w workload.Workload, atoms []xm.Atom,
 		lib.EnableInvariantChecks()
 	}
 
-	// Hierarchy: L1D -> L2 -> L3 -> DRAM.
-	l3, err := cache.New(cfg.L3, ctl)
+	// Hierarchy: L1D -> L2 -> L3 -> memory.
+	l3, err := cache.New(cfg.L3, side.lower(i))
 	if err != nil {
 		return nil, err
 	}
@@ -251,8 +191,9 @@ func buildMachine(cfg Config, w workload.Workload, atoms []xm.Atom,
 	}
 
 	m := &Machine{
-		cfg: cfg, w: w, core: cpu.New(cfg.Core),
-		l1d: l1d, l2: l2, l3: l3, ctl: ctl, as: as, amu: amu, lib: lib,
+		cfg: *cfg, w: w, core: cpu.New(cfg.Core),
+		l1d: l1d, l2: l2, l3: l3, ctl: side.mem, tiers: side.tiers,
+		as: as, amu: amu, lib: lib,
 	}
 	if cfg.StridePrefetch {
 		m.strider = prefetch.NewMultiStride(cfg.StrideEntries, cfg.StrideDegree)
@@ -288,7 +229,7 @@ func buildMachine(cfg Config, w workload.Workload, atoms []xm.Atom,
 }
 
 // result gathers this core's statistics. DRAM counters come from the
-// attached controller, which is machine-wide when cores share it.
+// memory, which is machine-wide when cores share it.
 func (m *Machine) result(cycles uint64) Result {
 	cpuStats := m.core.Stats()
 	l3Stats := m.l3.Stats()
@@ -321,8 +262,9 @@ func (m *Machine) result(cycles uint64) Result {
 	if m.pins != nil {
 		res.PinnedAtomsMax = m.pins.maxPinned
 	}
-	if hm, ok := m.ctl.(*hybrid.Memory); ok {
-		d, n := hm.TierStats()
+	if m.tiers != nil {
+		d := m.tiers.Controller(int(hybrid.TierDRAM)).Stats()
+		n := m.tiers.Controller(int(hybrid.TierNVM)).Stats()
 		res.TierDRAM, res.TierNVM = &d, &n
 	}
 	if m.reg != nil {
@@ -334,30 +276,15 @@ func (m *Machine) result(cycles uint64) Result {
 	return res
 }
 
-// Run builds the machine described by cfg and executes the workload on it.
-func Run(cfg Config, w workload.Workload) (Result, error) {
-	atoms, err := declareAtoms(w)
+// Run builds the machine described by cfg and executes the workload on it:
+// the one-core case of RunMulti. It then writes cfg.MetricsOut and
+// cfg.SpanOut.
+func Run(cfg Config, w workload.Workload) (res Result, err error) {
+	mr, err := RunMulti(MultiConfig{Core: cfg}, []workload.Workload{w})
 	if err != nil {
-		return Result{}, err
+		return res, err
 	}
-	if cfg.StripAtomAttrs {
-		stripAtomAttrs(atoms)
-	}
-	ctl, alloc, policy, err := buildDRAM(cfg, atoms)
-	if err != nil {
-		return Result{}, err
-	}
-	m, err := buildMachine(cfg, w, atoms, ctl, alloc, policy)
-	if err != nil {
-		return Result{}, err
-	}
-	if cfg.Metrics || cfg.SpanSample > 0 {
-		m.observeDRAM()
-	}
-	w.Run(m)
-	cycles := m.core.Finish()
-	ctl.DrainAll()
-	res := m.result(cycles)
+	res = mr.Cores[0]
 	if cfg.MetricsOut != "" && res.Metrics != nil {
 		if err := res.Metrics.WriteFile(cfg.MetricsOut); err != nil {
 			return res, err
@@ -477,17 +404,18 @@ func (m *Machine) trainL3(pa, pc mem.Addr, at uint64, miss bool) {
 	}
 }
 
+// classifyL3 is the L3's classifier on XMem-cache machines: pinned atoms'
+// lines are pinned, and lines of atoms the cache PAT marks Bypass (expressed
+// streaming data with no reuse) insert at low priority.
 func (m *Machine) classifyL3(pa mem.Addr, kind mem.AccessKind) cache.Insertion {
-	id, attrs, ok := m.amu.LookupAttributes(pa)
+	id, ok := m.amu.Lookup(pa)
 	if !ok {
 		return cache.Insertion{Atom: xm.InvalidAtom}
 	}
 	ins := cache.Insertion{Atom: id}
-	switch {
-	case m.pins != nil && m.pins.pinned[id]:
+	if m.pins.pinned[id] {
 		ins.Pin = true
-	case attrs.Reuse == 0 && attrs.Pattern == xm.PatternRegular:
-		// Expressed streaming data with no reuse: insert at low priority.
+	} else if attr, _ := m.pins.pat.Lookup(id); attr.Bypass {
 		ins.Pri = cache.InsertLow
 	}
 	return ins

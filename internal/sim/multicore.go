@@ -3,20 +3,17 @@ package sim
 import (
 	"fmt"
 
-	"xmem/internal/core"
 	"xmem/internal/dram"
-	"xmem/internal/kernel"
-	"xmem/internal/numa"
 	"xmem/internal/workload"
 )
 
 // MultiConfig describes a multi-core machine: per-core private hierarchies
 // (the paper's Table 3 partitions the L3 per core) over one shared memory
-// controller and one shared pool of physical frames, so co-runners contend
-// for DRAM banks and bandwidth exactly as the paper's co-run scenarios do.
+// and one shared pool of physical frames, so co-runners contend for DRAM
+// banks and bandwidth exactly as the paper's co-run scenarios do.
 type MultiConfig struct {
 	// Core is the per-core configuration (caches, prefetchers, XMem
-	// flags). DRAM fields configure the single shared controller.
+	// flags). Its DRAM and Hybrid fields configure the shared memory.
 	Core Config
 	// QuantumCycles is the interleaving granularity of the deterministic
 	// scheduler (0 = 500).
@@ -34,8 +31,6 @@ type NUMAConfig struct {
 	Nodes int
 	// NodeBytes is each node's capacity.
 	NodeBytes uint64
-	// RemoteLatency is the cross-node penalty in cycles (0 = default).
-	RemoteLatency uint64
 	// Placement selects the OS policy: "interleave" (default) spreads
 	// pages round-robin, "node0" models first-touch by an initializing
 	// main thread (everything lands on node 0), and "xmem" uses the
@@ -46,16 +41,17 @@ type NUMAConfig struct {
 // MultiResult aggregates a multi-programmed run.
 type MultiResult struct {
 	// Cores holds one result per workload; the DRAM stats in each are the
-	// shared controller's machine-wide totals. With Config.Metrics each
-	// core carries its own Metrics/PerAtom report (private-hierarchy events
-	// only: shared-controller DRAM commands are not attributed, because
-	// per-core ownership of a shared-bank command is ambiguous). For the
-	// same reason spans from Config.SpanSample carry AMU and cache stages
-	// but no dram/nvm stage on multi-core machines.
+	// shared memory's machine-wide totals. With Config.Metrics each core
+	// carries its own Metrics/PerAtom report, and with Config.SpanSample
+	// its own spans. A one-core run attributes DRAM commands and gives
+	// spans dram/nvm stages, exactly as Run does. With several cores the
+	// shared memory has no observer yet: reports cover private-hierarchy
+	// events only, and spans carry AMU and cache stages but no dram/nvm
+	// stage.
 	Cores []Result
 	// Cycles is the finishing time of the slowest core.
 	Cycles uint64
-	// DRAM is the shared controller's final counters.
+	// DRAM is the shared memory's final counters.
 	DRAM dram.Stats
 	// RemoteFraction is the share of memory accesses that crossed the
 	// NUMA interconnect (0 on non-NUMA machines).
@@ -114,48 +110,36 @@ func (t *coreTask) handoff() chan<- token {
 	return t.finish
 }
 
+// run executes the core's workload to its finishing cycle and marks the
+// core done. A panic in the workload is recovered and returned, so the
+// core still hands the token on.
+func (t *coreTask) run() (fault any) {
+	defer func() {
+		fault = recover()
+		t.done = true
+	}()
+	t.m.w.Run(t.m)
+	t.finalCycle = t.m.core.Finish()
+	return nil
+}
+
 // RunMulti executes the workloads concurrently, one per core. Cores share
-// the memory controller and physical memory; everything else is private.
+// the memory and its frame pool; everything else is private. Run is the
+// one-core case.
 //
-// The scheduler interleaves cores deterministically on one goroutine's
-// worth of execution at a time: the live core with the lowest local cycle
-// runs one quantum, then hands the token to the next.
+// A lone core runs on the caller's goroutine. Several cores interleave
+// deterministically, one goroutine's worth of execution at a time: the
+// live core with the lowest local cycle runs one quantum, then hands the
+// token to the next.
 func RunMulti(cfg MultiConfig, ws []workload.Workload) (MultiResult, error) {
 	if len(ws) == 0 {
 		return MultiResult{}, fmt.Errorf("sim: no workloads")
 	}
-	quantum := cfg.QuantumCycles
-	if quantum == 0 {
-		quantum = 500
+	side, err := buildMemory(&cfg, len(ws))
+	if err != nil {
+		return MultiResult{}, err
 	}
-
-	// Shared memory system: one controller, or a multi-node NUMA memory.
-	var ctl memorySystem
-	var alloc kernel.FrameAllocator
-	var numaMem *numa.Memory
-	if cfg.NUMA != nil {
-		nm, err := numa.New(numa.Config{
-			Nodes:         cfg.NUMA.Nodes,
-			NodeBytes:     cfg.NUMA.NodeBytes,
-			RemoteLatency: cfg.NUMA.RemoteLatency,
-			Scheme:        cfg.Core.Scheme,
-			Timing:        cfg.Core.Timing,
-		})
-		if err != nil {
-			return MultiResult{}, err
-		}
-		numaMem = nm
-		alloc = numa.NewAllocator(cfg.NUMA.Nodes, cfg.NUMA.NodeBytes)
-	} else {
-		var err error
-		ctl, alloc, _, err = buildDRAM(cfg.Core, nil)
-		if err != nil {
-			return MultiResult{}, err
-		}
-	}
-
-	allDone := make(chan token)
-	tasks := make([]*coreTask, len(ws))
+	ms := make([]*Machine, len(ws))
 	for i, w := range ws {
 		atoms, err := declareAtoms(w)
 		if err != nil {
@@ -164,22 +148,41 @@ func RunMulti(cfg MultiConfig, ws []workload.Workload) (MultiResult, error) {
 		if cfg.Core.StripAtomAttrs {
 			stripAtomAttrs(atoms)
 		}
-		var policy kernel.PlacementPolicy
-		coreCtl := ctl
-		if numaMem != nil {
-			node := i % numaMem.Nodes()
-			coreCtl = &numa.Port{Mem: numaMem, Node: node}
-			policy, err = numaPolicy(cfg.NUMA, atoms, node, numaMem.Nodes())
-			if err != nil {
-				return MultiResult{}, err
-			}
-		} else if cfg.Core.Alloc == AllocXMemPlacement {
-			policy = kernel.NewXMemPlacement(atoms, cfg.Core.Geometry.BanksPerChannel())
-		}
-		m, err := buildMachine(cfg.Core, w, atoms, coreCtl, alloc, policy)
+		policy, err := placement(&cfg, atoms, i)
 		if err != nil {
 			return MultiResult{}, err
 		}
+		if ms[i], err = buildMachine(&cfg.Core, w, atoms, side, i, policy); err != nil {
+			return MultiResult{}, err
+		}
+	}
+
+	var cycles []uint64
+	if len(ms) == 1 {
+		m := ms[0]
+		if cfg.Core.Metrics || cfg.Core.SpanSample > 0 {
+			m.observeDRAM()
+		}
+		m.w.Run(m)
+		cycles = []uint64{m.core.Finish()}
+	} else {
+		quantum := cfg.QuantumCycles
+		if quantum == 0 {
+			quantum = 500
+		}
+		cycles = corun(ms, quantum)
+	}
+	return side.result(ms, cycles), nil
+}
+
+// corun runs the machines' workloads under the token-passing scheduler and
+// returns each core's finishing cycle. A panic on a core's goroutine is
+// recovered there, so the other cores run to completion; corun then
+// re-raises the first one on the caller's goroutine.
+func corun(ms []*Machine, quantum uint64) []uint64 {
+	allDone := make(chan token)
+	tasks := make([]*coreTask, len(ms))
+	for i, m := range ms {
 		t := &coreTask{
 			m:       m,
 			start:   make(chan token),
@@ -211,17 +214,18 @@ func RunMulti(cfg MultiConfig, ws []workload.Workload) (MultiResult, error) {
 
 	// One goroutine per core; a single token circulates directly between
 	// cores (no central scheduler goroutine), so exactly one core touches
-	// the shared structures at any moment. The body follows the ownership-
-	// transfer protocol the noshare analyzer proves: first use receives the
-	// token from the task's channel, last use relinquishes it with a send.
+	// the shared structures at any moment, fault included. The body
+	// follows the ownership-transfer protocol the noshare analyzer proves:
+	// first use receives the token from the task's channel, last use
+	// relinquishes it with a send.
+	var fault any
 	for _, t := range tasks {
 		t := t
 		go func() {
 			<-t.start
-			t.m.w.Run(t.m)
-			t.finalCycle = t.m.core.Finish()
-			t.cycle = t.finalCycle
-			t.done = true
+			if p := t.run(); p != nil && fault == nil {
+				fault = p
+			}
 			t.handoff() <- token{}
 		}()
 	}
@@ -232,49 +236,15 @@ func RunMulti(cfg MultiConfig, ws []workload.Workload) (MultiResult, error) {
 	first.quantumEnd = first.cycle + quantum
 	first.start <- token{}
 	<-allDone
-
-	var res MultiResult
-	if numaMem != nil {
-		numaMem.DrainAll()
-		res.DRAM = numaMem.Stats()
-		res.RemoteFraction = numaMem.RemoteFraction()
-	} else {
-		ctl.DrainAll()
-		res.DRAM = ctl.Stats()
+	if fault != nil {
+		panic(fault)
 	}
-	for _, t := range tasks {
-		r := t.m.result(t.finalCycle)
-		res.Cores = append(res.Cores, r)
-		if t.finalCycle > res.Cycles {
-			res.Cycles = t.finalCycle
-		}
+	cycles := make([]uint64, len(tasks))
+	for i, t := range tasks {
+		cycles[i] = t.finalCycle
 	}
-	return res, nil
+	return cycles
 }
-
-// numaPolicy resolves the placement policy for a core on the given node.
-func numaPolicy(nc *NUMAConfig, atoms []core.Atom, node, nodes int) (kernel.PlacementPolicy, error) {
-	switch nc.Placement {
-	case "", "interleave":
-		// nil policy: the allocator interleaves.
-		return nil, nil
-	case "node0":
-		return fixedNodePolicy{}, nil
-	case "xmem":
-		return numa.NewPlacement(atoms, node, func(t int) int {
-			return t % nodes
-		}), nil
-	default:
-		return nil, fmt.Errorf("sim: unknown NUMA placement %q", nc.Placement)
-	}
-}
-
-// fixedNodePolicy pins every allocation to node 0 — the first-touch-by-
-// main-thread pathology of semantics-blind NUMA systems.
-type fixedNodePolicy struct{}
-
-// PreferredBanks implements kernel.PlacementPolicy.
-func (fixedNodePolicy) PreferredBanks(core.AtomID) []int { return []int{0} }
 
 // MustRunMulti is RunMulti for known-good configurations.
 func MustRunMulti(cfg MultiConfig, ws []workload.Workload) MultiResult {

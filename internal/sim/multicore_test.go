@@ -3,8 +3,13 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
+	"strings"
 	"testing"
 
+	xm "xmem/internal/core"
+	"xmem/internal/experiments/runner"
+	"xmem/internal/mem"
 	"xmem/internal/workload"
 )
 
@@ -112,21 +117,84 @@ func TestRunMultiAllocPolicies(t *testing.T) {
 	}
 }
 
-func TestRunMultiSingleMatchesSoloShape(t *testing.T) {
-	// One core under the multi-core scheduler behaves like a solo run.
-	w := streamWorkload(2048, 2)
-	solo := MustRun(testConfig(), w)
-	multi := MustRunMulti(multiConfig(), []workload.Workload{w})
-	if len(multi.Cores) != 1 {
-		t.Fatalf("cores = %d", len(multi.Cores))
+// TestRunMultiOneCoreEqualsRun: Run is the one-core case of RunMulti, so
+// a one-core RunMulti returns the same Result, observation included, on a
+// baseline, an XMem-cache and an XMem-placed hybrid machine.
+func TestRunMultiOneCoreEqualsRun(t *testing.T) {
+	// Cold read-only data allocated before hot read-write data: first
+	// touch fills the small DRAM tier with the wrong structure.
+	tiers := workload.Synthetic(workload.SynthSpec{
+		Name: "tiers", Accesses: 20000, WorkPer: 4,
+		Structs: []workload.StructSpec{
+			{Name: "input", SizeBytes: 512 << 10, Pattern: xm.PatternRegular,
+				StrideBytes: mem.LineBytes, Intensity: 60, RW: xm.ReadOnly},
+			{Name: "state", SizeBytes: 256 << 10, Pattern: xm.PatternRegular,
+				StrideBytes: mem.LineBytes, Intensity: 200, RW: xm.ReadWrite, WritePct: 50},
+		},
+	})
+	observed := func(cfg Config) Config {
+		cfg.Metrics = true
+		cfg.EpochCycles = 50_000
+		cfg.SpanSample = 20
+		return cfg
 	}
-	a, b := solo.Cycles, multi.Cores[0].Cycles
-	diff := float64(a) / float64(b)
-	if diff < 0.95 || diff > 1.05 {
-		t.Errorf("solo %d vs multi %d cycles; quantum interleaving should not change a solo run materially", a, b)
+	xmemCfg := testConfig()
+	xmemCfg.XMemCache = true
+	hybridCfg := testConfig()
+	hybridCfg.Hybrid = &HybridConfig{DRAMBytes: 256 << 10, NVMBytes: 4 << 20, XMemPlacement: true}
+	cases := []struct {
+		name string
+		cfg  Config
+		w    workload.Workload
+	}{
+		{"baseline", testConfig(), streamWorkload(2048, 2)},
+		{"xmem", xmemCfg, gemmThrash()},
+		{"hybrid-xmem", hybridCfg, tiers},
 	}
-	if solo.CPU.Loads != multi.Cores[0].CPU.Loads {
-		t.Errorf("loads differ: %d vs %d", solo.CPU.Loads, multi.Cores[0].CPU.Loads)
+	for _, c := range cases {
+		cfg := observed(c.cfg)
+		solo := MustRun(cfg, c.w)
+		multi := MustRunMulti(MultiConfig{Core: cfg}, []workload.Workload{c.w})
+		if len(multi.Cores) != 1 {
+			t.Fatalf("%s: %d cores", c.name, len(multi.Cores))
+		}
+		if !reflect.DeepEqual(solo, multi.Cores[0]) {
+			t.Errorf("%s: one-core RunMulti differs from Run: %d vs %d cycles, %d vs %d DRAM reads",
+				c.name, multi.Cores[0].Cycles, solo.Cycles, multi.Cores[0].DRAM.Reads, solo.DRAM.Reads)
+		}
+		if multi.Cycles != solo.Cycles || !reflect.DeepEqual(multi.DRAM, solo.DRAM) {
+			t.Errorf("%s: machine cycles %d, DRAM %+v; Run %d, %+v", c.name, multi.Cycles, multi.DRAM, solo.Cycles, solo.DRAM)
+		}
+	}
+}
+
+// TestRunMultiCoreFaultIsRecoverable: a core that accesses an unmapped VA
+// does not kill the process from its goroutine. The other core runs to
+// completion and RunMulti re-raises the panic on its caller, where the
+// sweep runner records it as the point's error.
+func TestRunMultiCoreFaultIsRecoverable(t *testing.T) {
+	faulty := workload.Workload{
+		Name: "faulty",
+		Run: func(p workload.Program) {
+			buf := p.Malloc("buf", 64<<10, xm.InvalidAtom)
+			for i := 0; i < 1024; i++ {
+				p.Load(1, buf+mem.Addr(i%1024*mem.LineBytes))
+				p.Work(2)
+			}
+			p.Load(2, 0x10)
+		},
+	}
+	outs, err := runner.Run("corun-fault", []runner.Point[MultiResult]{{
+		Key: "good+faulty",
+		Run: func(*runner.Ctx) (MultiResult, error) {
+			return RunMulti(multiConfig(), []workload.Workload{streamWorkload(2048, 2), faulty})
+		},
+	}}, runner.Options{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "panic: sim: access to unmapped VA 0x10"; !strings.HasPrefix(outs[0].Err, want) {
+		t.Fatalf("outcome error %q, want prefix %q", outs[0].Err, want)
 	}
 }
 

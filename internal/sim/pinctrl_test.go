@@ -16,11 +16,11 @@ func pinHarness(t *testing.T, atoms []xm.Atom, l3 uint64) *Machine {
 	cfg.L3.SizeBytes = l3
 	cfg.XMemCache = true
 	w := workload.Workload{Name: "harness", Run: func(p workload.Program) {}}
-	ctl, alloc, policy, err := buildDRAM(cfg, atoms)
+	side, err := buildMemory(&MultiConfig{Core: cfg}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := buildMachine(cfg, w, atoms, ctl, alloc, policy)
+	m, err := buildMachine(&cfg, w, atoms, side, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

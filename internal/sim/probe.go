@@ -5,7 +5,6 @@ import (
 
 	"xmem/internal/cache"
 	xm "xmem/internal/core"
-	"xmem/internal/dram"
 	"xmem/internal/hybrid"
 	"xmem/internal/mem"
 	"xmem/internal/obs"
@@ -16,11 +15,12 @@ import (
 const l3Level = 2
 
 // installProbe attaches the machine's sinks to the caches (one cache.Event
-// stream per level) and the XMem prefetcher (issues per atom); Run adds the
-// DRAM sink (observeDRAM). buildMachine calls it once, when Metrics or
-// SpanSample is set; otherwise every probe stays nil and costs one branch
-// per event. Prefetcher training is not a probe: it changes timing, so it
-// stays on the L3's cache.Observer (trainL3).
+// stream per level) and the XMem prefetcher (issues per atom); RunMulti
+// adds the DRAM sink (observeDRAM) on one-core machines. buildMachine
+// calls it once, when Metrics or SpanSample is set; otherwise every probe
+// stays nil and costs one branch per event. Prefetcher training is not a
+// probe: it changes timing, so it stays on the L3's cache.Observer
+// (trainL3).
 func (m *Machine) installProbe() {
 	for lvl, c := range [...]*cache.Cache{m.l1d, m.l2, m.l3} {
 		c.SetProbe(func(ev cache.Event) { m.observeCache(lvl, &ev) })
@@ -70,22 +70,15 @@ func (m *Machine) observePrefetchIssue(id xm.AtomID, n int) {
 	}
 }
 
-// observeDRAM installs the memory system's sink: per-atom row-buffer
-// attribution, the per-tier and per-atom demand-service histograms, and the
-// span tracer's DRAM stage. Only Run calls it: on multi-core machines the
-// controller is shared and per-core attribution of its commands would be
-// ambiguous, so RunMulti leaves it unwired (multicore spans carry cache
-// stages only).
+// observeDRAM installs the memory's sink: per-atom row-buffer attribution,
+// the per-tier and per-atom demand-service histograms, and the span
+// tracer's DRAM stage. RunMulti calls it on one-core machines only: on a
+// multi-core machine the memory is shared, and its commands are not yet
+// attributed to cores (multicore spans carry cache stages only).
 func (m *Machine) observeDRAM() {
-	// dram.Controller and hybrid.Memory report scheduled commands.
-	o, ok := m.ctl.(interface{ SetObserver(dram.Observer) })
-	if !ok {
-		return
-	}
-	hyb, _ := m.ctl.(*hybrid.Memory)
-	o.SetObserver(func(pa mem.Addr, kind mem.AccessKind, rowHit bool, arrival, done uint64) {
+	m.ctl.SetObserver(func(pa mem.Addr, kind mem.AccessKind, rowHit bool, arrival, done uint64) {
 		tier := "dram"
-		if hyb != nil && hyb.TierOf(pa) == hybrid.TierNVM {
+		if m.tiers != nil && m.tiers.Region(pa) == int(hybrid.TierNVM) {
 			tier = "nvm"
 		}
 		if m.attrib != nil {
