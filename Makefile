@@ -75,16 +75,22 @@ alloc-gate:
 # Short coverage-guided runs of the reference-model differentials: the
 # fingerprinted, fill-counted cache against the valid-array cache built on
 # the frozen rescanning LRU and RRIP policies, the by-value DRAM
-# controller against the pointer-queue one, and the region frame
-# allocator against the frozen hybrid and NUMA allocators it replaced.
-# Plain go test runs only their seed corpora (the allocator's is committed
-# under internal/kernel/testdata/fuzz/); this mutates inputs for a few
-# seconds per target. A failing input is saved under the package's
-# testdata/fuzz/ directory.
+# controller against the pointer-queue one, the region frame allocator
+# against the frozen hybrid and NUMA allocators it replaced, the paged AAM
+# and index-LRU ALB against their hash-map and list references
+# (FuzzAMUMatchesReference), and the atom-indexed XMem prefetcher against
+# the frozen map-keyed one (FuzzXMemPrefetcherMatchesReference). Plain go
+# test runs only their seed corpora (the allocator's and the AMU's are
+# committed under internal/kernel/testdata/fuzz/ and
+# internal/core/testdata/fuzz/); this mutates inputs for a few seconds per
+# target. A failing input is saved under the package's testdata/fuzz/
+# directory.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime 5s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz '^FuzzControllerMatchesReference$$' -fuzztime 5s ./internal/dram/
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionAllocatorMatchesReference$$' -fuzztime 5s ./internal/kernel/
+	$(GO) test -run '^$$' -fuzz '^FuzzAMUMatchesReference$$' -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzXMemPrefetcherMatchesReference$$' -fuzztime 5s ./internal/prefetch/
 
 # Full race-detector pass over every package (the parallel sweep runner
 # is the main concurrent surface).

@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"xmem/internal/analysis"
 	"xmem/internal/compress"
@@ -202,14 +203,11 @@ func dumpAtoms(atoms []xm.Atom, hexdump bool) {
 func dumpPlacement(atoms []xm.Atom, banks int) {
 	p := kernel.NewXMemPlacement(atoms, banks)
 	fmt.Printf("§6.2 placement over %d bank groups:\n\n", banks)
-	iso := map[xm.AtomID]bool{}
-	for _, id := range p.IsolatedAtoms() {
-		iso[id] = true
-	}
+	iso := p.IsolatedAtoms()
 	for _, a := range atoms {
 		banks := p.PreferredBanks(a.ID)
 		kind := "shared pool"
-		if iso[a.ID] {
+		if slices.Contains(iso, a.ID) {
 			kind = "ISOLATED"
 		}
 		fmt.Printf("  %-24s %-12s banks=%v\n", a.Name, kind, banks)

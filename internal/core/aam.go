@@ -52,7 +52,7 @@ type AAM struct {
 	overflow map[uint64]*aamPage
 	// mappedChunks counts chunks currently mapped per atom; the working
 	// set size of an atom is inferred from it (§3.3 class 3).
-	mappedChunks map[AtomID]uint64
+	mappedChunks PerAtom[uint64]
 	// freePages pools pages dropped by the last unmap of their chunks. A
 	// pooled page is all-InvalidAtom by construction (mapped == 0), so
 	// reuse needs no clearing and map/unmap churn settles to zero
@@ -78,7 +78,6 @@ func NewAAM(granBytes uint64) *AAM {
 		granBytes:     granBytes,
 		granShift:     shift,
 		chunksPerPage: uint64(mem.PageBytes) / granBytes,
-		mappedChunks:  make(map[AtomID]uint64),
 	}
 }
 
@@ -189,7 +188,7 @@ func (m *AAM) Map(pa mem.Addr, size uint64, id AtomID) {
 		}
 		p.atoms[slot] = id
 		p.mapped++
-		m.mappedChunks[id]++ //xmem:alloc-ok mappedChunks is bounded by the live atom count (<= MaxAtoms); churn over an established footprint reuses existing keys
+		*m.mappedChunks.At(id)++ //xmem:alloc-ok the table grows only to the highest atom ID mapped; churn over an established footprint reuses its entries
 	}
 }
 
@@ -225,7 +224,7 @@ func (m *AAM) Unmap(pa mem.Addr, size uint64, id AtomID) {
 // AMU.ExecUnmapAll, which consumes the returned ranges to invalidate the
 // affected ALB pages and notify listeners.
 func (m *AAM) UnmapAll(id AtomID) []PARange {
-	if m.mappedChunks[id] == 0 {
+	if m.mappedChunks.Get(id) == 0 {
 		return nil
 	}
 	var runs []PARange
@@ -269,16 +268,12 @@ func (m *AAM) UnmapAll(id AtomID) []PARange {
 			sweep(k, m.overflow[k])
 		}
 	}
-	delete(m.mappedChunks, id)
+	*m.mappedChunks.At(id) = 0
 	return runs
 }
 
 func (m *AAM) decMapped(id AtomID) {
-	if n := m.mappedChunks[id]; n <= 1 {
-		delete(m.mappedChunks, id)
-	} else {
-		m.mappedChunks[id] = n - 1 //xmem:alloc-ok assignment to a key that is already present never grows the bucket array
-	}
+	*m.mappedChunks.At(id)-- //xmem:alloc-ok the atom has a mapped chunk, so its entry exists and At never grows the table here
 }
 
 // Lookup returns the atom mapped over physical address pa, if any. This is
@@ -299,17 +294,19 @@ func (m *AAM) Lookup(pa mem.Addr) (AtomID, bool) {
 // rounded up to chunk granularity. This is the atom's working-set size as
 // seen by the system.
 func (m *AAM) MappedBytes(id AtomID) uint64 {
-	return m.mappedChunks[id] * m.granBytes
+	return m.mappedChunks.Get(id) * m.granBytes
 }
 
-// MappedAtoms returns the IDs of all atoms with at least one mapped chunk.
-// It allocates a fresh slice per call and is meant for OS-layer policy
-// (pin-controller recomputes) and introspection, never the per-access hot
-// path — use Lookup there.
+// MappedAtoms returns the IDs of all atoms with at least one mapped chunk,
+// in ascending order. It allocates a fresh slice per call and is meant for
+// OS-layer policy (pin-controller recomputes) and introspection, never the
+// per-access hot path — use Lookup there.
 func (m *AAM) MappedAtoms() []AtomID {
-	ids := make([]AtomID, 0, len(m.mappedChunks))
-	for id := range m.mappedChunks {
-		ids = append(ids, id)
+	var ids []AtomID
+	for i, n := range m.mappedChunks.v {
+		if n > 0 {
+			ids = append(ids, AtomID(i))
+		}
 	}
 	return ids
 }

@@ -176,54 +176,122 @@ func TestDifferentialAAM(t *testing.T) {
 	}
 }
 
+// amuOp is one step of an AMU differential stream. kind follows the
+// stream's mix: map below 3, unmap below 5, unmap-all 5, activate below 8,
+// deactivate 8, lookup below 19, ALB flush 19; any other kind only checks.
+type amuOp struct {
+	kind int
+	id   AtomID
+	pa   mem.Addr
+	size uint64
+}
+
+// diffAMUStep applies op to the shipped AMU and the reference AMU, then
+// asserts identical lookup results, AMU/ALB statistics and LRU order, the
+// working set of every atom in ids, and the mapped and active-mapped atoms.
+func diffAMUStep(t *testing.T, step int, u *AMU, ref *refAMU, op amuOp, ids []AtomID) {
+	t.Helper()
+	switch {
+	case op.kind < 0:
+	case op.kind < 3:
+		u.ExecMap(op.id, op.pa, op.size)
+		ref.ExecMap(op.id, op.pa, op.size)
+	case op.kind < 5:
+		u.ExecUnmap(op.id, op.pa, op.size)
+		ref.ExecUnmap(op.id, op.pa, op.size)
+	case op.kind < 6:
+		u.ExecUnmapAll(op.id)
+		ref.ExecUnmapAll(op.id)
+	case op.kind < 8:
+		u.ExecActivate(op.id)
+		ref.ExecActivate(op.id)
+	case op.kind < 9:
+		u.ExecDeactivate(op.id)
+		ref.ExecDeactivate(op.id)
+	case op.kind < 19:
+		id1, ok1 := u.Lookup(op.pa)
+		id2, ok2 := ref.Lookup(op.pa)
+		if id1 != id2 || ok1 != ok2 {
+			t.Fatalf("step %d: Lookup(%#x) = %d,%v != ref %d,%v", step, op.pa, id1, ok1, id2, ok2)
+		}
+	case op.kind == 19:
+		u.ALB().Flush()
+		ref.Flush()
+	}
+	if u.Stats() != ref.stats {
+		t.Fatalf("step %d: AMU stats %+v != ref %+v", step, u.Stats(), ref.stats)
+	}
+	assertALBEqual(t, step, u.ALB(), ref.alb)
+	for _, id := range ids {
+		if got, want := u.AAM().MappedBytes(id), ref.aam.MappedBytes(id); got != want {
+			t.Fatalf("step %d: MappedBytes(%d) = %d != ref %d", step, id, got, want)
+		}
+	}
+	if got, want := u.AAM().MappedAtoms(), ref.aam.MappedAtoms(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("step %d: MappedAtoms = %v != ref %v", step, got, want)
+	}
+	if got, want := u.ActiveMappedAtoms(), ref.ActiveMappedAtoms(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("step %d: ActiveMappedAtoms = %v != ref %v", step, got, want)
+	}
+}
+
 // TestDifferentialAMU is the end-to-end stream: interleaved ISA ops,
 // lookups, wholesale unmaps, and ALB flushes through the full shipped AMU
-// and the reference AMU, asserting identical lookup results and identical
-// AMU/ALB statistics after every op.
+// and the reference AMU, compared after every op by diffAMUStep.
 func TestDifferentialAMU(t *testing.T) {
 	pages := diffPages()
+	ids := []AtomID{0, 1, 2, 3, 4, 5, 6, 7}
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		u := NewAMU(identityMMU{}, AMUConfig{ALBEntries: 8})
-		ref := newRefAMU(0, 8, 0)
+		ref := newRefAMU(0, 8)
 		for step := 0; step < 3000; step++ {
-			id := AtomID(rng.Intn(8))
-			pa := randAddr(rng, pages)
-			size := uint64(rng.Intn(2*mem.PageBytes)) + 1
-			switch op := rng.Intn(20); {
-			case op < 3:
-				u.ExecMap(id, pa, size)
-				ref.ExecMap(id, pa, size)
-			case op < 5:
-				u.ExecUnmap(id, pa, size)
-				ref.ExecUnmap(id, pa, size)
-			case op < 6:
-				u.ExecUnmapAll(id)
-				ref.ExecUnmapAll(id)
-			case op < 8:
-				u.ExecActivate(id)
-				ref.ExecActivate(id)
-			case op < 9:
-				u.ExecDeactivate(id)
-				ref.ExecDeactivate(id)
-			case op < 19:
-				id1, ok1 := u.Lookup(pa)
-				id2, ok2 := ref.Lookup(pa)
-				if id1 != id2 || ok1 != ok2 {
-					t.Fatalf("seed %d step %d: Lookup(%#x) = %d,%v != ref %d,%v",
-						seed, step, pa, id1, ok1, id2, ok2)
-				}
-			default:
-				if rng.Intn(20) == 0 {
-					u.ALB().Flush()
-					ref.Flush()
-				}
+			op := amuOp{id: AtomID(rng.Intn(8)), pa: randAddr(rng, pages), size: uint64(rng.Intn(2*mem.PageBytes)) + 1}
+			op.kind = rng.Intn(20)
+			if op.kind == 19 && rng.Intn(20) != 0 {
+				op.kind = -1 // flushes are rare in the seeded stream
 			}
-			if u.Stats() != ref.stats {
-				t.Fatalf("seed %d step %d: AMU stats %+v != ref %+v", seed, step, u.Stats(), ref.stats)
-			}
-			assertALBEqual(t, step, u.ALB(), ref.alb)
+			diffAMUStep(t, step, u, ref, op, ids)
 		}
 		assertAAMEqual(t, u.AAM(), ref.aam, pages)
 	}
+}
+
+// fuzzAtomIDs are the atom IDs FuzzAMUMatchesReference draws: a
+// workload's first atoms, the AST's last ID, the first IDs past it, and
+// the largest ID that is not InvalidAtom.
+var fuzzAtomIDs = []AtomID{0, 1, 2, 3, 4, 5, 6, 7, MaxAtoms - 1, MaxAtoms, MaxAtoms + 1, 0xFFFE}
+
+// fuzzAtom maps an op's atom byte to fuzzAtomIDs. The last, 0xFFFE, is
+// drawn for byte 0xFF only: once it is mapped, the AAM's per-atom table
+// has 64K entries, and every MappedAtoms check walks them.
+func fuzzAtom(b byte) AtomID {
+	if b == 0xFF {
+		return fuzzAtomIDs[len(fuzzAtomIDs)-1]
+	}
+	return fuzzAtomIDs[int(b)%(len(fuzzAtomIDs)-1)]
+}
+
+// FuzzAMUMatchesReference is TestDifferentialAMU's stream driven by fuzz
+// input: each five bytes are one op (kind, atom, page, offset in 16-B
+// steps, size in 32-B steps), over the same page universe, with atom IDs
+// from fuzzAtom. The committed corpus is under
+// testdata/fuzz/FuzzAMUMatchesReference.
+func FuzzAMUMatchesReference(f *testing.F) {
+	pages := diffPages()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		u := NewAMU(identityMMU{}, AMUConfig{ALBEntries: 8})
+		ref := newRefAMU(0, 8)
+		for step := 0; len(data) >= 5; step++ {
+			op := amuOp{
+				kind: int(data[0]) % 20,
+				id:   fuzzAtom(data[1]),
+				pa:   mem.Addr(pages[int(data[2])%len(pages)]<<mem.PageShift | uint64(data[3])<<4),
+				size: uint64(data[4])<<5 + 1,
+			}
+			data = data[5:]
+			diffAMUStep(t, step, u, ref, op, fuzzAtomIDs)
+		}
+		assertAAMEqual(t, u.AAM(), ref.aam, pages)
+	})
 }

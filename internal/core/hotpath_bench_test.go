@@ -122,7 +122,7 @@ func TestHotPathMapChurnAllocFree(t *testing.T) {
 // the old and new lookup paths on the same machine under the same load
 // instead of comparing against a constant recorded elsewhere.
 func hotRefAMU(nPages, albEntries int) *refAMU {
-	u := newRefAMU(DefaultGranularityBytes, albEntries, 8)
+	u := newRefAMU(DefaultGranularityBytes, albEntries)
 	for p := 0; p < nPages; p++ {
 		id := AtomID(p % 8)
 		u.ExecMap(id, mem.Addr(p)*mem.PageBytes, mem.PageBytes)

@@ -47,12 +47,11 @@ const (
 //
 // A Lib is not safe for concurrent use; each simulated machine owns one.
 type Lib struct {
-	amu     *AMU
-	atoms   []Atom
-	bySite  map[string]AtomID
-	stats   LibStats
-	sealed  bool
-	maxAtom int
+	amu    *AMU
+	atoms  []Atom
+	bySite map[string]AtomID
+	stats  LibStats
+	sealed bool
 	// sealedAtoms is the atom count when Segment() sealed the lib; atoms
 	// created after that are missing from the emitted segment.
 	sealedAtoms int
@@ -63,11 +62,7 @@ type Lib struct {
 // NewLib returns a library bound to the given AMU (which may be nil for
 // software-only use).
 func NewLib(amu *AMU) *Lib {
-	max := MaxAtoms
-	if amu != nil {
-		max = amu.AST().Capacity()
-	}
-	return &Lib{amu: amu, bySite: make(map[string]AtomID), maxAtom: max}
+	return &Lib{amu: amu, bySite: make(map[string]AtomID)}
 }
 
 // NewLibWithAtoms returns a library pre-populated with already-summarized
@@ -104,7 +99,7 @@ func (l *Lib) CreateAtom(site string, attrs Attributes) AtomID {
 		}
 		return id
 	}
-	if len(l.atoms) >= l.maxAtom {
+	if len(l.atoms) >= MaxAtoms {
 		// Out of atom IDs: return an invalid hint handle. All operator
 		// calls on it are harmless no-ops.
 		return InvalidAtom

@@ -153,6 +153,28 @@ func TestTranslateCachePAT(t *testing.T) {
 	}
 }
 
+// TestPerAtomTable: reads past the end see the zero value, a write grows
+// the table to exactly the written ID, and InvalidAtom is refused.
+func TestPerAtomTable(t *testing.T) {
+	var tab PerAtom[uint64]
+	if tab.Get(3) != 0 || tab.Get(InvalidAtom) != 0 || tab.Len() != 0 {
+		t.Fatalf("empty table: Get(3) = %d, Len = %d", tab.Get(3), tab.Len())
+	}
+	*tab.At(3) += 5
+	if v, ok := tab.Lookup(3); !ok || v != 5 || tab.Len() != 4 {
+		t.Errorf("after At(3): Lookup(3) = %d,%v, Len = %d, want 5,true,4", v, ok, tab.Len())
+	}
+	if v, ok := tab.Lookup(2); !ok || v != 0 {
+		t.Errorf("Lookup(2) = %d,%v, want 0,true", v, ok)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("At(InvalidAtom) did not panic")
+		}
+	}()
+	tab.At(InvalidAtom)
+}
+
 func TestTranslatePrefetchPAT(t *testing.T) {
 	g := NewGAT()
 	g.LoadAtoms([]Atom{

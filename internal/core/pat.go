@@ -45,53 +45,55 @@ type MemCtlAttr struct {
 	Intensity uint8
 }
 
-// CachePAT is the cache controller's private attribute table.
-type CachePAT struct {
-	attrs []CacheAttr
+// PerAtom is per-atom state in a dense table indexed by atom ID, the
+// layout of the GAT and of every PAT (§4.2). A read past the table's end
+// returns T's zero value, as a missing map key would; a write grows the
+// table to the atom's ID, so a table is as long as the highest ID it holds.
+// InvalidAtom is never an index: state for events no atom claims lives in a
+// field of its own.
+type PerAtom[T any] struct {
+	v []T
 }
+
+// Lookup returns atom id's entry and whether the table extends to id.
+func (t *PerAtom[T]) Lookup(id AtomID) (T, bool) {
+	if int(id) < len(t.v) {
+		return t.v[id], true
+	}
+	var zero T
+	return zero, false
+}
+
+// Get returns atom id's entry, or the zero value past the table's end.
+func (t *PerAtom[T]) Get(id AtomID) T {
+	v, _ := t.Lookup(id)
+	return v
+}
+
+// At returns a pointer to atom id's entry, growing the table to hold it.
+// The pointer is valid until the table next grows. At panics on
+// InvalidAtom, which no caller may store state under.
+func (t *PerAtom[T]) At(id AtomID) *T {
+	if id == InvalidAtom {
+		panic("core: InvalidAtom indexes no per-atom table")
+	}
+	if n := int(id) + 1; n > len(t.v) {
+		t.v = append(t.v, make([]T, n-len(t.v))...)
+	}
+	return &t.v[id]
+}
+
+// Len returns one more than the highest atom ID the table holds.
+func (t *PerAtom[T]) Len() int { return len(t.v) }
+
+// CachePAT is the cache controller's private attribute table.
+type CachePAT = PerAtom[CacheAttr]
 
 // PrefetchPAT is the prefetcher's private attribute table.
-type PrefetchPAT struct {
-	attrs []PrefetchAttr
-}
+type PrefetchPAT = PerAtom[PrefetchAttr]
 
 // MemCtlPAT is the memory controller's private attribute table.
-type MemCtlPAT struct {
-	attrs []MemCtlAttr
-}
-
-// Lookup returns the translated attributes of atom id.
-func (p *CachePAT) Lookup(id AtomID) (CacheAttr, bool) {
-	if int(id) >= len(p.attrs) {
-		return CacheAttr{}, false
-	}
-	return p.attrs[id], true
-}
-
-// Lookup returns the translated attributes of atom id.
-func (p *PrefetchPAT) Lookup(id AtomID) (PrefetchAttr, bool) {
-	if int(id) >= len(p.attrs) {
-		return PrefetchAttr{}, false
-	}
-	return p.attrs[id], true
-}
-
-// Lookup returns the translated attributes of atom id.
-func (p *MemCtlPAT) Lookup(id AtomID) (MemCtlAttr, bool) {
-	if int(id) >= len(p.attrs) {
-		return MemCtlAttr{}, false
-	}
-	return p.attrs[id], true
-}
-
-// Len returns the number of atoms in the table.
-func (p *CachePAT) Len() int { return len(p.attrs) }
-
-// Len returns the number of atoms in the table.
-func (p *PrefetchPAT) Len() int { return len(p.attrs) }
-
-// Len returns the number of atoms in the table.
-func (p *MemCtlPAT) Len() int { return len(p.attrs) }
+type MemCtlPAT = PerAtom[MemCtlAttr]
 
 // rowFriendlyStrideBytes is the largest stride the translator still
 // classifies as high row-buffer locality: within this stride, consecutive
@@ -100,49 +102,49 @@ const rowFriendlyStrideBytes = 256
 
 // TranslateCache builds the cache controller's PAT from the GAT.
 func TranslateCache(g *GAT) *CachePAT {
-	attrs := make([]CacheAttr, g.Len())
-	for i := range attrs {
+	pat := &CachePAT{v: make([]CacheAttr, g.Len())}
+	for i := range pat.v {
 		a := g.Attributes(AtomID(i))
-		attrs[i] = CacheAttr{
+		pat.v[i] = CacheAttr{
 			Reuse:        a.Reuse,
 			PinCandidate: a.Reuse > 0,
 			Bypass:       a.Reuse == 0 && a.Pattern == PatternRegular,
 		}
 	}
-	return &CachePAT{attrs: attrs}
+	return pat
 }
 
 // TranslatePrefetch builds the prefetcher's PAT from the GAT.
 func TranslatePrefetch(g *GAT) *PrefetchPAT {
-	attrs := make([]PrefetchAttr, g.Len())
-	for i := range attrs {
+	pat := &PrefetchPAT{v: make([]PrefetchAttr, g.Len())}
+	for i := range pat.v {
 		a := g.Attributes(AtomID(i))
 		if a.Pattern == PatternRegular {
 			stride := a.StrideBytes / mem.LineBytes
 			if stride == 0 {
 				stride = 1
 			}
-			attrs[i] = PrefetchAttr{Prefetchable: true, StrideLines: stride}
+			pat.v[i] = PrefetchAttr{Prefetchable: true, StrideLines: stride}
 		}
 	}
-	return &PrefetchPAT{attrs: attrs}
+	return pat
 }
 
 // TranslateMemCtl builds the memory controller's / OS placement policy's
 // PAT from the GAT.
 func TranslateMemCtl(g *GAT) *MemCtlPAT {
-	attrs := make([]MemCtlAttr, g.Len())
-	for i := range attrs {
+	pat := &MemCtlPAT{v: make([]MemCtlAttr, g.Len())}
+	for i := range pat.v {
 		a := g.Attributes(AtomID(i))
 		stride := a.StrideBytes
 		if stride < 0 {
 			stride = -stride
 		}
-		attrs[i] = MemCtlAttr{
+		pat.v[i] = MemCtlAttr{
 			HighRBL:   a.Pattern == PatternRegular && stride <= rowFriendlyStrideBytes,
 			Irregular: a.Pattern == PatternIrregular || a.Pattern == PatternNonDet,
 			Intensity: a.Intensity,
 		}
 	}
-	return &MemCtlPAT{attrs: attrs}
+	return pat
 }

@@ -112,6 +112,16 @@ func (m *refAAM) MappedBytes(id AtomID) uint64 {
 	return m.mappedChunks[id] * m.granBytes
 }
 
+// MappedAtoms returns the atoms with a mapped chunk, sorted by ID.
+func (m *refAAM) MappedAtoms() []AtomID {
+	var ids []AtomID
+	for id := range m.mappedChunks {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
 func (m *refAAM) PageAtoms(pa mem.Addr) []AtomID {
 	chunksPerPage := uint64(mem.PageBytes) / m.granBytes
 	base := (uint64(pa) >> mem.PageShift) * chunksPerPage
@@ -239,19 +249,21 @@ func (b *ALB) lruPages() []uint64 {
 }
 
 // refAMU mirrors the AMU's lookup protocol (ALB first, AAM walk + fill on
-// miss) over the reference structures, with the same stat counters.
+// miss) over the reference structures, with the same stat counters. Its
+// AST is a map that, like the paper's 256-bit table, ignores IDs at or
+// above MaxAtoms.
 type refAMU struct {
-	aam   *refAAM
-	alb   *refALB
-	ast   *AST
-	stats AMUStats
+	aam    *refAAM
+	alb    *refALB
+	active map[AtomID]bool
+	stats  AMUStats
 }
 
-func newRefAMU(gran uint64, albEntries, maxAtoms int) *refAMU {
+func newRefAMU(gran uint64, albEntries int) *refAMU {
 	return &refAMU{
-		aam: newRefAAM(gran),
-		alb: newRefALB(albEntries),
-		ast: NewAST(maxAtoms),
+		aam:    newRefAAM(gran),
+		alb:    newRefALB(albEntries),
+		active: make(map[AtomID]bool),
 	}
 }
 
@@ -265,7 +277,7 @@ func (u *refAMU) Lookup(pa mem.Addr) (AtomID, bool) {
 		id, ok = u.aam.Lookup(pa)
 		mapped = ok
 	}
-	if !mapped || !u.ast.Active(id) {
+	if !mapped || !u.active[id] {
 		return InvalidAtom, false
 	}
 	return id, true
@@ -305,7 +317,23 @@ func (u *refAMU) ExecUnmapAll(id AtomID) []PARange {
 	return runs
 }
 
-func (u *refAMU) ExecActivate(id AtomID)   { u.stats.ActivateOps++; u.ast.Activate(id) }
-func (u *refAMU) ExecDeactivate(id AtomID) { u.stats.DeactivateOps++; u.ast.Deactivate(id) }
+func (u *refAMU) ExecActivate(id AtomID) {
+	u.stats.ActivateOps++
+	if id < MaxAtoms {
+		u.active[id] = true
+	}
+}
+
+func (u *refAMU) ExecDeactivate(id AtomID) { u.stats.DeactivateOps++; delete(u.active, id) }
 
 func (u *refAMU) Flush() { u.alb.Flush() }
+
+func (u *refAMU) ActiveMappedAtoms() []AtomID {
+	var out []AtomID
+	for _, id := range u.aam.MappedAtoms() {
+		if u.active[id] {
+			out = append(out, id)
+		}
+	}
+	return out
+}

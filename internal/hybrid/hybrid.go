@@ -70,7 +70,7 @@ func nextPow2(v uint64) uint64 {
 // that are written, or hot, deserve the fast tier; read-only and cold data
 // goes to NVM, where the write asymmetry cannot hurt it.
 type Placement struct {
-	tiers map[core.AtomID]Tier
+	tiers core.PerAtom[Tier]
 }
 
 // hotThreshold is the intensity above which even read-only data earns DRAM.
@@ -78,9 +78,9 @@ const hotThreshold = 170
 
 // NewPlacement decides a tier per atom from the atom segment.
 func NewPlacement(atoms []core.Atom) *Placement {
-	p := &Placement{tiers: make(map[core.AtomID]Tier, len(atoms))}
+	p := &Placement{}
 	for _, a := range atoms {
-		p.tiers[a.ID] = decide(a.Attrs)
+		*p.tiers.At(a.ID) = decide(a.Attrs)
 	}
 	return p
 }
@@ -97,16 +97,9 @@ func decide(attrs core.Attributes) Tier {
 	}
 }
 
-// TierFor returns the tier decided for the atom; ok is false for an atom
-// the segment did not declare.
-func (p *Placement) TierFor(id core.AtomID) (Tier, bool) {
-	t, ok := p.tiers[id]
-	return t, ok
-}
-
 // PreferredBanks implements kernel.PlacementPolicy: the atom's tier as a
 // region of the region allocator. An atom with no decided tier prefers
 // DRAM, as the first-touch baseline does.
 func (p *Placement) PreferredBanks(id core.AtomID) []int {
-	return []int{int(p.tiers[id])}
+	return []int{int(p.tiers.Get(id))}
 }

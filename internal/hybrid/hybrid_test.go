@@ -150,14 +150,9 @@ func TestPlacementDecisions(t *testing.T) {
 		3: TierDRAM,
 	}
 	for id, want := range cases {
-		got, ok := p.TierFor(id)
-		if !ok || got != want {
-			t.Errorf("atom %d -> %v,%v want %v", id, got, ok, want)
+		if banks := p.PreferredBanks(id); len(banks) != 1 || banks[0] != int(want) {
+			t.Errorf("atom %d -> banks %v, want %v", id, banks, want)
 		}
-	}
-	// PlacementPolicy view.
-	if banks := p.PreferredBanks(1); len(banks) != 1 || banks[0] != int(TierNVM) {
-		t.Errorf("PreferredBanks(coldRO) = %v", banks)
 	}
 	if banks := p.PreferredBanks(core.InvalidAtom); len(banks) != 1 || banks[0] != int(TierDRAM) {
 		t.Errorf("unknown atom banks = %v, want DRAM (the first-touch baseline)", banks)

@@ -20,7 +20,7 @@ const IsolationIntensityThreshold = 32
 // accesses), and spreads every other structure — in particular irregular
 // ones — across the remaining banks to maximize bank-level parallelism.
 type XMemPlacement struct {
-	isolated map[core.AtomID][]int
+	isolated core.PerAtom[[]int]
 	shared   []int
 }
 
@@ -58,7 +58,7 @@ func NewXMemPlacement(atoms []core.Atom, bankGroups int) *XMemPlacement {
 		return cands[i].id < cands[j].id
 	})
 
-	p := &XMemPlacement{isolated: make(map[core.AtomID][]int)}
+	p := &XMemPlacement{}
 	minShared := bankGroups / 4
 	if minShared < 1 {
 		minShared = 1
@@ -85,7 +85,7 @@ func NewXMemPlacement(atoms []core.Atom, bankGroups int) *XMemPlacement {
 			banks = append(banks, nextBank)
 			nextBank--
 		}
-		p.isolated[c.id] = banks
+		*p.isolated.At(c.id) = banks
 	}
 	for b := 0; b <= nextBank; b++ {
 		p.shared = append(p.shared, b)
@@ -98,7 +98,7 @@ func NewXMemPlacement(atoms []core.Atom, bankGroups int) *XMemPlacement {
 
 // PreferredBanks implements PlacementPolicy.
 func (p *XMemPlacement) PreferredBanks(atom core.AtomID) []int {
-	if banks, ok := p.isolated[atom]; ok {
+	if banks := p.isolated.Get(atom); banks != nil {
 		return banks
 	}
 	return p.shared
@@ -106,11 +106,12 @@ func (p *XMemPlacement) PreferredBanks(atom core.AtomID) []int {
 
 // IsolatedAtoms returns the atoms that received dedicated banks, sorted.
 func (p *XMemPlacement) IsolatedAtoms() []core.AtomID {
-	ids := make([]core.AtomID, 0, len(p.isolated))
-	for id := range p.isolated {
-		ids = append(ids, id)
+	var ids []core.AtomID
+	for i := 0; i < p.isolated.Len(); i++ {
+		if p.isolated.Get(core.AtomID(i)) != nil {
+			ids = append(ids, core.AtomID(i))
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 

@@ -96,9 +96,9 @@ func RemoteFraction(ports []*Port) float64 {
 // without affinity allocate locally (this process expressed them, so this
 // process accesses them). A nil policy — the baseline — interleaves.
 type Placement struct {
-	local      int
-	homeOf     map[core.AtomID]int
-	threadNode func(thread int) int
+	local int
+	// home holds the one-node preference of each atom with a Home.
+	home core.PerAtom[[]int]
 }
 
 // NewPlacement reads Home attributes from the atom segment. threadNode maps
@@ -107,10 +107,10 @@ func NewPlacement(atoms []core.Atom, localNode int, threadNode func(int) int) *P
 	if threadNode == nil {
 		threadNode = func(t int) int { return t }
 	}
-	p := &Placement{local: localNode, homeOf: map[core.AtomID]int{}, threadNode: threadNode}
+	p := &Placement{local: localNode}
 	for _, a := range atoms {
 		if t, ok := core.HomeOf(a.Attrs.Home); ok {
-			p.homeOf[a.ID] = threadNode(t)
+			*p.home.At(a.ID) = []int{threadNode(t)}
 		}
 	}
 	return p
@@ -118,8 +118,8 @@ func NewPlacement(atoms []core.Atom, localNode int, threadNode func(int) int) *P
 
 // PreferredBanks implements kernel.PlacementPolicy (bank group = node).
 func (p *Placement) PreferredBanks(id core.AtomID) []int {
-	if node, ok := p.homeOf[id]; ok {
-		return []int{node}
+	if banks := p.home.Get(id); banks != nil {
+		return banks
 	}
 	return []int{p.local}
 }

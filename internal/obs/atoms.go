@@ -31,36 +31,37 @@ func (c AtomCounters) zero() bool {
 const UnattributedName = "(unattributed)"
 
 // AtomTable accumulates per-atom counters for one machine. Counters are
-// keyed by AtomID and survive ATOM_UNMAP/remap: attribution is a property
+// indexed by AtomID and survive ATOM_UNMAP/remap: attribution is a property
 // of the run, not of the current mapping. Events that resolve to no atom
-// accumulate under core.InvalidAtom. Like Registry, an AtomTable is not
-// safe for concurrent use; the simulator is single-threaded per machine.
+// (core.InvalidAtom) accumulate in a bucket of their own. Like Registry, an
+// AtomTable is not safe for concurrent use; the simulator is
+// single-threaded per machine.
 type AtomTable struct {
-	counters map[core.AtomID]*AtomCounters
-	names    map[core.AtomID]string
+	counters     core.PerAtom[AtomCounters]
+	unattributed AtomCounters
+	names        core.PerAtom[string]
 }
 
 // NewAtomTable returns an empty attribution table.
-func NewAtomTable() *AtomTable {
-	return &AtomTable{
-		counters: make(map[core.AtomID]*AtomCounters),
-		names:    make(map[core.AtomID]string),
-	}
-}
+func NewAtomTable() *AtomTable { return &AtomTable{} }
 
 // SetName attaches a display name to an atom (from the atom segment).
-func (t *AtomTable) SetName(id core.AtomID, name string) { t.names[id] = name }
+func (t *AtomTable) SetName(id core.AtomID, name string) { *t.names.At(id) = name }
 
-// Name returns the display name recorded for an atom ("" if unknown).
-func (t *AtomTable) Name(id core.AtomID) string { return t.names[id] }
+// Name returns the display name recorded for an atom ("" if unknown), and
+// UnattributedName for core.InvalidAtom.
+func (t *AtomTable) Name(id core.AtomID) string {
+	if id == core.InvalidAtom {
+		return UnattributedName
+	}
+	return t.names.Get(id)
+}
 
 func (t *AtomTable) get(id core.AtomID) *AtomCounters {
-	c := t.counters[id]
-	if c == nil {
-		c = &AtomCounters{}
-		t.counters[id] = c
+	if id == core.InvalidAtom {
+		return &t.unattributed
 	}
-	return c
+	return t.counters.At(id)
 }
 
 // DemandMiss attributes one L3 demand miss.
@@ -85,20 +86,32 @@ func (t *AtomTable) PrefetchUseful(id core.AtomID) { t.get(id).PrefetchUseful++ 
 
 // Counters returns a copy of the counters for id (zero value if none).
 func (t *AtomTable) Counters(id core.AtomID) AtomCounters {
-	if c := t.counters[id]; c != nil {
-		return *c
+	if id == core.InvalidAtom {
+		return t.unattributed
 	}
-	return AtomCounters{}
+	return t.counters.Get(id)
+}
+
+// each calls f with every atom that has counted an event, in ID order,
+// then with the unattributed bucket if it has.
+func (t *AtomTable) each(f func(id core.AtomID, c AtomCounters)) {
+	for i := 0; i < t.counters.Len(); i++ {
+		if c := t.counters.Get(core.AtomID(i)); !c.zero() {
+			f(core.AtomID(i), c)
+		}
+	}
+	if !t.unattributed.zero() {
+		f(core.InvalidAtom, t.unattributed)
+	}
 }
 
 // Snapshot returns a copy of every atom's counters, sorted by ID — the
 // sampler records one per epoch so exporters can draw per-atom tracks.
 func (t *AtomTable) Snapshot() []AtomSample {
-	out := make([]AtomSample, 0, len(t.counters))
-	for id, c := range t.counters {
-		out = append(out, AtomSample{ID: id, Counters: *c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := []AtomSample{}
+	t.each(func(id core.AtomID, c AtomCounters) {
+		out = append(out, AtomSample{ID: id, Counters: c})
+	})
 	return out
 }
 
@@ -119,17 +132,10 @@ type AtomSummary struct {
 // demand misses (descending; ties by ID). The unattributed bucket, if any,
 // sorts with the rest under the name "(unattributed)".
 func (t *AtomTable) Summaries() []AtomSummary {
-	out := make([]AtomSummary, 0, len(t.counters))
-	for id, c := range t.counters {
-		if c.zero() {
-			continue
-		}
-		name := t.names[id]
-		if id == core.InvalidAtom {
-			name = UnattributedName
-		}
-		out = append(out, AtomSummary{ID: id, Name: name, AtomCounters: *c})
-	}
+	out := []AtomSummary{}
+	t.each(func(id core.AtomID, c AtomCounters) {
+		out = append(out, AtomSummary{ID: id, Name: t.Name(id), AtomCounters: c})
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].DemandMisses != out[j].DemandMisses {
 			return out[i].DemandMisses > out[j].DemandMisses

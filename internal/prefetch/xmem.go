@@ -15,13 +15,13 @@ type rangeSet struct {
 	total  uint64
 }
 
-func newRangeSet(ranges []core.PARange) *rangeSet {
-	rs := &rangeSet{ranges: ranges, cum: make([]uint64, len(ranges))}
-	for i, r := range ranges {
-		rs.cum[i] = rs.total
+// set replaces the ranges, reusing the cumulative-size array.
+func (rs *rangeSet) set(ranges []core.PARange) {
+	rs.ranges, rs.cum, rs.total = ranges, rs.cum[:0], 0
+	for _, r := range ranges {
+		rs.cum = append(rs.cum, rs.total)
 		rs.total += r.Size
 	}
-	return rs
 }
 
 // position returns pa's byte offset within the concatenated ranges.
@@ -55,10 +55,8 @@ func (rs *rangeSet) addrAt(pos uint64) (mem.Addr, bool) {
 type XMemPrefetcher struct {
 	pat    *core.PrefetchPAT
 	degree int
-	ranges map[core.AtomID]*rangeSet
-	pinned map[core.AtomID]bool
-	// stream is the per-atom run-ahead state.
-	stream map[core.AtomID]*streamState
+	atoms  core.PerAtom[xmemAtom]
+	pinned core.AtomSet
 	queue  []Request
 	stats  Stats
 	// issueObs, when set, is told how many prefetches each OnAccess issued
@@ -66,8 +64,15 @@ type XMemPrefetcher struct {
 	issueObs func(id core.AtomID, n int)
 }
 
+// xmemAtom is one atom's mapped ranges and run-ahead state.
+type xmemAtom struct {
+	ranges rangeSet
+	stream streamState
+}
+
 // streamState tracks one atom's demand position and prefetch cursor.
 type streamState struct {
+	started bool   // false until the first access after a mapping change
 	cursor  uint64 // run-ahead position in the concatenated ranges
 	lastPos uint64 // previous demand position
 	conf    int    // consecutive forward-moving accesses
@@ -90,12 +95,7 @@ func NewXMem(degree int) *XMemPrefetcher {
 	if degree <= 0 {
 		degree = DefaultXMemDegree
 	}
-	return &XMemPrefetcher{
-		degree: degree,
-		ranges: make(map[core.AtomID]*rangeSet),
-		pinned: make(map[core.AtomID]bool),
-		stream: make(map[core.AtomID]*streamState),
-	}
+	return &XMemPrefetcher{degree: degree}
 }
 
 // SetPAT installs the translated attribute table (program load / context
@@ -111,28 +111,22 @@ func (p *XMemPrefetcher) SetIssueObserver(f func(id core.AtomID, n int)) { p.iss
 // AtomMapping implements core.MappingListener: it records the linearized
 // ranges the AMU broadcasts.
 func (p *XMemPrefetcher) AtomMapping(ev core.MapEvent) {
-	delete(p.stream, ev.ID)
-	var ranges []core.PARange
-	if old := p.ranges[ev.ID]; old != nil {
-		ranges = old.ranges
-	}
+	a := p.atoms.At(ev.ID)
+	a.stream = streamState{}
+	ranges := a.ranges.ranges
 	if ev.Unmap {
 		ranges = removeRanges(ranges, ev.Ranges)
 	} else {
 		ranges = append(ranges, ev.Ranges...)
 		sort.Slice(ranges, func(i, j int) bool { return ranges[i].Base < ranges[j].Base })
 	}
-	if len(ranges) == 0 {
-		delete(p.ranges, ev.ID)
-		return
-	}
-	p.ranges[ev.ID] = newRangeSet(ranges)
+	a.ranges.set(ranges)
 }
 
 // AtomStatus implements core.MappingListener.
 func (p *XMemPrefetcher) AtomStatus(id core.AtomID, active bool) {
 	if !active {
-		delete(p.pinned, id)
+		p.pinned.Remove(id)
 	}
 }
 
@@ -156,39 +150,36 @@ func removeRanges(rs, gone []core.PARange) []core.PARange {
 // SetPinned replaces the pinned-atom set (driven by the cache pinning
 // controller's greedy algorithm, §5.2(2)).
 func (p *XMemPrefetcher) SetPinned(ids []core.AtomID) {
-	p.pinned = make(map[core.AtomID]bool, len(ids))
+	p.pinned = core.AtomSet{}
 	for _, id := range ids {
-		p.pinned[id] = true
+		p.pinned.Add(id)
 	}
 }
 
 // Pinned reports whether atom id is currently pinned.
-func (p *XMemPrefetcher) Pinned(id core.AtomID) bool { return p.pinned[id] }
+func (p *XMemPrefetcher) Pinned(id core.AtomID) bool { return p.pinned.Has(id) }
 
 // OnAccess reacts to a demand access (hit or miss) attributed to atom id:
 // it tops the prefetch stream up to degree strides ahead of the access.
 // Triggering on hits keeps the stream ahead of demand once prefetches start
 // landing — a miss-only trigger stalls as soon as it succeeds.
 func (p *XMemPrefetcher) OnAccess(pa mem.Addr, id core.AtomID, at uint64) {
-	if !p.pinned[id] || p.pat == nil {
+	if !p.pinned.Has(id) || p.pat == nil {
 		return
 	}
 	attr, ok := p.pat.Lookup(id)
-	if !ok || !attr.Prefetchable {
+	if !ok || !attr.Prefetchable || int(id) >= p.atoms.Len() {
 		return
 	}
-	rs := p.ranges[id]
-	if rs == nil {
-		return
-	}
+	a := p.atoms.At(id)
+	rs := &a.ranges
 	pos, ok := rs.position(mem.LineAddr(pa))
 	if !ok {
 		return
 	}
-	st := p.stream[id]
-	if st == nil {
-		st = &streamState{lastPos: pos}
-		p.stream[id] = st
+	st := &a.stream
+	if !st.started {
+		*st = streamState{started: true, lastPos: pos}
 	}
 	// Forward-progress confidence: only a demand stream that walks the
 	// ranges monotonically in small steps earns run-ahead. Backward or

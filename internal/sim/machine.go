@@ -413,7 +413,7 @@ func (m *Machine) classifyL3(pa mem.Addr, kind mem.AccessKind) cache.Insertion {
 		return cache.Insertion{Atom: xm.InvalidAtom}
 	}
 	ins := cache.Insertion{Atom: id}
-	if m.pins.pinned[id] {
+	if m.pins.pinned.Has(id) {
 		ins.Pin = true
 	} else if attr, _ := m.pins.pat.Lookup(id); attr.Bypass {
 		ins.Pri = cache.InsertLow

@@ -29,7 +29,7 @@ type EpochProgress struct {
 func (m *Machine) enableMetrics() {
 	m.reg = obs.NewRegistry()
 	m.attrib = obs.NewAtomTable()
-	m.lat = newLatencyState()
+	m.lat = &latencyState{}
 	m.registerMetrics()
 	m.sampler = obs.NewSampler(m.reg, m.cfg.EpochCycles, m.attrib)
 }
@@ -169,6 +169,6 @@ func (m *Machine) registerMetrics() {
 		r.Counter("prefetch.xmem.issued", func() uint64 { return m.xmemPf.Stats().Issued })
 	}
 	if m.pins != nil {
-		r.Gauge("sim.pins.pinned_atoms", func() float64 { return float64(len(m.pins.pinned)) })
+		r.Gauge("sim.pins.pinned_atoms", func() float64 { return float64(m.pins.pinned.Len()) })
 	}
 }

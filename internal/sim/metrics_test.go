@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -298,5 +299,35 @@ func TestMetricsLatencySection(t *testing.T) {
 	}
 	if len(r.Latency.PerAtom) == 0 {
 		t.Error("no per-atom latency rows")
+	}
+}
+
+// TestMetricsUnattributedNamedOnce: one report names the unattributed
+// bucket the same way in the attribution table and in the latency
+// section's per-atom rows.
+func TestMetricsUnattributedNamedOnce(t *testing.T) {
+	res := MustRun(metricsConfig(), workload.Workload{
+		Name: "unattributed",
+		Run: func(p workload.Program) {
+			buf := p.Malloc("buf", 1024*mem.LineBytes, xm.InvalidAtom)
+			for i := 0; i < 1024; i++ {
+				p.Load(0, buf+mem.Addr(i*mem.LineBytes))
+			}
+		},
+	})
+	var attrib, lat []string
+	for _, a := range res.PerAtom {
+		if a.ID == xm.InvalidAtom {
+			attrib = append(attrib, a.Name)
+		}
+	}
+	for _, a := range res.Metrics.Latency.PerAtom {
+		if a.ID == xm.InvalidAtom {
+			lat = append(lat, a.Name)
+		}
+	}
+	want := []string{obs.UnattributedName}
+	if !slices.Equal(attrib, want) || !slices.Equal(lat, want) {
+		t.Errorf("unattributed bucket named %q in perAtom and %q in latency, want %q in both", attrib, lat, want)
 	}
 }

@@ -16,21 +16,21 @@ type pinController struct {
 	m          *Machine
 	pat        *xm.CachePAT
 	pinEnabled bool // false in the XMem-Pref design point (§5.4)
-	pinned     map[xm.AtomID]bool
+	pinned     xm.AtomSet
 	maxPinned  int
 }
 
 func newPinController(m *Machine, pat *xm.CachePAT, pinEnabled bool) *pinController {
-	return &pinController{m: m, pat: pat, pinEnabled: pinEnabled, pinned: map[xm.AtomID]bool{}}
+	return &pinController{m: m, pat: pat, pinEnabled: pinEnabled}
 }
 
 // AtomMapping implements core.MappingListener.
 func (pc *pinController) AtomMapping(ev xm.MapEvent) {
-	if ev.Unmap && pc.pinned[ev.ID] && pc.pinEnabled {
+	if ev.Unmap && pc.pinned.Has(ev.ID) && pc.pinEnabled {
 		// The atom is being peeled off its current data (e.g., moving to
 		// the next tile): age the stale pinned lines so the default
 		// policy can evict them (§5.2(3)).
-		pc.m.l3.AgePinned(func(id xm.AtomID) bool { return id != ev.ID && pc.pinned[id] })
+		pc.m.l3.AgePinned(func(id xm.AtomID) bool { return id != ev.ID && pc.pinned.Has(id) })
 	}
 	pc.recompute()
 }
@@ -69,40 +69,22 @@ func (pc *pinController) recompute() {
 		frac = cache.DefaultPinCapFraction
 	}
 	limit := uint64(float64(pc.m.l3.SizeBytes()) * frac)
-	next := make(map[xm.AtomID]bool)
+	var next xm.AtomSet
 	var total uint64
 	for _, c := range cands {
 		if total >= limit {
 			break
 		}
-		next[c.id] = true
+		next.Add(c.id)
 		total += c.size
 	}
 
-	if !sameSet(pc.pinned, next) {
+	if pc.pinned != next {
 		pc.pinned = next
 		if pc.pinEnabled {
-			pc.m.l3.AgePinned(func(id xm.AtomID) bool { return next[id] })
+			pc.m.l3.AgePinned(func(id xm.AtomID) bool { return next.Has(id) })
 		}
-		ids := make([]xm.AtomID, 0, len(next))
-		for id := range next {
-			ids = append(ids, id)
-		}
-		pc.m.xmemPf.SetPinned(ids)
-		if len(next) > pc.maxPinned {
-			pc.maxPinned = len(next)
-		}
+		pc.m.xmemPf.SetPinned(next.IDs())
+		pc.maxPinned = max(pc.maxPinned, next.Len())
 	}
-}
-
-func sameSet(a, b map[xm.AtomID]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for id := range a {
-		if !b[id] {
-			return false
-		}
-	}
-	return true
 }

@@ -50,10 +50,10 @@ func TestPinControllerGreedyByReuse(t *testing.T) {
 	mallocAndMap(t, m, 1, 16<<10)          // warm fits too (total 32K <= 48K)
 	mallocAndMap(t, m, 2, 16<<10)          // zero reuse: never a candidate
 
-	if !m.pins.pinned[0] || !m.pins.pinned[1] {
-		t.Errorf("pinned = %v; hot and warm must both be pinned", m.pins.pinned)
+	if !m.pins.pinned.Has(0) || !m.pins.pinned.Has(1) {
+		t.Errorf("pinned = %v; hot and warm must both be pinned", m.pins.pinned.IDs())
 	}
-	if m.pins.pinned[2] {
+	if m.pins.pinned.Has(2) {
 		t.Error("zero-reuse stream was pinned")
 	}
 }
@@ -64,13 +64,13 @@ func TestPinControllerBudgetOrder(t *testing.T) {
 	mallocAndMap(t, m, 1, 40<<10)          // warm straddles the limit: still pinned (§5.1)
 	mallocAndMap(t, m, 3, 40<<10)          // cool arrives after the budget is spent
 
-	if !m.pins.pinned[0] {
+	if !m.pins.pinned.Has(0) {
 		t.Error("highest-reuse atom not pinned")
 	}
-	if !m.pins.pinned[1] {
+	if !m.pins.pinned.Has(1) {
 		t.Error("straddling second atom should be pinned (pin part, prefetch the rest)")
 	}
-	if m.pins.pinned[3] {
+	if m.pins.pinned.Has(3) {
 		t.Error("budget exhausted: cool must not be pinned")
 	}
 }
@@ -80,7 +80,7 @@ func TestPinControllerStraddlingAtomPinned(t *testing.T) {
 	// prefetch the rest, §5.1).
 	m := pinHarness(t, pinAtoms(), 64<<10)
 	mallocAndMap(t, m, 0, 256<<10)
-	if !m.pins.pinned[0] {
+	if !m.pins.pinned.Has(0) {
 		t.Error("straddling atom not pinned")
 	}
 }
@@ -88,11 +88,11 @@ func TestPinControllerStraddlingAtomPinned(t *testing.T) {
 func TestPinControllerDeactivateUnpins(t *testing.T) {
 	m := pinHarness(t, pinAtoms(), 64<<10)
 	mallocAndMap(t, m, 0, 16<<10)
-	if !m.pins.pinned[0] {
+	if !m.pins.pinned.Has(0) {
 		t.Fatal("setup: not pinned")
 	}
 	m.lib.AtomDeactivate(0)
-	if m.pins.pinned[0] {
+	if m.pins.pinned.Has(0) {
 		t.Error("deactivated atom still pinned")
 	}
 	if m.xmemPf.Pinned(0) {

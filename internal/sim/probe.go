@@ -120,21 +120,19 @@ type latencyState struct {
 	hit       [3]obs.Histogram // indexed by probe level: L1D, L2, L3
 	dram, nvm obs.Histogram
 	lead      obs.Histogram
-	perAtom   map[xm.AtomID]*obs.Histogram
-}
-
-func newLatencyState() *latencyState {
-	return &latencyState{perAtom: make(map[xm.AtomID]*obs.Histogram)}
+	// perAtom and unattributed hold DRAM demand-service latency by atom;
+	// accesses that resolve to no atom go to unattributed.
+	perAtom      xm.PerAtom[obs.Histogram]
+	unattributed obs.Histogram
 }
 
 // atomObserve records one DRAM demand-service latency against an atom.
 func (ls *latencyState) atomObserve(id xm.AtomID, v uint64) {
-	h := ls.perAtom[id]
-	if h == nil {
-		h = &obs.Histogram{}
-		ls.perAtom[id] = h
+	if id == xm.InvalidAtom {
+		ls.unattributed.Observe(v)
+	} else {
+		ls.perAtom.At(id).Observe(v)
 	}
-	h.Observe(v)
 }
 
 // report exports the non-empty histograms as the obs report's latency
@@ -156,22 +154,15 @@ func (ls *latencyState) report(names func(xm.AtomID) string) *obs.LatencyReport 
 		return nil
 	}
 	rep := &obs.LatencyReport{Layers: layers}
-	ids := make([]xm.AtomID, 0, len(ls.perAtom))
-	for id := range ls.perAtom {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ls.perAtom[ids[i]], ls.perAtom[ids[j]]
-		if a.Count() != b.Count() {
-			return a.Count() > b.Count()
+	addAtom := func(id xm.AtomID, h *obs.Histogram) {
+		if h.Count() > 0 {
+			rep.PerAtom = append(rep.PerAtom, obs.AtomLatency{ID: id, HistSummary: h.Summary(names(id))})
 		}
-		return ids[i] < ids[j]
-	})
-	for _, id := range ids {
-		rep.PerAtom = append(rep.PerAtom, obs.AtomLatency{
-			ID:          id,
-			HistSummary: ls.perAtom[id].Summary(names(id)),
-		})
 	}
+	for i := 0; i < ls.perAtom.Len(); i++ {
+		addAtom(xm.AtomID(i), ls.perAtom.At(xm.AtomID(i)))
+	}
+	addAtom(xm.InvalidAtom, &ls.unattributed)
+	sort.SliceStable(rep.PerAtom, func(i, j int) bool { return rep.PerAtom[i].Count > rep.PerAtom[j].Count })
 	return rep
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"xmem/internal/cache"
-	xm "xmem/internal/core"
 	"xmem/internal/mem"
 	"xmem/internal/obs/span"
 )
@@ -194,12 +193,11 @@ func (m *Machine) spanDump() *span.Dump {
 		st := spans[i].Stages
 		sort.SliceStable(st, func(a, b int) bool { return st[a].At < st[b].At })
 	}
-	names := make(map[xm.AtomID]string)
-	for _, a := range m.lib.Atoms() {
-		names[a.ID] = a.Name
-	}
+	atoms := m.lib.Atoms()
 	for i := range spans {
-		spans[i].AtomName = names[spans[i].Atom]
+		if id := int(spans[i].Atom); id < len(atoms) {
+			spans[i].AtomName = atoms[id].Name
+		}
 	}
 	return &span.Dump{
 		Schema:      span.SchemaVersion,
