@@ -79,18 +79,21 @@ alloc-gate:
 # against the frozen hybrid and NUMA allocators it replaced, the paged AAM
 # and index-LRU ALB against their hash-map and list references
 # (FuzzAMUMatchesReference), and the atom-indexed XMem prefetcher against
-# the frozen map-keyed one (FuzzXMemPrefetcherMatchesReference). Plain go
-# test runs only their seed corpora (the allocator's and the AMU's are
-# committed under internal/kernel/testdata/fuzz/ and
-# internal/core/testdata/fuzz/); this mutates inputs for a few seconds per
-# target. A failing input is saved under the package's testdata/fuzz/
-# directory.
+# the frozen map-keyed one (FuzzXMemPrefetcherMatchesReference); and the
+# trace binary decoder, which must not panic and must round-trip every
+# trace it accepts (FuzzTraceRead). Plain go test runs only their seed
+# corpora (the allocator's, the AMU's and the trace decoder's are
+# committed under internal/kernel/testdata/fuzz/,
+# internal/core/testdata/fuzz/ and internal/trace/testdata/fuzz/); this
+# mutates inputs for a few seconds per target. A failing input is saved
+# under the package's testdata/fuzz/ directory.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime 5s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz '^FuzzControllerMatchesReference$$' -fuzztime 5s ./internal/dram/
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionAllocatorMatchesReference$$' -fuzztime 5s ./internal/kernel/
 	$(GO) test -run '^$$' -fuzz '^FuzzAMUMatchesReference$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzXMemPrefetcherMatchesReference$$' -fuzztime 5s ./internal/prefetch/
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceRead$$' -fuzztime 5s ./internal/trace/
 
 # Full race-detector pass over every package (the parallel sweep runner
 # is the main concurrent surface).

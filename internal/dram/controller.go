@@ -65,8 +65,10 @@ type Config struct {
 	// IdealRBL makes every access a row hit — the upper-bound system of
 	// §6.4 ("a system that has perfect RBL").
 	IdealRBL bool
-	// ReadQueueCap bounds the per-channel read queue (0 = 64). When full,
-	// the oldest request is force-scheduled.
+	// ReadQueueCap bounds the per-channel read queue (0 = 64). When a read
+	// overflows it, the earliest-queued read still in the queue is
+	// force-scheduled; under out-of-order arrivals that need not be the
+	// read that arrived first.
 	ReadQueueCap int
 	// WriteDrainHigh is the write-queue level that forces write draining
 	// even when reads are waiting (0 = 32).
@@ -86,9 +88,69 @@ type request struct {
 	fut     *mem.Future // reads only: resolved by issue, forced through the channel
 	addr    mem.Addr
 	arrival uint64
+	seq     uint64 // reads only: insertion order, for the read-queue cap
 	row     int64
 	bank    int32 // rank-major index within the channel
 	kind    mem.AccessKind
+}
+
+// queue is a channel's read or write queue: a ring of requests ordered by
+// arrival and, among equal arrivals, by insertion. The requests that have
+// arrived by the channel clock are therefore always a prefix, and the
+// scheduler reads only that prefix. The ring starts empty and doubles
+// when full.
+type queue struct {
+	buf  []request // length a power of two, or zero
+	head int       // slot of the front request
+	n    int
+}
+
+// at returns the i-th request from the front.
+func (q *queue) at(i int) *request { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+// insert places r behind every request that arrived no later than it: an
+// in-order arrival lands at the tail, an out-of-order one walks back from
+// the tail to its place.
+func (q *queue) insert(r request) {
+	if q.n == len(q.buf) {
+		buf := make([]request, max(8, 2*len(q.buf)))
+		k := copy(buf, q.buf[q.head:])
+		copy(buf[k:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	i := q.n
+	for ; i > 0; i-- {
+		prev := q.at(i - 1)
+		if prev.arrival <= r.arrival {
+			break
+		}
+		*q.at(i) = *prev
+	}
+	*q.at(i) = r
+	q.n++
+}
+
+// remove deletes the i-th request, moving only the requests ahead of it,
+// and zeroes the slot it frees so the ring holds no resolved Future.
+func (q *queue) remove(i int) {
+	for ; i > 0; i-- {
+		*q.at(i) = *q.at(i - 1)
+	}
+	*q.at(0) = request{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+}
+
+// firstQueued returns the request inserted earliest. Under out-of-order
+// arrivals it need not be the front.
+func (q *queue) firstQueued() *request {
+	first := q.at(0)
+	for i := 1; i < q.n; i++ {
+		if r := q.at(i); r.seq < first.seq {
+			first = r
+		}
+	}
+	return first
 }
 
 type bank struct {
@@ -103,8 +165,9 @@ type channel struct {
 	banksPerRank int
 	busReadyAt   uint64
 	clock        uint64
-	readQ        []request
-	writeQ       []request
+	readQ        queue
+	writeQ       queue
+	readSeq      uint64 // seq of the next read inserted
 	// draining latches write-drain mode: once the write queue reaches the
 	// high watermark, writes drain in a batch down to the low watermark
 	// rather than ping-ponging rows with interleaved reads.
@@ -206,18 +269,19 @@ func (c *Controller) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.
 		bank: int32(loc.Rank*ch.banksPerRank + loc.Bank), kind: kind}
 
 	if kind == mem.Writeback {
-		ch.writeQ = append(ch.writeQ, req)
+		ch.writeQ.insert(req)
 		// Bound the write queue so a write-only phase cannot grow it
 		// without limit.
-		for len(ch.writeQ) > 4*c.writeHi {
+		for ch.writeQ.n > 4*c.writeHi {
 			c.step(ch)
 		}
 		return mem.Done(at)
 	}
 
-	// Write-queue hit: the line's latest data is in the controller.
-	for i := range ch.writeQ {
-		if ch.writeQ[i].addr == pa {
+	// Write-queue hit: the line's latest data is in the controller. Every
+	// queued write counts, arrived or not.
+	for i := 0; i < ch.writeQ.n; i++ {
+		if ch.writeQ.at(i).addr == pa {
 			c.stats.WriteQueueHits++
 			if kind.IsDemand() {
 				c.stats.DemandReads++
@@ -228,9 +292,11 @@ func (c *Controller) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.
 	}
 	req.fut = new(mem.Future)
 	req.fut.Init(ch)
-	ch.readQ = append(ch.readQ, req)
-	if len(ch.readQ) > c.readCap {
-		ch.Force(ch.readQ[0].fut)
+	req.seq = ch.readSeq
+	ch.readSeq++
+	ch.readQ.insert(req)
+	if ch.readQ.n > c.readCap {
+		ch.Force(ch.readQ.firstQueued().fut)
 	}
 	return mem.Pending(req.fut)
 }
@@ -248,7 +314,7 @@ func (ch *channel) Force(f *mem.Future) {
 // DrainAll schedules every outstanding request (end of simulation).
 func (c *Controller) DrainAll() {
 	for _, ch := range c.chans {
-		for len(ch.readQ) > 0 || len(ch.writeQ) > 0 {
+		for ch.readQ.n > 0 || ch.writeQ.n > 0 {
 			if !c.step(ch) {
 				break
 			}
@@ -256,61 +322,56 @@ func (c *Controller) DrainAll() {
 	}
 }
 
-// pick returns the index of the request to schedule from q. Under FR-FCFS
-// it is the oldest row hit if any bank row matches, otherwise the oldest
-// request; under plain FCFS, always the oldest. Only requests that have
-// arrived by the channel clock are eligible.
-func (ch *channel) pick(q []request, fcfs bool) int {
-	oldest, oldestHit := -1, -1
-	for i := range q {
-		r := &q[i]
-		if r.arrival > ch.clock {
-			continue
-		}
-		if oldest == -1 || r.arrival < q[oldest].arrival {
-			oldest = i
-		}
-		if fcfs {
-			continue
-		}
-		if ch.banks[r.bank].openRow == r.row {
-			if oldestHit == -1 || r.arrival < q[oldestHit].arrival {
-				oldestHit = i
+// pick returns the index of the request to schedule from q, or -1 when
+// none has arrived by the channel clock. Under FR-FCFS it is the first row
+// hit among the arrived requests, otherwise the front; under plain FCFS,
+// always the front. Queue order makes the first the earliest arrival, ties
+// going to the earliest inserted.
+func (ch *channel) pick(q *queue, fcfs bool) int {
+	if q.n == 0 || q.at(0).arrival > ch.clock {
+		return -1
+	}
+	if !fcfs {
+		for i := 0; i < q.n; i++ {
+			r := q.at(i)
+			if r.arrival > ch.clock {
+				break
+			}
+			if ch.banks[r.bank].openRow == r.row {
+				return i
 			}
 		}
 	}
-	if oldestHit >= 0 {
-		return oldestHit
-	}
-	return oldest
+	return 0
 }
 
-// pickWriteReadIdle picks the best arrived write targeting a bank with no
-// arrived read, or -1 when every write's bank has read traffic.
+// pickWriteReadIdle picks, among the arrived writes to banks with no
+// arrived read, the first row hit under FR-FCFS or else the first, as pick
+// does; -1 when every arrived write's bank has read traffic.
 func (ch *channel) pickWriteReadIdle(fcfs bool) int {
 	var readBanks uint64
-	for i := range ch.readQ {
-		if r := &ch.readQ[i]; r.arrival <= ch.clock {
-			readBanks |= 1 << uint(r.bank)
+	for i := 0; i < ch.readQ.n; i++ {
+		r := ch.readQ.at(i)
+		if r.arrival > ch.clock {
+			break
 		}
+		readBanks |= 1 << uint(r.bank)
 	}
-	best, bestHit := -1, -1
-	for i := range ch.writeQ {
-		w := &ch.writeQ[i]
-		if w.arrival > ch.clock || readBanks&(1<<uint(w.bank)) != 0 {
+	best := -1
+	for i := 0; i < ch.writeQ.n; i++ {
+		w := ch.writeQ.at(i)
+		if w.arrival > ch.clock {
+			break
+		}
+		if readBanks&(1<<uint(w.bank)) != 0 {
 			continue
 		}
-		if best == -1 || w.arrival < ch.writeQ[best].arrival {
+		if fcfs || ch.banks[w.bank].openRow == w.row {
+			return i
+		}
+		if best < 0 {
 			best = i
 		}
-		if !fcfs && ch.banks[w.bank].openRow == w.row {
-			if bestHit == -1 || w.arrival < ch.writeQ[bestHit].arrival {
-				bestHit = i
-			}
-		}
-	}
-	if bestHit >= 0 {
-		return bestHit
 	}
 	return best
 }
@@ -319,8 +380,8 @@ func (ch *channel) pickWriteReadIdle(fcfs bool) int {
 // advance the clock to the next arrival. It returns false when the channel
 // has nothing left to do.
 func (c *Controller) step(ch *channel) bool {
-	readIdx := ch.pick(ch.readQ, c.fcfs)
-	writeIdx := ch.pick(ch.writeQ, c.fcfs)
+	readIdx := ch.pick(&ch.readQ, c.fcfs)
+	writeIdx := ch.pick(&ch.writeQ, c.fcfs)
 
 	if writeIdx >= 0 && readIdx >= 0 {
 		// Prefer writes whose bank has no waiting read: draining them
@@ -332,38 +393,30 @@ func (c *Controller) step(ch *channel) bool {
 
 	switch {
 	case readIdx < 0 && writeIdx < 0:
-		// Nothing has arrived: jump to the earliest arrival.
-		next := uint64(0)
-		found := false
-		for i := range ch.readQ {
-			if a := ch.readQ[i].arrival; !found || a < next {
-				next, found = a, true
-			}
-		}
-		for i := range ch.writeQ {
-			if a := ch.writeQ[i].arrival; !found || a < next {
-				next, found = a, true
-			}
-		}
-		if !found {
+		// Nothing has arrived: jump to the earlier of the two fronts.
+		switch {
+		case ch.readQ.n == 0 && ch.writeQ.n == 0:
 			return false
+		case ch.writeQ.n == 0 || ch.readQ.n > 0 && ch.readQ.at(0).arrival < ch.writeQ.at(0).arrival:
+			ch.clock = ch.readQ.at(0).arrival
+		default:
+			ch.clock = ch.writeQ.at(0).arrival
 		}
-		ch.clock = next
 		return true
-	case writeIdx >= 0 && (readIdx < 0 || ch.draining || len(ch.writeQ) >= c.writeHi):
+	case writeIdx >= 0 && (readIdx < 0 || ch.draining || ch.writeQ.n >= c.writeHi):
 		// Writes drain opportunistically when no read waits, and in
 		// batches (high watermark down to low) otherwise.
-		if len(ch.writeQ) >= c.writeHi {
+		if ch.writeQ.n >= c.writeHi {
 			ch.draining = true
 		}
-		c.issue(ch, &ch.writeQ[writeIdx])
-		ch.writeQ = append(ch.writeQ[:writeIdx], ch.writeQ[writeIdx+1:]...)
-		if len(ch.writeQ) <= c.writeHi/4 {
+		c.issue(ch, ch.writeQ.at(writeIdx))
+		ch.writeQ.remove(writeIdx)
+		if ch.writeQ.n <= c.writeHi/4 {
 			ch.draining = false
 		}
 	default:
-		c.issue(ch, &ch.readQ[readIdx])
-		ch.readQ = append(ch.readQ[:readIdx], ch.readQ[readIdx+1:]...)
+		c.issue(ch, ch.readQ.at(readIdx))
+		ch.readQ.remove(readIdx)
 	}
 	return true
 }

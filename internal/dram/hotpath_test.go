@@ -82,7 +82,8 @@ func TestHotPathReadAllocatesItsFuture(t *testing.T) {
 	var i, at uint64
 	step := func() {
 		// More reads than the queue holds: each read past the cap forces
-		// the oldest, so the queue stays at its high-water size.
+		// the earliest-queued read, so the queue stays at its high-water
+		// size.
 		c.Access(mem.Addr(i*7919%(1<<20))<<mem.LineShift, mem.Read, at, 0)
 		i++
 		at += 5

@@ -122,3 +122,72 @@ func TestControllerRecordsLatencyHistogram(t *testing.T) {
 		t.Errorf("histogram mean %f != stats mean %f", h.Mean(), c.Stats().AvgDemandReadLatency())
 	}
 }
+
+// TestControllerQueuesStayOrderedAndRelease drives out-of-order reads and
+// writebacks through a channel whose rings wrap and grow, and checks the
+// queue invariants the scheduler relies on after every access: each ring
+// is ordered by arrival, equal reads by insertion (writes carry no
+// sequence number); every free slot is the zero request, so no served
+// request's Future stays reachable; and a new controller's rings hold no
+// storage.
+func TestControllerQueuesStayOrderedAndRelease(t *testing.T) {
+	c := testController(t, false)
+	ch := c.chans[0]
+	if ch.readQ.buf != nil || ch.writeQ.buf != nil {
+		t.Fatal("a new controller's queues hold storage")
+	}
+	check := func(q *queue, what string) {
+		t.Helper()
+		for i := 1; i < q.n; i++ {
+			prev, r := q.at(i-1), q.at(i)
+			if prev.arrival > r.arrival || prev.arrival == r.arrival && prev.seq > r.seq {
+				t.Fatalf("%s queue out of order at %d: %+v before %+v", what, i, *prev, *r)
+			}
+		}
+		for i := q.n; i < len(q.buf); i++ {
+			if r := *q.at(i); r != (request{}) {
+				t.Fatalf("%s queue keeps a served request in free slot %d: %+v", what, i, r)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(20))
+	var now uint64
+	var pending []mem.Result
+	for i := 0; i < 4000; i++ {
+		kind := mem.Read
+		if rng.Intn(4) == 0 {
+			kind = mem.Writeback
+		}
+		at := now
+		if rng.Intn(4) == 0 {
+			at -= min(at, uint64(rng.Intn(200)))
+		} else {
+			now += uint64(rng.Intn(3)) * 10
+		}
+		r := c.Access(addrAt(rng.Intn(8), rng.Intn(4), rng.Intn(128)), kind, at, 0)
+		if _, ok := r.Peek(); !ok {
+			pending = append(pending, r)
+		}
+		if len(pending) > 0 && rng.Intn(6) == 0 {
+			j := rng.Intn(len(pending))
+			pending[j].Wait()
+			pending = append(pending[:j], pending[j+1:]...)
+		}
+		check(&ch.readQ, "read")
+		check(&ch.writeQ, "write")
+	}
+	if len(ch.readQ.buf) <= 8 || len(ch.writeQ.buf) <= 8 {
+		t.Fatalf("rings never grew: %d read and %d write slots", len(ch.readQ.buf), len(ch.writeQ.buf))
+	}
+	c.DrainAll()
+	if ch.readQ.n != 0 || ch.writeQ.n != 0 {
+		t.Fatalf("DrainAll left %d reads and %d writes", ch.readQ.n, ch.writeQ.n)
+	}
+	check(&ch.readQ, "read")
+	check(&ch.writeQ, "write")
+	for _, r := range pending {
+		if _, ok := r.Peek(); !ok {
+			t.Fatal("DrainAll left a read unresolved")
+		}
+	}
+}

@@ -418,15 +418,18 @@ func splitmix64(i uint64) uint64 {
 	return i ^ i>>31
 }
 
-// decodeControllerConfig draws a small geometry (capacities reach below
-// one row per bank), any scheme, FCFS and IdealRBL on or off, and queue
-// limits small enough that overflow forcing and write draining fire.
+// decodeControllerConfig draws a small geometry (1 to 64 banks per
+// channel, the most Validate accepts, so the top bit of pickWriteReadIdle's
+// bank mask is reachable; capacities reach below one row per bank), any
+// scheme, FCFS and IdealRBL on or off, and queue limits small enough that
+// overflow forcing and write draining fire.
 func decodeControllerConfig(s *byteStream) (cfg Config, spread uint) {
 	b0, b1, b2, b3, b4 := s.next(), s.next(), s.next(), s.next(), s.next()
+	rankBits := b1 >> 1 & 1
 	cfg.Geometry = Geometry{
 		Channels:        1 << (b1 & 1),
-		RanksPerChannel: 1 << (b1 >> 1 & 1),
-		BanksPerRank:    1 << (b1 >> 2 & 3),
+		RanksPerChannel: 1 << rankBits,
+		BanksPerRank:    1 << ((b1 >> 2 & 7) % (7 - rankBits)),
 		RowBytes:        mem.LineBytes << (b2 & 7),
 		CapacityBytes:   1 << (10 + b2>>3&15),
 	}
@@ -493,6 +496,84 @@ func (d *dramSide) do(pa mem.Addr, kind mem.AccessKind, at uint64) {
 // dramCoverage counts the scheduler paths one stream exercised.
 type dramCoverage struct {
 	overflowForces, drainOps, wqHits, outOfOrder, unmappedRows int
+	// Paths where arrival order and insertion order differ: a read-cap
+	// force whose earliest-queued read is not the earliest to arrive, an
+	// arrival queued ahead of a request to the same bank, and an arrival
+	// equal to one already in its queue.
+	capForceNotFirstArrival, aheadOfSameBank, equalArrivals int
+	// Writes issued while an arrived read and an arrived write share bank
+	// 63: the top bit of pickWriteReadIdle's bank mask keeps that write
+	// out of its pick.
+	lastBankMasked int
+}
+
+func (c *dramCoverage) add(o dramCoverage) {
+	c.overflowForces += o.overflowForces
+	c.drainOps += o.drainOps
+	c.wqHits += o.wqHits
+	c.outOfOrder += o.outOfOrder
+	c.unmappedRows += o.unmappedRows
+	c.capForceNotFirstArrival += o.capForceNotFirstArrival
+	c.aheadOfSameBank += o.aheadOfSameBank
+	c.equalArrivals += o.equalArrivals
+	c.lastBankMasked += o.lastBankMasked
+}
+
+// noteWrite counts a write command issued while bank 63's bit of
+// pickWriteReadIdle's mask is set and excludes an arrived write. The
+// reference's queues still hold the write and its clock is the step's.
+func (c *dramCoverage) noteWrite(ref *refController, pa mem.Addr) {
+	ch := ref.chans[ref.mapping.Map(pa).Channel]
+	arrivedOn63 := func(q []*refRequest) bool {
+		for _, r := range q {
+			if r.arrival <= ch.clock && ch.bankIndex(r.loc) == 63 {
+				return true
+			}
+		}
+		return false
+	}
+	if arrivedOn63(ch.readQ) && arrivedOn63(ch.writeQ) {
+		c.lastBankMasked++
+	}
+}
+
+// noteQueued counts the arrival-order paths a request arriving at cycle
+// at takes, read from the reference's queues before it is queued.
+func (c *dramCoverage) noteQueued(ref *refController, pa mem.Addr, kind mem.AccessKind, at uint64) {
+	pa = mem.LineAddr(pa)
+	loc := ref.mapping.Map(pa)
+	ch := ref.chans[loc.Channel]
+	bank := ch.bankIndex(loc)
+	q := ch.writeQ
+	if kind != mem.Writeback {
+		for _, w := range ch.writeQ {
+			if w.addr == pa {
+				return // a write-queue hit queues nothing
+			}
+		}
+		q = ch.readQ
+		if len(q) >= ref.readCap {
+			// The cap forces q[0], the earliest queued.
+			earlier := at < q[0].arrival
+			for _, r := range q[1:] {
+				earlier = earlier || r.arrival < q[0].arrival
+			}
+			if earlier {
+				c.capForceNotFirstArrival++
+			}
+		}
+	}
+	ahead, equal := false, false
+	for _, r := range q {
+		ahead = ahead || r.arrival > at && ch.bankIndex(r.loc) == bank
+		equal = equal || r.arrival == at
+	}
+	if ahead {
+		c.aheadOfSameBank++
+	}
+	if equal {
+		c.equalArrivals++
+	}
 }
 
 // runControllerDiff decodes data into a config and an op stream, runs it
@@ -518,7 +599,12 @@ func runControllerDiff(t testing.TB, data []byte) dramCoverage {
 	r := &dramSide{access: func(pa mem.Addr, k mem.AccessKind, at uint64) mem.Result { return ref.Access(pa, k, at, 0) },
 		drainAll: ref.DrainAll, stats: ref.Stats}
 	got.SetObserver(g.observe)
-	ref.obs = r.observe
+	ref.obs = func(pa mem.Addr, kind mem.AccessKind, rowHit bool, arrival, done uint64) {
+		if kind == mem.Writeback {
+			cov.noteWrite(ref, pa)
+		}
+		r.observe(pa, kind, rowHit, arrival, done)
+	}
 
 	checkMap := func(pa mem.Addr) {
 		if gl, rl := got.Mapping().Map(pa), ref.mapping.Map(pa); gl != rl {
@@ -550,6 +636,7 @@ func runControllerDiff(t testing.TB, data []byte) dramCoverage {
 				at = now
 			}
 			checkMap(pa)
+			cov.noteQueued(ref, pa, kind, at)
 			hits, resolved := ref.stats.WriteQueueHits, len(r.order)
 			g.do(pa, kind, at)
 			r.do(pa, kind, at)
@@ -630,6 +717,40 @@ func controllerSeeds() [][]byte {
 		seeds[i][1] = seeds[i][1]&^1 | byte(i/9&1)
 		seeds[i][3] = seeds[i][3]&^3 | byte(i/18&3)
 	}
+	return append(seeds, lastBankSeeds()...)
+}
+
+// lastBankSeeds are streams on one 64-bank channel (scheme
+// "ro:ra:ba:ch:co" with one-line rows, so a line's low six bits are its
+// bank) whose lines all sit in bank 63 or bank 5. Reads and writes meet on
+// bank 63, the top bit of pickWriteReadIdle's mask, which random streams
+// almost never reach.
+func lastBankSeeds() [][]byte {
+	rng := rand.New(rand.NewSource(63))
+	lines := []byte{63, 127, 191, 255, 5, 69}
+	seeds := make([][]byte, 8)
+	for i := range seeds {
+		// One channel and rank, 64 banks per rank, 1 MiB, read-queue cap
+		// 8, write drain from 2, no address spread; FCFS and IdealRBL
+		// vary.
+		seed := []byte{1, 6 << 2, 10 << 3, 7<<2 | byte(i&3), 1}
+		for op := 0; op < 200; op++ {
+			code := byte(rng.Intn(8))
+			switch {
+			case code < 6:
+				tb := byte(rng.Intn(16))
+				if rng.Intn(4) == 0 {
+					tb |= 0x80
+				}
+				seed = append(seed, code, lines[rng.Intn(len(lines))], tb)
+			case code == 6:
+				seed = append(seed, code, byte(rng.Intn(256)))
+			case rng.Intn(4) == 0:
+				seed = append(seed, code)
+			}
+		}
+		seeds[i] = seed
+	}
 	return seeds
 }
 
@@ -649,21 +770,24 @@ func FuzzControllerMatchesReference(f *testing.F) {
 func TestControllerSeedsCoverScheduler(t *testing.T) {
 	var total dramCoverage
 	configs := map[string]bool{}
+	banks := map[int]bool{}
 	for _, s := range controllerSeeds() {
-		c := runControllerDiff(t, s)
-		total.overflowForces += c.overflowForces
-		total.drainOps += c.drainOps
-		total.wqHits += c.wqHits
-		total.outOfOrder += c.outOfOrder
-		total.unmappedRows += c.unmappedRows
+		total.add(runControllerDiff(t, s))
 		cfg, _ := decodeControllerConfig(&byteStream{b: s})
 		configs[fmt.Sprintf("%s/%d/%v/%v", cfg.Scheme, cfg.Geometry.Channels, cfg.FCFS, cfg.IdealRBL)] = true
+		banks[cfg.Geometry.BanksPerChannel()] = true
 	}
 	t.Logf("%d seeds, %d configurations: %+v", len(controllerSeeds()), len(configs), total)
-	if total.overflowForces == 0 || total.drainOps == 0 || total.wqHits == 0 || total.outOfOrder == 0 || total.unmappedRows == 0 {
+	if total.overflowForces == 0 || total.drainOps == 0 || total.wqHits == 0 || total.outOfOrder == 0 || total.unmappedRows == 0 ||
+		total.capForceNotFirstArrival == 0 || total.aheadOfSameBank == 0 || total.equalArrivals == 0 || total.lastBankMasked == 0 {
 		t.Fatalf("seed corpus misses a path: %+v", total)
 	}
 	if want := len(SchemeNames()) * 2 * 2 * 2; len(configs) != want {
 		t.Fatalf("seed corpus covers %d of %d scheme/channel/FCFS/IdealRBL combinations", len(configs), want)
+	}
+	for n := 1; n <= 64; n *= 2 {
+		if !banks[n] {
+			t.Fatalf("seed corpus has no channel of %d banks", n)
+		}
 	}
 }

@@ -55,7 +55,13 @@ var traceMagic = [8]byte{'X', 'M', 'E', 'M', 'T', 'R', 'C', '1'}
 // ErrBadTrace reports a malformed trace stream.
 var ErrBadTrace = errors.New("trace: malformed trace")
 
-// Write serializes the trace.
+// maxNameBytes is the longest Malloc name the format holds: its length is
+// a uint16.
+const maxNameBytes = 1<<16 - 1
+
+// Write serializes the trace. It fails on a Malloc name longer than
+// maxNameBytes; the bytes written before that event are then an
+// incomplete trace.
 func (t *Trace) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(traceMagic[:]); err != nil {
@@ -67,6 +73,9 @@ func (t *Trace) Write(w io.Writer) error {
 		return err
 	}
 	for _, e := range t.Events {
+		if e.Kind == EvMalloc && len(e.Name) > maxNameBytes {
+			return fmt.Errorf("trace: Malloc name of %d bytes exceeds %d", len(e.Name), maxNameBytes)
+		}
 		var rec [13]byte
 		rec[0] = byte(e.Kind)
 		binary.LittleEndian.PutUint32(rec[1:5], uint32(e.Site))
@@ -104,7 +113,11 @@ func Read(r io.Reader) (*Trace, error) {
 	if count > maxEvents {
 		return nil, fmt.Errorf("trace: %d events exceeds limit", count)
 	}
-	t := &Trace{Events: make([]Event, 0, count)}
+	// The header's count is unchecked until the records are read, so it
+	// sizes at most the first maxPrealloc events; the slice grows past
+	// that as records arrive.
+	const maxPrealloc = 1 << 12
+	t := &Trace{Events: make([]Event, 0, min(count, maxPrealloc))}
 	for i := uint64(0); i < count; i++ {
 		var rec [13]byte
 		if _, err := io.ReadFull(br, rec[:]); err != nil {

@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"xmem/internal/core"
@@ -45,6 +49,68 @@ func TestTraceReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated trace accepted")
 	}
+}
+
+// TestTraceReadBoundsHeaderCount: a header claiming 2^20 events with no
+// record behind it fails as malformed without sizing a slice for the
+// claimed count (32 MiB of Events).
+func TestTraceReadBoundsHeaderCount(t *testing.T) {
+	hdr := append(traceMagic[:], 0, 0, 0x10, 0, 0, 0, 0, 0) // 1<<20, little-endian
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("Read = %v, want ErrBadTrace", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("Read of a bodiless 2^20-event header allocated %d bytes, want under 1 MiB", got)
+	}
+}
+
+// TestTraceWriteRejectsLongName: a Malloc name's length is a uint16, so
+// Write refuses a longer name instead of writing a stream Read misparses.
+func TestTraceWriteRejectsLongName(t *testing.T) {
+	ok := &Trace{Events: []Event{{Kind: EvMalloc, Name: strings.Repeat("n", maxNameBytes)}}}
+	var buf bytes.Buffer
+	if err := ok.Write(&buf); err != nil {
+		t.Fatalf("Write of a %d-byte name: %v", maxNameBytes, err)
+	}
+	if got, err := Read(&buf); err != nil || !reflect.DeepEqual(got.Events, ok.Events) {
+		t.Fatalf("a %d-byte name does not round-trip: %v", maxNameBytes, err)
+	}
+	long := &Trace{Events: []Event{{Kind: EvMalloc, Name: strings.Repeat("n", maxNameBytes+1)}}}
+	if err := long.Write(io.Discard); err == nil {
+		t.Fatalf("Write accepted a %d-byte Malloc name", maxNameBytes+1)
+	}
+}
+
+// FuzzTraceRead: Read never panics, and every trace it accepts survives
+// Write then Read unchanged. The seed corpus is committed under
+// testdata/fuzz/FuzzTraceRead.
+func FuzzTraceRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			t.Fatalf("Write of an accepted trace: %v", err)
+		}
+		again, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("Read of a rewritten trace: %v", err)
+		}
+		if len(again.Events) != len(tr.Events) {
+			t.Fatalf("round trip read %d events, want %d", len(again.Events), len(tr.Events))
+		}
+		for i := range tr.Events {
+			if again.Events[i] != tr.Events[i] {
+				t.Fatalf("event %d = %+v after the round trip, want %+v", i, again.Events[i], tr.Events[i])
+			}
+		}
+	})
 }
 
 func TestTraceStats(t *testing.T) {
