@@ -79,12 +79,15 @@ alloc-gate:
 # against the frozen hybrid and NUMA allocators it replaced, the paged AAM
 # and index-LRU ALB against their hash-map and list references
 # (FuzzAMUMatchesReference), and the atom-indexed XMem prefetcher against
-# the frozen map-keyed one (FuzzXMemPrefetcherMatchesReference); and the
-# trace binary decoder, which must not panic and must round-trip every
-# trace it accepts (FuzzTraceRead). Plain go test runs only their seed
-# corpora (the allocator's, the AMU's and the trace decoder's are
+# the frozen map-keyed one (FuzzXMemPrefetcherMatchesReference); and four
+# decoders, which must not panic and must round-trip every input they
+# accept: the trace binary decoder (FuzzTraceRead), the atom segment
+# decoder (FuzzDecodeSegment), the metrics validator (FuzzValidateJSON)
+# and the span validator (FuzzValidateJSONL). Plain go test runs only
+# their seed corpora (the allocator's, the AMU's and the decoders' are
 # committed under internal/kernel/testdata/fuzz/,
-# internal/core/testdata/fuzz/ and internal/trace/testdata/fuzz/); this
+# internal/core/testdata/fuzz/, internal/trace/testdata/fuzz/,
+# internal/obs/testdata/fuzz/ and internal/obs/span/testdata/fuzz/); this
 # mutates inputs for a few seconds per target. A failing input is saved
 # under the package's testdata/fuzz/ directory.
 fuzz-smoke:
@@ -94,6 +97,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAMUMatchesReference$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzXMemPrefetcherMatchesReference$$' -fuzztime 5s ./internal/prefetch/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRead$$' -fuzztime 5s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzValidateJSON$$' -fuzztime 5s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzValidateJSONL$$' -fuzztime 5s ./internal/obs/span/
 
 # Full race-detector pass over every package (the parallel sweep runner
 # is the main concurrent surface).

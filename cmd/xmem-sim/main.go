@@ -190,17 +190,13 @@ func main() {
 
 	cfg := baseConfig()
 	cfg.EpochCycles = *epoch
-	if *metricsOut != "" {
-		cfg.Metrics = true
-		cfg.MetricsOut = *metricsOut
-	}
+	cfg.Metrics = *metricsOut != ""
 	if *spanOut != "" && *spanSample == 0 {
 		fmt.Fprintln(os.Stderr, "xmem-sim: -span-out requires -span-sample")
 		os.Exit(2)
 	}
 	cfg.SpanSample = *spanSample
 	cfg.SpanBuffer = *spanBuf
-	cfg.SpanOut = *spanOut
 	if *progress > 0 {
 		every := *progress
 		cfg.OnEpoch = func(p sim.EpochProgress) {
@@ -212,13 +208,19 @@ func main() {
 	}
 
 	res, err := sim.Run(cfg, w)
+	if err == nil && *metricsOut != "" {
+		err = res.Metrics.WriteFile(*metricsOut)
+	}
+	if err == nil && *spanOut != "" {
+		err = res.Spans.WriteFile(*spanOut)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xmem-sim: %v\n", err)
 		os.Exit(1)
 	}
 	printResult(os.Stdout, res)
 	if res.Metrics != nil {
-		printPerAtom(res, *atomsTop)
+		printPerAtom(res.Metrics, *atomsTop)
 	}
 	if d := res.Spans; d != nil {
 		fmt.Printf("\nspans           %d retained (1-in-%d sampling), %d sampled, %d dropped\n",
@@ -359,11 +361,11 @@ func printMultiResult(w io.Writer, r sim.MultiResult) {
 // misses, how their DRAM commands behaved, and what prefetching did for
 // them. The coverage line reports the fraction of misses attributed to a
 // real atom (the "(unattributed)" row is everything else).
-func printPerAtom(r sim.Result, top int) {
+func printPerAtom(r *obs.Report, top int) {
 	if top == 0 || len(r.PerAtom) == 0 {
 		return
 	}
-	fmt.Printf("\nper-atom attribution (demand-miss order, epoch %d cycles)\n", r.Metrics.EpochCycles)
+	fmt.Printf("\nper-atom attribution (demand-miss order, epoch %d cycles)\n", r.EpochCycles)
 	fmt.Printf("  %-18s %10s %10s %10s %8s %9s %9s\n",
 		"atom", "dmisses", "rowhits", "rowmiss", "pinevic", "pf-issue", "pf-useful")
 	var total, attributed uint64

@@ -102,20 +102,20 @@ func main() {
 	cfg.AllocSeed = 42
 	cfg.Metrics = true
 	cfg.EpochCycles = 100_000
-	// cfg.MetricsOut = "profiling.trace.json" would also write a Perfetto-
-	// openable timeline; here we read the report in-process instead.
+	// r.Metrics.WriteFile("profiling.trace.json") would also write a
+	// Perfetto-openable timeline; here we read the report in-process instead.
 	r := sim.MustRun(cfg, trace.ReplayWithAtoms("replay+atoms", tr, atoms))
 	fmt.Printf("   %d epochs sampled, %d counters (layer.component.metric)\n",
 		len(r.Metrics.Samples), len(r.Metrics.Counters))
 	fmt.Printf("   %-20s %12s %10s %10s\n", "atom", "demand-miss", "row-hits", "row-miss")
-	for _, a := range r.PerAtom {
+	for _, a := range r.Metrics.PerAtom {
 		name := a.Name
 		if name == "" {
 			name = fmt.Sprintf("atom-%d", a.ID)
 		}
 		fmt.Printf("   %-20s %12d %10d %10d\n", name, a.DemandMisses, a.RowHits, a.RowMisses)
 	}
-	cov := obs.AttributionCoverage(r.PerAtom, func(c obs.AtomCounters) uint64 {
+	cov := obs.AttributionCoverage(r.Metrics.PerAtom, func(c obs.AtomCounters) uint64 {
 		return c.DemandMisses
 	})
 	fmt.Printf("   attribution coverage: %.0f%% of L3 demand misses\n", 100*cov)

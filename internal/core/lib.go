@@ -87,7 +87,9 @@ func NewLibWithAtoms(amu *AMU, atoms []Atom) *Lib {
 // same atom ID without creating a new atom, matching the paper's
 // compile-time summarization of CREATE calls. Attributes passed on repeat
 // invocations are ignored (attributes are immutable; a mismatch is counted
-// in LibStats.AttrConflicts).
+// in LibStats.AttrConflicts). A site longer than 65,535 bytes, which the
+// atom segment cannot name, creates no atom and returns InvalidAtom, as
+// does a lib that has run out of atom IDs.
 func (l *Lib) CreateAtom(site string, attrs Attributes) AtomID {
 	if id, ok := l.bySite[site]; ok {
 		conflict := l.atoms[id].Attrs != attrs
@@ -99,9 +101,9 @@ func (l *Lib) CreateAtom(site string, attrs Attributes) AtomID {
 		}
 		return id
 	}
-	if len(l.atoms) >= MaxAtoms {
-		// Out of atom IDs: return an invalid hint handle. All operator
-		// calls on it are harmless no-ops.
+	if len(l.atoms) >= MaxAtoms || len(site) > maxSiteBytes {
+		// Out of atom IDs, or a site the segment cannot hold: return an
+		// invalid hint handle. All operator calls on it are harmless no-ops.
 		return InvalidAtom
 	}
 	id := AtomID(len(l.atoms))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -99,6 +100,26 @@ func TestLibSegmentMatchesAtoms(t *testing.T) {
 	}
 	if len(atoms) != 2 || atoms[0].Name != "a" || atoms[1].Attrs.Pattern != PatternIrregular {
 		t.Fatalf("segment atoms = %+v", atoms)
+	}
+}
+
+// TestLibRejectsUnencodableSite: the segment stores a site's length as a
+// uint16, so a longer site gets InvalidAtom instead of an atom whose name
+// would corrupt every name after it in the segment.
+func TestLibRejectsUnencodableSite(t *testing.T) {
+	l := NewLib(nil)
+	if id := l.CreateAtom(strings.Repeat("s", 70_000), Attributes{}); id != InvalidAtom {
+		t.Fatalf("CreateAtom of a 70,000-byte site = %d, want InvalidAtom", id)
+	}
+	longest := strings.Repeat("s", maxSiteBytes)
+	l.CreateAtom(longest, Attributes{})
+	l.CreateAtom("b", Attributes{})
+	atoms, err := DecodeSegment(l.Segment())
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if len(atoms) != 2 || atoms[0].Name != longest || atoms[1].Name != "b" {
+		t.Fatalf("segment holds %d atoms; want the %d-byte site, then \"b\"", len(atoms), maxSiteBytes)
 	}
 }
 

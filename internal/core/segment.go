@@ -28,7 +28,13 @@ var ErrNotAtomSegment = errors.New("core: not an atom segment")
 // DecodeSegmentLenient for that behaviour.
 var ErrUnknownSegmentVersion = errors.New("core: unknown atom segment version")
 
-// EncodeSegment serializes atoms (ordered by ID) into an atom segment.
+// maxSiteBytes is the longest atom name (creation-site label) the atom
+// segment holds: the name table stores each length as a uint16.
+const maxSiteBytes = 1<<16 - 1
+
+// EncodeSegment serializes atoms (ordered by ID) into an atom segment. Every
+// name must be at most 65,535 bytes long, which Lib.CreateAtom guarantees;
+// a longer one corrupts the name table.
 func EncodeSegment(atoms []Atom) []byte {
 	var buf bytes.Buffer
 	buf.Write(segmentMagic[:])

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -109,6 +110,25 @@ func TestSegmentQuickRoundTrip(t *testing.T) {
 	if err := quick.Check(check, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzDecodeSegment: DecodeSegmentLenient never panics, and the atoms of
+// every segment it accepts encode to a segment that decodes to the same
+// atoms. The seed corpus is committed under testdata/fuzz/FuzzDecodeSegment.
+func FuzzDecodeSegment(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		atoms, err := DecodeSegmentLenient(data)
+		if err != nil {
+			return
+		}
+		again, err := DecodeSegmentLenient(EncodeSegment(atoms))
+		if err != nil {
+			t.Fatalf("decode of a re-encoded segment: %v", err)
+		}
+		if !slices.Equal(again, atoms) {
+			t.Fatalf("round trip decoded %+v, want %+v", again, atoms)
+		}
+	})
 }
 
 func TestGATLoadAndQuery(t *testing.T) {

@@ -149,10 +149,5 @@ func (m *Mapping) Map(pa mem.Addr) Location {
 	return loc
 }
 
-// FrameLocation maps a page frame (by its base address) to the DRAM bank it
-// starts in. The OS placement policy of §6 uses this view of the underlying
-// resources when choosing frames.
-func (m *Mapping) FrameLocation(frameBase mem.Addr) Location { return m.Map(frameBase) }
-
 // Geometry returns the geometry the mapping was built for.
 func (m *Mapping) Geometry() Geometry { return m.geom }

@@ -95,38 +95,35 @@ func openCheckpoint(sweep string, opt Options) (*checkpoint, error) {
 }
 
 // restore fills out from the checkpoint if it holds a successful result for
-// the key. Failed records are dropped from the kept state so a completed
-// re-run overwrites them.
-func (ck *checkpoint) restore(key string, out outcomeRestorer) bool {
-	rec, ok := ck.state.Points[key]
-	if !ok {
+// out's key. Failed records are left for the re-run to overwrite.
+func restore[R any](ck *checkpoint, out *Outcome[R]) bool {
+	rec, ok := ck.state.Points[out.Key]
+	if !ok || rec.Err != "" || rec.Result == nil {
 		return false
 	}
-	if rec.Err != "" || rec.Result == nil {
-		return false
-	}
-	if !out.restoreFrom(rec.Result) {
+	var r R
+	if err := json.Unmarshal(rec.Result, &r); err != nil {
 		// Result shape changed since the checkpoint was written; re-run.
-		delete(ck.state.Points, key)
+		delete(ck.state.Points, out.Key)
 		return false
 	}
-	out.setWall(time.Duration(rec.WallNanos))
+	out.Result, out.Resumed, out.Wall = r, true, time.Duration(rec.WallNanos)
 	return true
 }
 
 // record persists a completed outcome and rewrites the file atomically
 // (temp file + rename), so an interrupt mid-write never corrupts the
 // checkpoint.
-func (ck *checkpoint) record(out outcomeRecorder) error {
-	raw, err := out.marshalResult()
-	if err != nil {
-		return fmt.Errorf("runner: marshaling %s result for checkpoint: %w", out.key(), err)
+func record[R any](ck *checkpoint, out Outcome[R]) error {
+	rec := pointRecord{Err: out.Err, WallNanos: int64(out.Wall)}
+	if out.Err == "" {
+		raw, err := json.Marshal(out.Result)
+		if err != nil {
+			return fmt.Errorf("runner: marshaling %s result for checkpoint: %w", out.Key, err)
+		}
+		rec.Result = raw
 	}
-	ck.state.Points[out.key()] = pointRecord{
-		Result:    raw,
-		Err:       out.errText(),
-		WallNanos: int64(out.wall()),
-	}
+	ck.state.Points[out.Key] = rec
 	data, err := json.MarshalIndent(&ck.state, "", " ")
 	if err != nil {
 		return fmt.Errorf("runner: marshaling checkpoint: %w", err)
@@ -139,41 +136,4 @@ func (ck *checkpoint) record(out outcomeRecorder) error {
 		return fmt.Errorf("runner: committing checkpoint: %w", err)
 	}
 	return nil
-}
-
-// outcomeRestorer/outcomeRecorder adapt the generic Outcome[R] to the
-// non-generic checkpoint methods.
-type outcomeRestorer interface {
-	restoreFrom(raw json.RawMessage) bool
-	setWall(d time.Duration)
-}
-
-type outcomeRecorder interface {
-	key() string
-	errText() string
-	wall() time.Duration
-	marshalResult() (json.RawMessage, error)
-}
-
-func (o *Outcome[R]) restoreFrom(raw json.RawMessage) bool {
-	var r R
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return false
-	}
-	o.Result = r
-	o.Resumed = true
-	return true
-}
-
-func (o *Outcome[R]) setWall(d time.Duration) { o.Wall = d }
-
-func (o Outcome[R]) key() string         { return o.Key }
-func (o Outcome[R]) errText() string     { return o.Err }
-func (o Outcome[R]) wall() time.Duration { return o.Wall }
-
-func (o Outcome[R]) marshalResult() (json.RawMessage, error) {
-	if o.Err != "" {
-		return nil, nil
-	}
-	return json.Marshal(o.Result)
 }

@@ -8,10 +8,6 @@ import (
 	"xmem/internal/obs"
 )
 
-// Publisher receives the sweep's wall-time metrics. *obs.Registry is the
-// production implementation.
-type Publisher = *obs.Registry
-
 // publish registers the sweep's timing counters: one per point plus the
 // aggregates. All counters are final values captured at publish time (the
 // sweep is over), so sources are trivial closures.
@@ -20,7 +16,7 @@ type Publisher = *obs.Registry
 // wall_ns_total,elapsed_ns} and runner.<sweep>.point_<key>_wall_ns. The
 // sweep speedup is wall_ns_total / elapsed_ns — the sum of per-point times
 // over the sweep's wall clock.
-func publish(reg *obs.Registry, sweep string, outs []generalized, elapsed time.Duration) {
+func publish[R any](reg *obs.Registry, sweep string, outs []Outcome[R], elapsed time.Duration) {
 	prefix := "runner." + metricSegment(sweep)
 	// A registry can accumulate several sweeps (xmem-bench runs many per
 	// invocation); a repeated sweep name gets an instance suffix instead

@@ -29,6 +29,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"xmem/internal/obs"
 )
 
 // Point is one independent unit of sweep work.
@@ -72,8 +74,8 @@ func Seed(sweep, key string) int64 {
 
 // Options tune one sweep execution.
 type Options struct {
-	// Parallel is the worker count: 0 picks GOMAXPROCS, 1 runs
-	// sequentially in point order.
+	// Parallel is the worker count: 0 picks GOMAXPROCS, 1 runs the points
+	// one at a time in point order.
 	Parallel int
 	// Timeout bounds each point's wall time (0 = unbounded). A point that
 	// exceeds it is recorded as failed; its goroutine is abandoned (the
@@ -94,7 +96,7 @@ type Options struct {
 	// per-point wall time plus points_total/failed/resumed, wall_ns_total
 	// (sum over points) and elapsed_ns (sweep wall clock) — the ratio of
 	// the last two is the measured parallel speedup.
-	Registry Publisher
+	Registry *obs.Registry
 }
 
 // Outcome is one point's recorded execution.
@@ -189,8 +191,8 @@ func Run[R any](sweep string, points []Point[R], opt Options) ([]Outcome[R], err
 		return nil, err
 	}
 	var todo []int
-	for i, p := range points {
-		if ck != nil && ck.restore(p.Key, &outs[i]) {
+	for i := range points {
+		if ck != nil && restore(ck, &outs[i]) {
 			continue
 		}
 		todo = append(todo, i)
@@ -205,7 +207,7 @@ func Run[R any](sweep string, points []Point[R], opt Options) ([]Outcome[R], err
 		defer mu.Unlock()
 		done++
 		if ck != nil {
-			if err := ck.record(outs[i]); err != nil && ckErr == nil {
+			if err := record(ck, outs[i]); err != nil && ckErr == nil {
 				ckErr = err
 			}
 		}
@@ -222,30 +224,25 @@ func Run[R any](sweep string, points []Point[R], opt Options) ([]Outcome[R], err
 		}
 	}
 
-	if workers <= 1 {
-		for _, i := range todo {
-			outs[i] = runPoint(sweep, points[i], i, opt.Timeout)
-			finish(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					outs[i] = runPoint(sweep, points[i], i, opt.Timeout)
-					finish(i)
-				}
-			}()
-		}
-		for _, i := range todo {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	// The workers take points in order; with one worker they also finish
+	// in order.
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				outs[i] = runPoint(sweep, points[i], i, opt.Timeout)
+				finish(i)
+			}
+		}()
 	}
+	for _, i := range todo {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 
 	elapsed := time.Since(start)
 	if opt.Progress != nil {
@@ -262,7 +259,7 @@ func Run[R any](sweep string, points []Point[R], opt Options) ([]Outcome[R], err
 			sweep, len(outs), failed, len(points)-len(todo), elapsed.Seconds(), wallSum.Seconds(), workers)
 	}
 	if opt.Registry != nil {
-		publish(opt.Registry, sweep, generalize(outs), elapsed)
+		publish(opt.Registry, sweep, outs, elapsed)
 	}
 	return outs, ckErr
 }
@@ -299,40 +296,19 @@ func runPoint[R any](sweep string, p Point[R], i int, timeout time.Duration) Out
 		r, err := p.Run(c)
 		ch <- reply{r, err}
 	}()
+	var expired <-chan time.Time // nil without a timeout: never fires
 	if timeout > 0 {
-		select {
-		case rep := <-ch:
-			out.Result = rep.r
-			if rep.err != nil {
-				out.Err = rep.err.Error()
-			}
-		case <-time.After(timeout):
-			out.Err = fmt.Sprintf("timeout after %s", timeout)
-		}
-	} else {
-		rep := <-ch
+		expired = time.After(timeout)
+	}
+	select {
+	case rep := <-ch:
 		out.Result = rep.r
 		if rep.err != nil {
 			out.Err = rep.err.Error()
 		}
+	case <-expired:
+		out.Err = fmt.Sprintf("timeout after %s", timeout)
 	}
 	out.Wall = time.Since(start)
 	return out
-}
-
-// generalized is the type-erased view of an outcome used by the metrics
-// publisher (which needs no result payloads).
-type generalized struct {
-	Key     string
-	Err     string
-	Wall    time.Duration
-	Resumed bool
-}
-
-func generalize[R any](outs []Outcome[R]) []generalized {
-	gs := make([]generalized, len(outs))
-	for i, o := range outs {
-		gs[i] = generalized{Key: o.Key, Err: o.Err, Wall: o.Wall, Resumed: o.Resumed}
-	}
-	return gs
 }

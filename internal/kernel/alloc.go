@@ -30,37 +30,19 @@ type FrameAllocator interface {
 	FreeFrames() int
 }
 
-// SequentialAllocator hands out frames in address order — the simplest
-// possible baseline (Buddy-like contiguity).
-type SequentialAllocator struct {
-	next   uint64
-	frames uint64
+// NewSequentialAllocator hands out the frames of physBytes of memory in
+// address order — the simplest possible baseline (Buddy-like contiguity):
+// a RegionAllocator over one region.
+func NewSequentialAllocator(physBytes uint64) *RegionAllocator {
+	return NewRegionAllocator(FrameRange{Bytes: physBytes})
 }
-
-// NewSequentialAllocator covers physBytes of memory.
-func NewSequentialAllocator(physBytes uint64) *SequentialAllocator {
-	return &SequentialAllocator{frames: physBytes / mem.PageBytes}
-}
-
-// AllocFrame implements FrameAllocator.
-func (a *SequentialAllocator) AllocFrame([]int) (mem.Addr, error) {
-	if a.next >= a.frames {
-		return 0, ErrOutOfMemory
-	}
-	f := a.next
-	a.next++
-	return mem.Addr(f * mem.PageBytes), nil
-}
-
-// FreeFrames implements FrameAllocator.
-func (a *SequentialAllocator) FreeFrames() int { return int(a.frames - a.next) }
 
 // RandomizedAllocator hands out frames in a seeded random order — the
 // strengthened baseline of §6.3 (randomized virtual-to-physical mapping,
 // shown to beat the Buddy allocator [23]). All randomness is drawn from
-// the rand.Rand the constructor builds (or is handed); the package never
-// touches the global math/rand state, so concurrent sweeps with per-point
-// seeds cannot interfere with one another.
+// the rand.Rand the constructor builds; the package never touches the
+// global math/rand state, so concurrent sweeps with per-point seeds cannot
+// interfere with one another.
 type RandomizedAllocator struct {
 	free []uint64
 }
@@ -69,19 +51,11 @@ type RandomizedAllocator struct {
 // derived from seed. Equal (physBytes, seed) always yields the same frame
 // order.
 func NewRandomizedAllocator(physBytes uint64, seed int64) *RandomizedAllocator {
-	return NewRandomizedAllocatorRand(physBytes, rand.New(rand.NewSource(seed)))
-}
-
-// NewRandomizedAllocatorRand is NewRandomizedAllocator with a
-// caller-owned random stream — the form parallel sweep points use with
-// their per-point runner.Ctx.Rand. The allocator consumes from rng only
-// during construction.
-func NewRandomizedAllocatorRand(physBytes uint64, rng *rand.Rand) *RandomizedAllocator {
-	n := physBytes / mem.PageBytes
-	free := make([]uint64, n)
+	free := make([]uint64, physBytes/mem.PageBytes)
 	for i := range free {
 		free[i] = uint64(i)
 	}
+	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
 	return &RandomizedAllocator{free: free}
 }
@@ -188,11 +162,12 @@ type FrameRange struct {
 	Bytes uint64
 }
 
-// RegionAllocator hands out frames from several regions of physical memory:
-// the nodes of a NUMA machine, or the tiers of a hybrid memory. Preferred
-// bank group i names region i. It tries the preferred regions in order,
-// then round-robins over all regions (the classic OS default for pages
-// nobody placed); within a region, frames go out in address order.
+// RegionAllocator hands out frames from regions of physical memory: the
+// nodes of a NUMA machine, the tiers of a hybrid memory, or one region
+// holding all of it (NewSequentialAllocator). Preferred bank group i names
+// region i. It tries the preferred regions in order, then round-robins over
+// all regions (the classic OS default for pages nobody placed); within a
+// region, frames go out in address order.
 type RegionAllocator struct {
 	regions []FrameRange
 	used    []uint64

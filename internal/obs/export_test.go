@@ -69,6 +69,35 @@ func TestJSONRoundTripValidates(t *testing.T) {
 	}
 }
 
+// FuzzValidateJSON: ValidateJSON never panics, and every report it accepts
+// writes out (WriteJSON) as JSON that validates to the same report. Reports
+// compare by their written JSON: an empty omitempty slice reads back as
+// nil, which is the same report. The seed corpus is committed under
+// testdata/fuzz/FuzzValidateJSON.
+func FuzzValidateJSON(f *testing.F) {
+	write := func(t *testing.T, r *Report) []byte {
+		var buf bytes.Buffer
+		if err := r.WriteJSON(&buf); err != nil {
+			t.Fatalf("WriteJSON of an accepted report: %v", err)
+		}
+		return buf.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := ValidateJSON(data)
+		if err != nil {
+			return
+		}
+		first := write(t, r)
+		again, err := ValidateJSON(first)
+		if err != nil {
+			t.Fatalf("ValidateJSON of a rewritten report: %v\n%s", err, first)
+		}
+		if second := write(t, again); !bytes.Equal(second, first) {
+			t.Fatalf("round trip wrote\n%s\nwant\n%s", second, first)
+		}
+	})
+}
+
 func TestValidateJSONRejects(t *testing.T) {
 	cases := map[string]func(*Report){
 		"wrong schema":     func(r *Report) { r.Schema = "bogus" },

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -87,6 +88,29 @@ func TestValidateJSONLTruncated(t *testing.T) {
 		!strings.Contains(err.Error(), "header promises") {
 		t.Fatalf("missing-line error = %v", err)
 	}
+}
+
+// FuzzValidateJSONL: ValidateJSONL never panics, and every dump it accepts
+// writes out (WriteJSONL) as a stream that validates to the same dump. The
+// seed corpus is committed under testdata/fuzz/FuzzValidateJSONL.
+func FuzzValidateJSONL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ValidateJSONL(data)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := d.WriteJSONL(&buf); err != nil {
+			t.Fatalf("WriteJSONL of an accepted dump: %v", err)
+		}
+		again, err := ValidateJSONL(buf.Bytes())
+		if err != nil {
+			t.Fatalf("ValidateJSONL of a rewritten dump: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(again, d) {
+			t.Fatalf("round trip read %+v, want %+v", again, d)
+		}
+	})
 }
 
 func TestValidateJSONLRejects(t *testing.T) {

@@ -7,16 +7,14 @@
 // bypass that kept the stream out of the L3, the prefetch that ran ahead of
 // it.
 //
-// Spans land in a fixed-size ring buffer that is lock-free for the reader:
-// the single-threaded simulator publishes with an atomic head bump, and
-// Spans() takes a consistent snapshot without stopping the writer. Sampling
-// is 1-in-N with N configurable per run; with tracing disabled the simulator
-// pays one nil check per access (the same discipline as the obs registry).
+// Spans land in a fixed-size ring buffer that the simulator fills during
+// the run and reads once after it. Sampling is 1-in-N with N configurable
+// per run; with tracing disabled the simulator pays one nil check per
+// access (the same discipline as the obs registry).
 package span
 
 import (
 	"strings"
-	"sync/atomic"
 
 	"xmem/internal/core"
 )
@@ -126,13 +124,13 @@ func (s *Span) Path() string {
 // DefaultBuffer is the retained-span ring capacity when none is configured.
 const DefaultBuffer = 4096
 
-// Tracer owns the sampling decision and the span ring. The writer (the
-// simulator) is single-threaded; the reader may snapshot concurrently via
-// Spans(), which never blocks the writer.
+// Tracer owns the sampling decision and the span ring. Like the machine
+// that owns it, it is not safe for concurrent use: the simulator publishes
+// spans during the run and reads them back after it.
 type Tracer struct {
 	every   uint64
 	buf     []Span
-	head    atomic.Uint64 // spans ever published
+	head    uint64 // spans ever published
 	seen    uint64
 	sampled uint64
 	seq     uint64
@@ -171,11 +169,10 @@ func (t *Tracer) Begin(kind string, pa, pc uint64) *Span {
 }
 
 // Publish commits a finished span to the ring, overwriting the oldest entry
-// when full. Single writer only.
+// when full.
 func (t *Tracer) Publish(s *Span) {
-	h := t.head.Load()
-	t.buf[h%uint64(len(t.buf))] = *s
-	t.head.Store(h + 1)
+	t.buf[t.head%uint64(len(t.buf))] = *s
+	t.head++
 }
 
 // Seen returns the number of accesses offered to Take.
@@ -185,32 +182,22 @@ func (t *Tracer) Seen() uint64 { return t.seen }
 func (t *Tracer) SampledCount() uint64 { return t.sampled }
 
 // Published returns the number of spans ever published.
-func (t *Tracer) Published() uint64 { return t.head.Load() }
+func (t *Tracer) Published() uint64 { return t.head }
 
 // Dropped returns how many published spans the ring has already overwritten.
 func (t *Tracer) Dropped() uint64 {
-	if h := t.head.Load(); h > uint64(len(t.buf)) {
-		return h - uint64(len(t.buf))
+	if t.head > uint64(len(t.buf)) {
+		return t.head - uint64(len(t.buf))
 	}
 	return 0
 }
 
-// Spans returns the retained spans oldest-first. The snapshot is consistent
-// without locking: the head is read before and after the copy, and entries
-// the writer may have overwritten in between are dropped and re-read.
+// Spans returns a copy of the retained spans, oldest first.
 func (t *Tracer) Spans() []Span {
-	for {
-		h1 := t.head.Load()
-		n := h1
-		if max := uint64(len(t.buf)); n > max {
-			n = max
-		}
-		out := make([]Span, 0, n)
-		for i := h1 - n; i < h1; i++ {
-			out = append(out, t.buf[i%uint64(len(t.buf))])
-		}
-		if t.head.Load() == h1 {
-			return out
-		}
+	n := min(t.head, uint64(len(t.buf)))
+	out := make([]Span, 0, n)
+	for i := t.head - n; i < t.head; i++ {
+		out = append(out, t.buf[i%uint64(len(t.buf))])
 	}
+	return out
 }

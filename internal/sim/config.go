@@ -85,11 +85,6 @@ type Config struct {
 	// EpochCycles is the sampling period in core cycles (0 selects
 	// obs.DefaultEpochCycles = 100k). Only meaningful with Metrics.
 	EpochCycles uint64
-	// MetricsOut, when non-empty (requires Metrics), is written by Run
-	// after the workload finishes. The suffix picks the format: ".csv" →
-	// CSV, ".trace.json"/".chrome.json" → Chrome trace_event JSON (open in
-	// chrome://tracing or Perfetto), anything else → schema-v1 JSON.
-	MetricsOut string
 	// OnEpoch, when set, is called at every epoch boundary — the CLI's
 	// -progress heartbeat hangs off it. It does NOT require Metrics: a
 	// machine with OnEpoch but no Metrics runs a registry-less sampler
@@ -107,10 +102,6 @@ type Config struct {
 	// SpanBuffer caps the retained-span ring (0 = span.DefaultBuffer).
 	// Older spans are overwritten once the ring is full.
 	SpanBuffer int
-	// SpanOut, when non-empty (requires SpanSample), is written by Run
-	// after the workload finishes: ".trace.json"/".chrome.json" → nested
-	// Chrome trace events, anything else → the JSONL span stream.
-	SpanOut string
 	// ContextSwitchInterval, when nonzero, forces a context switch (ALB
 	// flush + GAT/AST reload, §4.3/§4.4) every so many cycles, for
 	// measuring XMem's context-switch sensitivity.

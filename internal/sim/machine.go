@@ -44,14 +44,14 @@ type Result struct {
 	// ContextSwitches counts forced context switches.
 	ContextSwitches uint64
 	// Metrics is the epoch-sampled time series and attribution report
-	// (nil unless Config.Metrics).
+	// (nil unless Config.Metrics). Its PerAtom table attributes hierarchy
+	// events (L3 demand misses, DRAM row hits/misses, pinned evictions,
+	// prefetches) to atoms, sorted by demand misses. Metrics.WriteFile
+	// exports it.
 	Metrics *obs.Report
-	// PerAtom attributes hierarchy events (L3 demand misses, DRAM row
-	// hits/misses, pinned evictions, prefetches) to atoms, sorted by
-	// demand misses (nil unless Config.Metrics).
-	PerAtom []obs.AtomSummary
 	// Spans is the causal span trace: the retained sampled accesses with
 	// per-layer outcomes and reason codes (nil unless Config.SpanSample).
+	// Spans.WriteFile exports it.
 	Spans *span.Dump
 }
 
@@ -268,7 +268,7 @@ func (m *Machine) result(cycles uint64) Result {
 		res.TierDRAM, res.TierNVM = &d, &n
 	}
 	if m.reg != nil {
-		res.Metrics, res.PerAtom = m.metricsReport(cycles)
+		res.Metrics = m.metricsReport(cycles)
 	}
 	if m.spans != nil {
 		res.Spans = m.spanDump()
@@ -277,25 +277,13 @@ func (m *Machine) result(cycles uint64) Result {
 }
 
 // Run builds the machine described by cfg and executes the workload on it:
-// the one-core case of RunMulti. It then writes cfg.MetricsOut and
-// cfg.SpanOut.
-func Run(cfg Config, w workload.Workload) (res Result, err error) {
+// the one-core case of RunMulti.
+func Run(cfg Config, w workload.Workload) (Result, error) {
 	mr, err := RunMulti(MultiConfig{Core: cfg}, []workload.Workload{w})
 	if err != nil {
-		return res, err
+		return Result{}, err
 	}
-	res = mr.Cores[0]
-	if cfg.MetricsOut != "" && res.Metrics != nil {
-		if err := res.Metrics.WriteFile(cfg.MetricsOut); err != nil {
-			return res, err
-		}
-	}
-	if cfg.SpanOut != "" && res.Spans != nil {
-		if err := res.Spans.WriteFile(cfg.SpanOut); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	return mr.Cores[0], nil
 }
 
 // MustRun is Run for known-good configurations.

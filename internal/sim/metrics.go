@@ -88,24 +88,23 @@ func (m *Machine) sampleEpochsAt(now uint64) {
 // metricsReport assembles the end-of-run Report; cycles is the final cycle
 // count. Atom names come from the library, which knows runtime-created
 // atoms (e.g. trace replays) as well as the declared segment.
-func (m *Machine) metricsReport(cycles uint64) (*obs.Report, []obs.AtomSummary) {
+func (m *Machine) metricsReport(cycles uint64) *obs.Report {
 	m.sampler.Finish(cycles)
 	for _, a := range m.lib.Atoms() {
 		m.attrib.SetName(a.ID, a.Name)
 	}
-	perAtom := m.attrib.Summaries()
 	rep := &obs.Report{
 		Schema:      obs.SchemaVersion,
 		Workload:    m.w.Name,
 		EpochCycles: m.sampler.EpochCycles(),
 		Counters:    m.reg.Names(),
 		Samples:     m.sampler.Samples(),
-		PerAtom:     perAtom,
+		PerAtom:     m.attrib.Summaries(),
 	}
 	if m.lat != nil {
 		rep.Latency = m.lat.report(m.attrib.Name)
 	}
-	return rep, perAtom
+	return rep
 }
 
 // registerMetrics registers every subsystem's counters under the

@@ -23,7 +23,7 @@ func metricsConfig() Config {
 
 func TestMetricsDisabledByDefault(t *testing.T) {
 	res := MustRun(testConfig(), streamWorkload(512, 2))
-	if res.Metrics != nil || res.PerAtom != nil {
+	if res.Metrics != nil {
 		t.Errorf("metrics populated without Config.Metrics: %+v", res.Metrics)
 	}
 }
@@ -92,18 +92,18 @@ func TestMetricsAttributionCoverageGemm(t *testing.T) {
 		}
 	}
 	w := k.Make(workload.TiledConfig{N: 128, TileBytes: 64 << 10})
-	res := MustRun(cfg, w)
-	if len(res.PerAtom) == 0 {
+	rows := MustRun(cfg, w).Metrics.PerAtom
+	if len(rows) == 0 {
 		t.Fatal("no per-atom rows")
 	}
-	cov := obs.AttributionCoverage(res.PerAtom, func(c obs.AtomCounters) uint64 {
+	cov := obs.AttributionCoverage(rows, func(c obs.AtomCounters) uint64 {
 		return c.DemandMisses
 	})
 	if cov < 0.9 {
-		t.Errorf("attribution coverage = %.2f, want >= 0.90 (rows: %+v)", cov, res.PerAtom)
+		t.Errorf("attribution coverage = %.2f, want >= 0.90 (rows: %+v)", cov, rows)
 	}
 	named := false
-	for _, a := range res.PerAtom {
+	for _, a := range rows {
 		if a.Name != "" && a.Name != obs.UnattributedName {
 			named = true
 		}
@@ -147,14 +147,15 @@ func TestMetricsPerAtomSurvivesRemap(t *testing.T) {
 	cfg.StridePrefetch = false
 	lines := 4 * (256 << 10) / mem.LineBytes // 4× L3: every line misses
 	res := MustRun(cfg, remapWorkload(lines))
+	rows := res.Metrics.PerAtom
 	var row *obs.AtomSummary
-	for i := range res.PerAtom {
-		if res.PerAtom[i].Name == "remap.buf" {
-			row = &res.PerAtom[i]
+	for i := range rows {
+		if rows[i].Name == "remap.buf" {
+			row = &rows[i]
 		}
 	}
 	if row == nil {
-		t.Fatalf("no remap.buf row: %+v", res.PerAtom)
+		t.Fatalf("no remap.buf row: %+v", rows)
 	}
 	// Both passes miss throughout (buffers exceed the L3), and both are
 	// attributed to the same atom even though the second follows an unmap.
@@ -195,7 +196,7 @@ func TestMetricsMultiCorePerCoreReports(t *testing.T) {
 		if len(c.Metrics.Samples) == 0 {
 			t.Errorf("core %d: no samples", i)
 		}
-		if len(c.PerAtom) == 0 {
+		if len(c.Metrics.PerAtom) == 0 {
 			t.Errorf("core %d: no per-atom rows", i)
 		}
 	}
@@ -229,12 +230,15 @@ func TestMetricsOutFormats(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
-			cfg := metricsConfig()
-			cfg.MetricsOut = filepath.Join(dir, tc.file)
-			if _, err := Run(cfg, streamWorkload(1024, 2)); err != nil {
+			path := filepath.Join(dir, tc.file)
+			res, err := Run(metricsConfig(), streamWorkload(1024, 2))
+			if err != nil {
 				t.Fatal(err)
 			}
-			data, err := os.ReadFile(cfg.MetricsOut)
+			if err := res.Metrics.WriteFile(path); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +263,7 @@ func TestOnEpochWithoutMetrics(t *testing.T) {
 			t.Errorf("empty heartbeat: %+v", p)
 		}
 	}
-	if res.Metrics != nil || res.PerAtom != nil {
+	if res.Metrics != nil {
 		t.Errorf("heartbeat-only run produced a metrics report: %+v", res.Metrics)
 	}
 }
@@ -316,7 +320,7 @@ func TestMetricsUnattributedNamedOnce(t *testing.T) {
 		},
 	})
 	var attrib, lat []string
-	for _, a := range res.PerAtom {
+	for _, a := range res.Metrics.PerAtom {
 		if a.ID == xm.InvalidAtom {
 			attrib = append(attrib, a.Name)
 		}

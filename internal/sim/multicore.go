@@ -42,7 +42,7 @@ type NUMAConfig struct {
 type MultiResult struct {
 	// Cores holds one result per workload; the DRAM stats in each are the
 	// shared memory's machine-wide totals. With Config.Metrics each core
-	// carries its own Metrics/PerAtom report, and with Config.SpanSample
+	// carries its own Metrics report, and with Config.SpanSample
 	// its own spans. A one-core run attributes DRAM commands and gives
 	// spans dram/nvm stages, exactly as Run does. With several cores the
 	// shared memory has no observer yet: reports cover private-hierarchy

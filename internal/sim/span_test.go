@@ -46,7 +46,6 @@ func TestSpansDisabledByDefault(t *testing.T) {
 func TestSpanTraceGemmThrash(t *testing.T) {
 	cfg := thrashConfig()
 	cfg.SpanSample = 50
-	cfg.SpanOut = filepath.Join(t.TempDir(), "spans.jsonl")
 	res := MustRun(cfg, gemmThrash())
 
 	d := res.Spans
@@ -105,7 +104,11 @@ func TestSpanTraceGemmThrash(t *testing.T) {
 	}
 
 	// The written stream round-trips through the validator and explain.
-	data, err := os.ReadFile(cfg.SpanOut)
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	if err := d.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

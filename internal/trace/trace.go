@@ -111,7 +111,7 @@ func Read(r io.Reader) (*Trace, error) {
 	count := binary.LittleEndian.Uint64(n[:])
 	const maxEvents = 1 << 30
 	if count > maxEvents {
-		return nil, fmt.Errorf("trace: %d events exceeds limit", count)
+		return nil, fmt.Errorf("%w: %d events exceeds limit", ErrBadTrace, count)
 	}
 	// The header's count is unchecked until the records are read, so it
 	// sizes at most the first maxPrealloc events; the slice grows past

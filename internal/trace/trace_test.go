@@ -52,19 +52,28 @@ func TestTraceReadRejectsGarbage(t *testing.T) {
 }
 
 // TestTraceReadBoundsHeaderCount: a header claiming 2^20 events with no
-// record behind it fails as malformed without sizing a slice for the
-// claimed count (32 MiB of Events).
+// record behind it, or more events than the format's limit, fails as
+// malformed without sizing a slice for the claimed count (32 MiB of Events
+// for 2^20).
 func TestTraceReadBoundsHeaderCount(t *testing.T) {
-	hdr := append(traceMagic[:], 0, 0, 0x10, 0, 0, 0, 0, 0) // 1<<20, little-endian
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := Read(bytes.NewReader(hdr))
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("Read = %v, want ErrBadTrace", err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Fatalf("Read of a bodiless 2^20-event header allocated %d bytes, want under 1 MiB", got)
+	for _, tc := range []struct {
+		name  string
+		count [8]byte // little-endian
+	}{
+		{"bodiless 2^20", [8]byte{0, 0, 0x10}},
+		{"over-limit 2^30+1", [8]byte{1, 0, 0, 0x40}},
+	} {
+		hdr := append(traceMagic[:], tc.count[:]...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(bytes.NewReader(hdr))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("%s: Read = %v, want ErrBadTrace", tc.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("%s: Read of the header allocated %d bytes, want under 1 MiB", tc.name, got)
+		}
 	}
 }
 
