@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"xmem/internal/mem"
 )
 
 func TestLibCreateAtomSameSiteSameID(t *testing.T) {
@@ -266,4 +268,76 @@ func contains(s, sub string) bool {
 		}
 		return false
 	})()
+}
+
+// TestLibMapCalls pins what each of Table 2's six MAP/UNMAP calls does, so
+// every dimensionality is known to take the same path: one AMU counter, one
+// op and six instructions of LibStats, one broadcast carrying the call's
+// linearized dims, and a zero-size warning that names the call.
+func TestLibMapCalls(t *testing.T) {
+	const va = mem.Addr(0x40000)
+	cases := []struct {
+		name  string
+		call  func(l *Lib, id AtomID, sizeX uint64)
+		unmap bool
+		// want holds SizeX, SizeY, SizeZ, LenX, LenXY for sizeX = 512.
+		want [5]uint64
+	}{
+		{"AtomMap", func(l *Lib, id AtomID, x uint64) { l.AtomMap(id, va, x) },
+			false, [5]uint64{512, 1, 1, 512, 512}},
+		{"AtomUnmap", func(l *Lib, id AtomID, x uint64) { l.AtomUnmap(id, va, x) },
+			true, [5]uint64{512, 1, 1, 512, 512}},
+		{"AtomMap2D", func(l *Lib, id AtomID, x uint64) { l.AtomMap2D(id, va, x, 3, 2048) },
+			false, [5]uint64{512, 3, 1, 2048, 6144}},
+		{"AtomUnmap2D", func(l *Lib, id AtomID, x uint64) { l.AtomUnmap2D(id, va, x, 3, 2048) },
+			true, [5]uint64{512, 3, 1, 2048, 6144}},
+		{"AtomMap3D", func(l *Lib, id AtomID, x uint64) { l.AtomMap3D(id, va, x, 2, 2, 1024, 8192) },
+			false, [5]uint64{512, 2, 2, 1024, 8192}},
+		{"AtomUnmap3D", func(l *Lib, id AtomID, x uint64) { l.AtomUnmap3D(id, va, x, 2, 2, 1024, 8192) },
+			true, [5]uint64{512, 2, 2, 1024, 8192}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			u := newTestAMU()
+			var rec recorder
+			u.Subscribe(&rec)
+			l := NewLib(u)
+			id := l.CreateAtom("blk", Attributes{})
+			tc.call(l, id, 512)
+
+			want := AMUStats{MapOps: 1}
+			if tc.unmap {
+				want = AMUStats{UnmapOps: 1}
+			}
+			if got := u.Stats(); got != want {
+				t.Errorf("AMU stats = %+v, want %+v", got, want)
+			}
+			if st := l.Stats(); st.RuntimeOps != 1 || st.Instructions != 6 {
+				t.Errorf("LibStats ops %d, instructions %d; want 1, 6", st.RuntimeOps, st.Instructions)
+			}
+			if len(rec.maps) != 1 {
+				t.Fatalf("%d broadcasts, want 1", len(rec.maps))
+			}
+			ev := rec.maps[0]
+			got := [5]uint64{ev.SizeX, ev.SizeY, ev.SizeZ, ev.LenX, ev.LenXY}
+			if ev.ID != id || got != tc.want || ev.VABase != va || ev.Unmap != tc.unmap {
+				t.Errorf("broadcast id %d dims %v VABase %#x unmap %v; want %d %v %#x %v",
+					ev.ID, got, ev.VABase, ev.Unmap, id, tc.want, va, tc.unmap)
+			}
+
+			cl, c := newCheckedLib()
+			tc.call(cl, cl.CreateAtom("zero", Attributes{}), 0)
+			if c.Counts().ZeroSizedMaps != 1 {
+				t.Fatalf("ZeroSizedMaps = %d, want 1", c.Counts().ZeroSizedMaps)
+			}
+			prefix := tc.name + `(0 "zero"): zero-sized mapping`
+			found := false
+			for _, w := range c.Warnings() {
+				found = found || strings.HasPrefix(w, prefix)
+			}
+			if !found {
+				t.Errorf("warnings %q lack %q", c.Warnings(), prefix)
+			}
+		})
+	}
 }
