@@ -106,36 +106,43 @@ fuzz-smoke:
 race:
 	$(GO) test -race ./...
 
+# The three end-to-end smokes below write under SMOKE, a git-ignored
+# directory inside the repo, so make check writes nothing outside it (the
+# Go tool and the xmem-vet loader skip dot-directories).
+SMOKE = .smoke
+
 # End-to-end sweep smoke: a tiny 4-point parallel sweep, checkpointed,
 # then resumed — the resume must restore every point and print the same
 # reports. Exits non-zero on any difference.
 sweep-smoke:
-	rm -rf /tmp/xmem_sweep_smoke && mkdir -p /tmp/xmem_sweep_smoke
+	rm -rf $(SMOKE)/sweep && mkdir -p $(SMOKE)/sweep
 	$(GO) run ./cmd/xmem-sim -workload gemm,2mm,jacobi-2d,syrk -n 64 \
-		-parallel 4 -checkpoint /tmp/xmem_sweep_smoke \
-		> /tmp/xmem_sweep_smoke/first.txt
+		-parallel 4 -checkpoint $(SMOKE)/sweep \
+		> $(SMOKE)/sweep/first.txt
 	$(GO) run ./cmd/xmem-sim -workload gemm,2mm,jacobi-2d,syrk -n 64 \
-		-parallel 4 -checkpoint /tmp/xmem_sweep_smoke -resume \
-		> /tmp/xmem_sweep_smoke/resumed.txt
-	cmp /tmp/xmem_sweep_smoke/first.txt /tmp/xmem_sweep_smoke/resumed.txt
+		-parallel 4 -checkpoint $(SMOKE)/sweep -resume \
+		> $(SMOKE)/sweep/resumed.txt
+	cmp $(SMOKE)/sweep/first.txt $(SMOKE)/sweep/resumed.txt
 
 # End-to-end observability smoke: run a small kernel with metrics on, then
 # validate the emitted schema-v1 JSON (both steps exit non-zero on schema
 # violations).
 metrics-smoke:
+	mkdir -p $(SMOKE)
 	$(GO) run ./cmd/xmem-sim -workload gemm -n 128 -system xmem \
-		-metrics /tmp/xmem_metrics_smoke.json -epoch 50000 >/dev/null
-	$(GO) run ./cmd/xmem-inspect -validate-metrics /tmp/xmem_metrics_smoke.json
+		-metrics $(SMOKE)/xmem_metrics_smoke.json -epoch 50000 >/dev/null
+	$(GO) run ./cmd/xmem-inspect -validate-metrics $(SMOKE)/xmem_metrics_smoke.json
 
 # End-to-end causal-tracing smoke: run the Figure 4 thrash point with span
 # sampling on, validate the emitted JSONL stream, and render the explain
 # report (every step exits non-zero on malformed output).
 trace-smoke:
+	mkdir -p $(SMOKE)
 	$(GO) run ./cmd/xmem-sim -workload gemm -n 96 -tile 262144 -l3 65536 \
 		-system xmem -span-sample 50 \
-		-span-out /tmp/xmem_trace_smoke.jsonl >/dev/null
-	$(GO) run ./cmd/xmem-inspect -validate-spans /tmp/xmem_trace_smoke.jsonl
-	$(GO) run ./cmd/xmem-trace explain -i /tmp/xmem_trace_smoke.jsonl >/dev/null
+		-span-out $(SMOKE)/xmem_trace_smoke.jsonl >/dev/null
+	$(GO) run ./cmd/xmem-inspect -validate-spans $(SMOKE)/xmem_trace_smoke.jsonl
+	$(GO) run ./cmd/xmem-trace explain -i $(SMOKE)/xmem_trace_smoke.jsonl >/dev/null
 
 test:
 	$(GO) test ./...

@@ -148,24 +148,9 @@ func fail(err error) {
 }
 
 func declaredAtoms(name string) ([]xm.Atom, error) {
-	var w workload.Workload
-	found := false
-	for _, k := range workload.AllKernels() {
-		if k.Name == name {
-			w = k.Make(workload.TiledConfig{N: 64, TileBytes: 8 << 10})
-			found = true
-		}
-	}
-	if !found {
-		for _, spec := range workload.Suite27() {
-			if spec.Name == name {
-				w = workload.Synthetic(spec)
-				found = true
-			}
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("unknown workload %q", name)
+	w, err := workload.ByName(name, workload.TiledConfig{N: 64, TileBytes: 8 << 10}, 1)
+	if err != nil {
+		return nil, err
 	}
 	lib := xm.NewLib(nil)
 	w.Declare(lib)

@@ -296,17 +296,11 @@ func runWorkloadSweep(names []string, baseConfig func() sim.Config, opt runner.O
 }
 
 func resolveWorkload(name string, n int, tile uint64, steps int, scale float64) (workload.Workload, error) {
-	for _, k := range workload.AllKernels() {
-		if k.Name == name {
-			return k.Make(workload.TiledConfig{N: n, TileBytes: tile, Steps: steps}), nil
-		}
+	w, err := workload.ByName(name, workload.TiledConfig{N: n, TileBytes: tile, Steps: steps}, scale)
+	if err != nil {
+		return w, fmt.Errorf("%w (try -list)", err)
 	}
-	for _, spec := range workload.Suite27() {
-		if spec.Name == name {
-			return workload.Synthetic(spec.Scaled(scale)), nil
-		}
-	}
-	return workload.Workload{}, fmt.Errorf("unknown workload %q (try -list)", name)
+	return w, nil
 }
 
 func printResult(w io.Writer, r sim.Result) {
@@ -329,7 +323,7 @@ func printResult(w io.Writer, r sim.Result) {
 		r.Lib.RuntimeOps, r.AMU.MapOps+r.AMU.UnmapOps,
 		r.AMU.ActivateOps+r.AMU.DeactivateOps, r.AMU.Lookups, 100*r.ALBHitRate)
 	fmt.Fprintf(w, "  instruction overhead %.5f%%\n",
-		100*float64(r.Lib.Instructions)/float64(max64(r.Instructions, 1)))
+		100*float64(r.Lib.Instructions)/float64(max(r.Instructions, 1)))
 	if len(r.InvariantWarnings) > 0 {
 		fmt.Fprintf(w, "\ninvariant audit: %d lifecycle violation(s)\n", len(r.InvariantWarnings))
 		for _, warn := range r.InvariantWarnings {
@@ -391,11 +385,4 @@ func printPerAtom(r *obs.Report, top int) {
 		fmt.Printf("  attribution coverage: %.1f%% of %d L3 demand misses\n",
 			100*float64(attributed)/float64(total), total)
 	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

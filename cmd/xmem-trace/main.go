@@ -81,7 +81,7 @@ func cmdRecord(args []string) {
 	if *out == "" {
 		fail(fmt.Errorf("record needs -o"))
 	}
-	w, err := findWorkload(*name, *n, *tile, *steps, *scale)
+	w, err := workload.ByName(*name, workload.TiledConfig{N: *n, TileBytes: *tile, Steps: *steps}, *scale)
 	if err != nil {
 		fail(err)
 	}
@@ -96,20 +96,6 @@ func cmdRecord(args []string) {
 	}
 	fmt.Printf("recorded %d events (%d accesses, %d KB footprint) to %s\n",
 		len(t.Events), t.Accesses(), t.FootprintBytes()>>10, *out)
-}
-
-func findWorkload(name string, n int, tile uint64, steps int, scale float64) (workload.Workload, error) {
-	for _, k := range workload.AllKernels() {
-		if k.Name == name {
-			return k.Make(workload.TiledConfig{N: n, TileBytes: tile, Steps: steps}), nil
-		}
-	}
-	for _, s := range workload.Suite27() {
-		if s.Name == name {
-			return workload.Synthetic(s.Scaled(scale)), nil
-		}
-	}
-	return workload.Workload{}, fmt.Errorf("unknown workload %q", name)
 }
 
 func cmdInfo(args []string) {

@@ -252,12 +252,6 @@ func (c *Cache) Name() string { return c.cfg.Name }
 // SizeBytes returns the capacity.
 func (c *Cache) SizeBytes() uint64 { return c.cfg.SizeBytes }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// PolicyName returns the replacement policy name.
-func (c *Cache) PolicyName() string { return c.policy.Name() }
-
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 

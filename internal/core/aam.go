@@ -23,8 +23,8 @@ type aamPage struct {
 	// atoms has one entry per AAM chunk in the page; unmapped chunks hold
 	// InvalidAtom.
 	atoms []AtomID
-	// mapped counts entries != InvalidAtom, so page teardown can skip the
-	// scan and UnmapAll can skip fully-empty pages.
+	// mapped counts entries != InvalidAtom, so page teardown needs no
+	// scan.
 	mapped int
 }
 
@@ -214,64 +214,6 @@ func (m *AAM) Unmap(pa mem.Addr, size uint64, id AtomID) {
 	}
 }
 
-// UnmapAll removes every chunk mapped to atom id and returns the removed
-// physical ranges, coalesced and base-sorted, at chunk granularity. It
-// supports program-phase transitions that retire an atom wholesale.
-//
-// Callers on the AMU path must not invoke this directly: it bypasses ALB
-// invalidation and the mapping broadcast, leaving stale ALB entries that
-// the invariant checker flags as structural violations. Use
-// AMU.ExecUnmapAll, which consumes the returned ranges to invalidate the
-// affected ALB pages and notify listeners.
-func (m *AAM) UnmapAll(id AtomID) []PARange {
-	if m.mappedChunks.Get(id) == 0 {
-		return nil
-	}
-	var runs []PARange
-	appendChunk := func(c uint64) {
-		base := mem.Addr(c << m.granShift)
-		if k := len(runs); k > 0 && runs[k-1].End() == base {
-			runs[k-1].Size += m.granBytes
-		} else {
-			runs = append(runs, PARange{Base: base, Size: m.granBytes})
-		}
-	}
-	sweep := func(pageIdx uint64, p *aamPage) {
-		if p == nil || p.mapped == 0 {
-			return
-		}
-		for slot := uint64(0); slot < m.chunksPerPage; slot++ {
-			if p.atoms[slot] == id {
-				p.atoms[slot] = InvalidAtom
-				p.mapped--
-				appendChunk(pageIdx*m.chunksPerPage + slot)
-			}
-		}
-		m.dropIfEmpty(pageIdx, p)
-	}
-	for pageIdx, p := range m.dir {
-		sweep(uint64(pageIdx), p)
-	}
-	if m.overflow != nil {
-		// Overflow pages are visited in sorted order so the returned runs
-		// are deterministic regardless of map iteration order.
-		keys := make([]uint64, 0, len(m.overflow))
-		for k := range m.overflow {
-			keys = append(keys, k)
-		}
-		for i := 1; i < len(keys); i++ {
-			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-				keys[j], keys[j-1] = keys[j-1], keys[j]
-			}
-		}
-		for _, k := range keys {
-			sweep(k, m.overflow[k])
-		}
-	}
-	*m.mappedChunks.At(id) = 0
-	return runs
-}
-
 func (m *AAM) decMapped(id AtomID) {
 	*m.mappedChunks.At(id)-- //xmem:alloc-ok the atom has a mapped chunk, so its entry exists and At never grows the table here
 }
@@ -314,27 +256,19 @@ func (m *AAM) MappedAtoms() []AtomID {
 // PageAtoms returns the atom ID of each chunk in the page containing pa, in
 // chunk order. A chunk with no atom reports InvalidAtom. This is the unit an
 // ALB entry caches (§4.2: "the data are the Atom IDs in the physical
-// pages"). It allocates a fresh slice per call; the AMU's ALB-miss path
-// instead hands the ALB the page's own array to copy from (see AMU.Lookup),
-// and allocation-sensitive callers should use PageAtomsInto.
+// pages"). It allocates a fresh slice per call and serves the invariant
+// checker; the AMU's ALB-miss path instead hands the ALB the page's own
+// array to copy from (see AMU.Lookup).
 func (m *AAM) PageAtoms(pa mem.Addr) []AtomID {
-	return m.PageAtomsInto(pa, nil)
-}
-
-// PageAtomsInto appends the page's chunk atom IDs to dst (resliced to
-// length 0 first) and returns it, reusing dst's capacity so a caller-owned
-// buffer makes repeated snapshots allocation-free.
-//
-//xmem:allocfree
-func (m *AAM) PageAtomsInto(pa mem.Addr, dst []AtomID) []AtomID {
-	dst = dst[:0]
+	out := make([]AtomID, m.chunksPerPage)
 	if p := m.page(uint64(pa) >> mem.PageShift); p != nil {
-		return append(dst, p.atoms...) //xmem:alloc-ok appends into the caller's buffer, which reaches chunksPerPage capacity on first use and is reused
+		copy(out, p.atoms)
+		return out
 	}
-	for i := uint64(0); i < m.chunksPerPage; i++ {
-		dst = append(dst, InvalidAtom) //xmem:alloc-ok appends into the caller's buffer, which reaches chunksPerPage capacity on first use and is reused
+	for i := range out {
+		out[i] = InvalidAtom
 	}
-	return dst
+	return out
 }
 
 // StorageOverheadBytes returns the memory the AAM would occupy in hardware

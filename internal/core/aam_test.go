@@ -94,20 +94,6 @@ func TestAAMUnmapOnlyNamedAtom(t *testing.T) {
 	}
 }
 
-func TestAAMUnmapAll(t *testing.T) {
-	m := NewAAM(512)
-	m.Map(0x0, 4096, 5)
-	m.Map(0x10000, 4096, 5)
-	m.Map(0x20000, 512, 6)
-	m.UnmapAll(5)
-	if got := m.MappedBytes(5); got != 0 {
-		t.Errorf("atom 5 mapped bytes after UnmapAll = %d, want 0", got)
-	}
-	if id, ok := m.Lookup(0x20000); !ok || id != 6 {
-		t.Errorf("atom 6 disturbed by UnmapAll(5): %d,%v", id, ok)
-	}
-}
-
 func TestAAMMappedAtomsAndWorkingSet(t *testing.T) {
 	m := NewAAM(512)
 	m.Map(0, 8192, 1)
@@ -219,29 +205,9 @@ func TestAAMDirectoryGrowsGeometrically(t *testing.T) {
 	}
 }
 
-// TestAAMPageAtomsInto: the caller-owned buffer is reused across calls, so
-// repeated snapshots are allocation-free.
-func TestAAMPageAtomsInto(t *testing.T) {
-	m := NewAAM(512)
-	m.Map(0x1000, 512, 4)
-	buf := make([]AtomID, 0, mem.PageBytes/512)
-	got := m.PageAtomsInto(0x1000, buf)
-	if &got[0] != &buf[:1][0] {
-		t.Error("PageAtomsInto did not reuse the caller's buffer")
-	}
-	if got[0] != 4 || got[1] != InvalidAtom {
-		t.Fatalf("PageAtomsInto = %v", got)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		buf = m.PageAtomsInto(0x1000, buf)
-	}); allocs != 0 {
-		t.Errorf("PageAtomsInto allocates %.1f per call, want 0", allocs)
-	}
-}
-
 // TestAAMPagedDirectoryAgainstOracle is the paged-layout property test: a
-// randomized stream of overlapping, unaligned, page-spanning Map/Unmap/
-// UnmapAll ops against a plain chunk-map oracle derived from the §4.2 spec
+// randomized stream of overlapping, unaligned, page-spanning Map/Unmap ops
+// against a plain chunk-map oracle derived from the §4.2 spec
 // (a chunk maps to the atom most recently mapped over any byte of it),
 // asserting Lookup, MappedBytes, and PageAtoms agree — across both the
 // dense directory and the overflow region.
@@ -312,17 +278,10 @@ func TestAAMPagedDirectoryAgainstOracle(t *testing.T) {
 			for c := first; c < last; c++ {
 				oracle[c] = id
 			}
-		case op < 9:
+		default:
 			m.Unmap(base, size, id)
 			for c := first; c < last; c++ {
 				if oracle[c] == id {
-					delete(oracle, c)
-				}
-			}
-		default:
-			m.UnmapAll(id)
-			for c, cur := range oracle {
-				if cur == id {
 					delete(oracle, c)
 				}
 			}

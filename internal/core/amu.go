@@ -196,65 +196,25 @@ func (u *AMU) broadcast(ev MapEvent) {
 
 // ExecMap executes ATOM_MAP for a 1D range [va, va+size).
 func (u *AMU) ExecMap(id AtomID, va mem.Addr, size uint64) {
-	u.stats.MapOps++
-	u.execMapDims(id, va, size, 1, 1, size, size, false)
+	u.execMap(id, va, size, 1, 1, size, size, false)
 }
 
 // ExecUnmap executes ATOM_UNMAP for a 1D range.
 func (u *AMU) ExecUnmap(id AtomID, va mem.Addr, size uint64) {
-	u.stats.UnmapOps++
-	u.execMapDims(id, va, size, 1, 1, size, size, true)
+	u.execMap(id, va, size, 1, 1, size, size, true)
 }
 
-// ExecMap2D maps a 2D block of width sizeX and height sizeY rows within a
-// structure whose rows are lenX bytes apart (§4.1.1, AtomMap for 2D data).
-func (u *AMU) ExecMap2D(id AtomID, va mem.Addr, sizeX, sizeY, lenX uint64) {
-	u.stats.MapOps++
-	u.execMapDims(id, va, sizeX, sizeY, 1, lenX, lenX*sizeY, false)
-}
-
-// ExecUnmap2D unmaps a 2D block.
-func (u *AMU) ExecUnmap2D(id AtomID, va mem.Addr, sizeX, sizeY, lenX uint64) {
-	u.stats.UnmapOps++
-	u.execMapDims(id, va, sizeX, sizeY, 1, lenX, lenX*sizeY, true)
-}
-
-// ExecMap3D maps a 3D block: sizeZ planes of sizeY rows of sizeX bytes,
-// with rows lenX bytes apart and planes lenXY bytes apart.
-func (u *AMU) ExecMap3D(id AtomID, va mem.Addr, sizeX, sizeY, sizeZ, lenX, lenXY uint64) {
-	u.stats.MapOps++
-	u.execMapDims(id, va, sizeX, sizeY, sizeZ, lenX, lenXY, false)
-}
-
-// ExecUnmap3D unmaps a 3D block.
-func (u *AMU) ExecUnmap3D(id AtomID, va mem.Addr, sizeX, sizeY, sizeZ, lenX, lenXY uint64) {
-	u.stats.UnmapOps++
-	u.execMapDims(id, va, sizeX, sizeY, sizeZ, lenX, lenXY, true)
-}
-
-// ExecUnmapAll retires atom id wholesale: every chunk still mapped to it is
-// removed from the AAM, every affected ALB page is invalidated, and the
-// removed ranges are broadcast as an unmap event. This is the AMU-path
-// counterpart of AAM.UnmapAll, which on its own would leave stale ALB
-// entries and uninformed listeners.
-func (u *AMU) ExecUnmapAll(id AtomID) {
-	u.stats.UnmapOps++
-	runs := u.aam.UnmapAll(id)
-	var total uint64
-	for _, r := range runs {
-		total += r.Size
-		for pa := mem.PageAddr(r.Base); pa < r.End(); pa += mem.PageBytes {
-			u.alb.InvalidatePage(pa)
-		}
+// execMap executes ATOM_MAP or ATOM_UNMAP over a block of sizeZ planes of
+// sizeY rows of sizeX bytes, with rows lenX and planes lenXY bytes apart
+// (a 1D range is one row, a 2D block one plane). It linearizes the block
+// into coalesced physical runs, applies them to the AAM, invalidates the
+// ALB pages they touch and broadcasts the change (§4.2).
+func (u *AMU) execMap(id AtomID, va mem.Addr, sizeX, sizeY, sizeZ, lenX, lenXY uint64, unmap bool) {
+	if unmap {
+		u.stats.UnmapOps++
+	} else {
+		u.stats.MapOps++
 	}
-	u.broadcast(MapEvent{
-		ID: id, Ranges: runs,
-		SizeX: total, SizeY: 1, SizeZ: 1, LenX: total, LenXY: total,
-		Unmap: true,
-	})
-}
-
-func (u *AMU) execMapDims(id AtomID, va mem.Addr, sizeX, sizeY, sizeZ, lenX, lenXY uint64, unmap bool) {
 	var runs []PARange
 	for z := uint64(0); z < sizeZ; z++ {
 		for y := uint64(0); y < sizeY; y++ {

@@ -115,7 +115,7 @@ func TestAMUMap2DLinearization(t *testing.T) {
 	rec := &recorder{}
 	u.Subscribe(rec)
 	// 2 rows of 512 bytes in a structure with 4096-byte rows.
-	u.ExecMap2D(7, 0x100000, 512, 2, 4096)
+	u.execMap(7, 0x100000, 512, 2, 1, 4096, 8192, false)
 
 	if len(rec.maps) != 1 {
 		t.Fatalf("broadcasts = %d, want 1", len(rec.maps))
@@ -144,7 +144,7 @@ func TestAMUMap2DLinearization(t *testing.T) {
 func TestAMUMap3D(t *testing.T) {
 	u := newTestAMU()
 	// 2 planes x 2 rows x 512 bytes; rows 2048 apart, planes 8192 apart.
-	u.ExecMap3D(1, 0x200000, 512, 2, 2, 2048, 8192)
+	u.execMap(1, 0x200000, 512, 2, 2, 2048, 8192, false)
 	u.ExecActivate(1)
 	for _, pa := range []mem.Addr{0x200000, 0x200800, 0x202000, 0x202800} {
 		if id, ok := u.Lookup(pa); !ok || id != 1 {
@@ -161,7 +161,7 @@ func TestAMUContiguousRunsCoalesce(t *testing.T) {
 	rec := &recorder{}
 	u.Subscribe(rec)
 	// Rows that tile contiguously must produce one coalesced range.
-	u.ExecMap2D(2, 0x300000, 1024, 4, 1024)
+	u.execMap(2, 0x300000, 1024, 4, 1, 1024, 4096, false)
 	want := []PARange{{Base: 0x300000, Size: 4096}}
 	if !reflect.DeepEqual(rec.maps[0].Ranges, want) {
 		t.Fatalf("ranges = %+v, want %+v", rec.maps[0].Ranges, want)
@@ -207,82 +207,6 @@ func TestAMUActiveMappedAtoms(t *testing.T) {
 	want := []AtomID{2, 3}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ActiveMappedAtoms = %v, want %v", got, want)
-	}
-}
-
-func TestAMUExecUnmapAll(t *testing.T) {
-	u := newTestAMU()
-	rec := &recorder{}
-	u.Subscribe(rec)
-	// Atoms are created through a Lib so the structural audit at the end
-	// (which cross-checks the AST and AAM against the created set) applies.
-	lib := NewLib(u)
-	lib.CreateAtom("unused", Attributes{})   // id 0
-	lib.CreateAtom("retired", Attributes{})  // id 1
-	lib.CreateAtom("survivor", Attributes{}) // id 2
-	u.ExecMap(1, 0x1000, 2*mem.PageBytes)    // pages 1,2
-	u.ExecMap(1, 0x10000, 512)               // page 16
-	u.ExecMap(2, 0x20000, 512)               // page 32, different atom
-	u.ExecActivate(1)
-	u.ExecActivate(2)
-	// Warm the ALB on every page atom 1 touches.
-	u.Lookup(0x1000)
-	u.Lookup(0x2000)
-	u.Lookup(0x10000)
-	u.Lookup(0x20000)
-
-	preUnmaps := u.Stats().UnmapOps
-	u.ExecUnmapAll(1)
-	if got := u.Stats().UnmapOps; got != preUnmaps+1 {
-		t.Errorf("UnmapOps = %d, want %d", got, preUnmaps+1)
-	}
-	// Every chunk of atom 1 is gone; atom 2 is untouched.
-	for _, pa := range []mem.Addr{0x1000, 0x2000, 0x10000} {
-		if id, ok := u.Lookup(pa); ok {
-			t.Errorf("Lookup(%#x) = %d after ExecUnmapAll(1)", pa, id)
-		}
-	}
-	if id, ok := u.Lookup(0x20000); !ok || id != 2 {
-		t.Errorf("atom 2 disturbed: %d,%v", id, ok)
-	}
-	if got := u.AAM().MappedBytes(1); got != 0 {
-		t.Errorf("atom 1 still has %d bytes mapped", got)
-	}
-	// The retirement was broadcast as one unmap event carrying the
-	// coalesced ranges.
-	last := rec.maps[len(rec.maps)-1]
-	if !last.Unmap || last.ID != 1 {
-		t.Fatalf("last broadcast = %+v, want unmap of atom 1", last)
-	}
-	want := []PARange{{Base: 0x1000, Size: 2 * mem.PageBytes}, {Base: 0x10000, Size: 512}}
-	if !reflect.DeepEqual(last.Ranges, want) {
-		t.Errorf("broadcast ranges = %+v, want %+v", last.Ranges, want)
-	}
-	// The ALB holds no stale entry: the invariant checker's structural
-	// audit passes.
-	if err := NewInvariantChecker().CheckAll(lib); err != nil {
-		t.Errorf("structural audit after ExecUnmapAll: %v", err)
-	}
-}
-
-// TestAMURawUnmapAllBypassCaught is the guard for the footgun ExecUnmapAll
-// exists to prevent: calling AAM.UnmapAll directly on an AMU-attached AAM
-// leaves stale ALB entries (no invalidation, no broadcast), and the
-// invariant checker must flag exactly that.
-func TestAMURawUnmapAllBypassCaught(t *testing.T) {
-	u := newTestAMU()
-	lib := NewLib(u)
-	id := lib.CreateAtom("guard.atom", Attributes{})
-	lib.AtomMap(id, 0x1000, mem.PageBytes)
-	lib.AtomActivate(id)
-	u.Lookup(0x1000) // ALB now caches page 1 with the atom resident
-
-	if err := NewInvariantChecker().CheckAll(lib); err != nil {
-		t.Fatalf("precondition: consistent state flagged: %v", err)
-	}
-	u.AAM().UnmapAll(id) // the bypass: AAM changes under a warm ALB
-	if err := NewInvariantChecker().CheckAll(lib); err == nil {
-		t.Fatal("raw AAM.UnmapAll left a stale ALB entry but the structural audit passed")
 	}
 }
 

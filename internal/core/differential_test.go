@@ -119,7 +119,6 @@ func TestDifferentialALB(t *testing.T) {
 func assertAAMEqual(t *testing.T, m *AAM, ref *refAAM, pages []uint64) {
 	t.Helper()
 	chunksPerPage := uint64(mem.PageBytes) / m.granBytes
-	var buf []AtomID
 	for _, page := range pages {
 		base := mem.Addr(page << mem.PageShift)
 		for c := uint64(0); c < chunksPerPage; c++ {
@@ -130,9 +129,8 @@ func assertAAMEqual(t *testing.T, m *AAM, ref *refAAM, pages []uint64) {
 				t.Fatalf("Lookup(%#x) = %d,%v != ref %d,%v", pa, id1, ok1, id2, ok2)
 			}
 		}
-		buf = m.PageAtomsInto(base, buf)
-		if want := ref.PageAtoms(base); !reflect.DeepEqual(buf, want) {
-			t.Fatalf("PageAtoms(%#x) = %v != ref %v", base, buf, want)
+		if got, want := m.PageAtoms(base), ref.PageAtoms(base); !reflect.DeepEqual(got, want) {
+			t.Fatalf("PageAtoms(%#x) = %v != ref %v", base, got, want)
 		}
 	}
 	for id := AtomID(0); id < 8; id++ {
@@ -142,8 +140,7 @@ func assertAAMEqual(t *testing.T, m *AAM, ref *refAAM, pages []uint64) {
 	}
 }
 
-// TestDifferentialAAM drives unaligned, overlapping Map/Unmap/UnmapAll
-// streams through the paged directory and the hash-map reference.
+// TestDifferentialAAM drives unaligned, overlapping Map/Unmap streams through the paged directory and the hash-map reference.
 func TestDifferentialAAM(t *testing.T) {
 	pages := diffPages()
 	for seed := int64(1); seed <= 4; seed++ {
@@ -158,15 +155,9 @@ func TestDifferentialAAM(t *testing.T) {
 			case op < 6:
 				m.Map(pa, size, id)
 				ref.Map(pa, size, id)
-			case op < 9:
+			default:
 				m.Unmap(pa, size, id)
 				ref.Unmap(pa, size, id)
-			default:
-				runs := m.UnmapAll(id)
-				if want := ref.UnmapAll(id); !reflect.DeepEqual(runs, want) {
-					t.Fatalf("seed %d step %d: UnmapAll(%d) runs %v != ref %v",
-						seed, step, id, runs, want)
-				}
 			}
 			if step%50 == 0 {
 				assertAAMEqual(t, m, ref, pages)
@@ -177,8 +168,8 @@ func TestDifferentialAAM(t *testing.T) {
 }
 
 // amuOp is one step of an AMU differential stream. kind follows the
-// stream's mix: map below 3, unmap below 5, unmap-all 5, activate below 8,
-// deactivate 8, lookup below 19, ALB flush 19; any other kind only checks.
+// stream's mix: map below 3, unmap below 6, activate below 8, deactivate 8,
+// lookup below 19, ALB flush 19; any other kind only checks.
 type amuOp struct {
 	kind int
 	id   AtomID
@@ -196,12 +187,9 @@ func diffAMUStep(t *testing.T, step int, u *AMU, ref *refAMU, op amuOp, ids []At
 	case op.kind < 3:
 		u.ExecMap(op.id, op.pa, op.size)
 		ref.ExecMap(op.id, op.pa, op.size)
-	case op.kind < 5:
+	case op.kind < 6:
 		u.ExecUnmap(op.id, op.pa, op.size)
 		ref.ExecUnmap(op.id, op.pa, op.size)
-	case op.kind < 6:
-		u.ExecUnmapAll(op.id)
-		ref.ExecUnmapAll(op.id)
 	case op.kind < 8:
 		u.ExecActivate(op.id)
 		ref.ExecActivate(op.id)
@@ -236,8 +224,8 @@ func diffAMUStep(t *testing.T, step int, u *AMU, ref *refAMU, op amuOp, ids []At
 }
 
 // TestDifferentialAMU is the end-to-end stream: interleaved ISA ops,
-// lookups, wholesale unmaps, and ALB flushes through the full shipped AMU
-// and the reference AMU, compared after every op by diffAMUStep.
+// lookups and ALB flushes through the full shipped AMU and the reference
+// AMU, compared after every op by diffAMUStep.
 func TestDifferentialAMU(t *testing.T) {
 	pages := diffPages()
 	ids := []AtomID{0, 1, 2, 3, 4, 5, 6, 7}

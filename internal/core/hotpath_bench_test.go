@@ -197,14 +197,3 @@ func BenchmarkHotALBFillEvict(b *testing.B) {
 		alb.Fill(mem.Addr(i%8)*mem.PageBytes, atoms)
 	}
 }
-
-func BenchmarkHotPageAtomsInto(b *testing.B) {
-	u := hotAMU(4, 8)
-	m := u.AAM()
-	buf := make([]AtomID, 0, m.ChunksPerPage())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = m.PageAtomsInto(mem.Addr(i%4)*mem.PageBytes, buf)
-	}
-}

@@ -163,7 +163,8 @@ func TestInvariantStructuralDetectsCorruption(t *testing.T) {
 		id := l.CreateAtom("a", Attributes{})
 		l.AtomMap(id, 0, mem.PageBytes)
 		l.amu.Lookup(0) // populate the ALB
-		l.amu.aam.UnmapAll(id)
+		// A raw AAM unmap bypasses the AMU's ALB invalidation.
+		l.amu.aam.Unmap(0, mem.PageBytes, id)
 		if err := c.CheckAll(l); err == nil {
 			t.Fatal("stale ALB entry not detected")
 		}

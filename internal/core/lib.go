@@ -176,102 +176,57 @@ func (l *Lib) valid(id AtomID, op string) bool {
 	return false
 }
 
-// preMappedBytes snapshots the atom's mapped size before an op executes,
-// feeding the invariant checker's unmap audit. Free when auditing is off.
-func (l *Lib) preMappedBytes(id AtomID) uint64 {
-	if l.checker == nil || l.amu == nil {
-		return 0
+// mapOp is the one body of the six Table 2 MAP/UNMAP calls: a 1D range is
+// one row of a 2D block, and a 2D block one plane of a 3D block. An unmap
+// snapshots the atom's mapped bytes first, only under the checker, so the
+// audit can tell a no-op unmap from one that removed the last mapping.
+func (l *Lib) mapOp(op string, id AtomID, start mem.Addr, sizeX, sizeY, sizeZ, lenX, lenXY uint64, unmap bool) {
+	if !l.valid(id, op) {
+		return
 	}
-	return l.amu.AAM().MappedBytes(id)
+	l.countOp(mapOpInstructions)
+	var pre uint64
+	if unmap && l.checker != nil && l.amu != nil {
+		pre = l.amu.AAM().MappedBytes(id)
+	}
+	if l.amu != nil {
+		l.amu.execMap(id, start, sizeX, sizeY, sizeZ, lenX, lenXY, unmap)
+	}
+	if l.checker != nil {
+		l.checker.auditMap(l, op, id, sizeX, sizeY, sizeZ, lenX, lenXY, unmap, pre)
+	}
 }
 
 // AtomMap maps [start, start+size) to the atom (Table 2: MAP, 1D).
 func (l *Lib) AtomMap(id AtomID, start mem.Addr, size uint64) {
-	if !l.valid(id, "AtomMap") {
-		return
-	}
-	l.countOp(mapOpInstructions)
-	if l.amu != nil {
-		l.amu.ExecMap(id, start, size)
-	}
-	if l.checker != nil {
-		l.checker.auditMap(l, "AtomMap", id, size, 1, 1, size, size, false, 0)
-	}
+	l.mapOp("AtomMap", id, start, size, 1, 1, size, size, false)
 }
 
 // AtomUnmap removes the atom's mapping over [start, start+size).
 func (l *Lib) AtomUnmap(id AtomID, start mem.Addr, size uint64) {
-	if !l.valid(id, "AtomUnmap") {
-		return
-	}
-	l.countOp(mapOpInstructions)
-	pre := l.preMappedBytes(id)
-	if l.amu != nil {
-		l.amu.ExecUnmap(id, start, size)
-	}
-	if l.checker != nil {
-		l.checker.auditMap(l, "AtomUnmap", id, size, 1, 1, size, size, true, pre)
-	}
+	l.mapOp("AtomUnmap", id, start, size, 1, 1, size, size, true)
 }
 
 // AtomMap2D maps a 2D block of width sizeX bytes and sizeY rows, in a
 // structure whose row length is lenX bytes (Table 2: MAP, 2D).
 func (l *Lib) AtomMap2D(id AtomID, start mem.Addr, sizeX, sizeY, lenX uint64) {
-	if !l.valid(id, "AtomMap2D") {
-		return
-	}
-	l.countOp(mapOpInstructions)
-	if l.amu != nil {
-		l.amu.ExecMap2D(id, start, sizeX, sizeY, lenX)
-	}
-	if l.checker != nil {
-		l.checker.auditMap(l, "AtomMap2D", id, sizeX, sizeY, 1, lenX, lenX*sizeY, false, 0)
-	}
+	l.mapOp("AtomMap2D", id, start, sizeX, sizeY, 1, lenX, lenX*sizeY, false)
 }
 
 // AtomUnmap2D removes a 2D block mapping.
 func (l *Lib) AtomUnmap2D(id AtomID, start mem.Addr, sizeX, sizeY, lenX uint64) {
-	if !l.valid(id, "AtomUnmap2D") {
-		return
-	}
-	l.countOp(mapOpInstructions)
-	pre := l.preMappedBytes(id)
-	if l.amu != nil {
-		l.amu.ExecUnmap2D(id, start, sizeX, sizeY, lenX)
-	}
-	if l.checker != nil {
-		l.checker.auditMap(l, "AtomUnmap2D", id, sizeX, sizeY, 1, lenX, lenX*sizeY, true, pre)
-	}
+	l.mapOp("AtomUnmap2D", id, start, sizeX, sizeY, 1, lenX, lenX*sizeY, true)
 }
 
 // AtomMap3D maps a 3D block: sizeZ planes of sizeY rows of sizeX bytes,
 // with row pitch lenX and plane pitch lenXY (Table 2: MAP, 3D).
 func (l *Lib) AtomMap3D(id AtomID, start mem.Addr, sizeX, sizeY, sizeZ, lenX, lenXY uint64) {
-	if !l.valid(id, "AtomMap3D") {
-		return
-	}
-	l.countOp(mapOpInstructions)
-	if l.amu != nil {
-		l.amu.ExecMap3D(id, start, sizeX, sizeY, sizeZ, lenX, lenXY)
-	}
-	if l.checker != nil {
-		l.checker.auditMap(l, "AtomMap3D", id, sizeX, sizeY, sizeZ, lenX, lenXY, false, 0)
-	}
+	l.mapOp("AtomMap3D", id, start, sizeX, sizeY, sizeZ, lenX, lenXY, false)
 }
 
 // AtomUnmap3D removes a 3D block mapping.
 func (l *Lib) AtomUnmap3D(id AtomID, start mem.Addr, sizeX, sizeY, sizeZ, lenX, lenXY uint64) {
-	if !l.valid(id, "AtomUnmap3D") {
-		return
-	}
-	l.countOp(mapOpInstructions)
-	pre := l.preMappedBytes(id)
-	if l.amu != nil {
-		l.amu.ExecUnmap3D(id, start, sizeX, sizeY, sizeZ, lenX, lenXY)
-	}
-	if l.checker != nil {
-		l.checker.auditMap(l, "AtomUnmap3D", id, sizeX, sizeY, sizeZ, lenX, lenXY, true, pre)
-	}
+	l.mapOp("AtomUnmap3D", id, start, sizeX, sizeY, sizeZ, lenX, lenXY, true)
 }
 
 // AtomActivate validates the atom's attributes for all data it is mapped to

@@ -71,30 +71,6 @@ func (m *refAAM) Unmap(pa mem.Addr, size uint64, id AtomID) {
 	}
 }
 
-// UnmapAll mirrors AAM.UnmapAll, including the returned chunk-granularity
-// runs (derived here by sorting the removed chunk indexes).
-func (m *refAAM) UnmapAll(id AtomID) []PARange {
-	var removed []uint64
-	for c, cur := range m.chunks {
-		if cur == id {
-			delete(m.chunks, c)
-			removed = append(removed, c)
-		}
-	}
-	delete(m.mappedChunks, id)
-	sort.Slice(removed, func(i, j int) bool { return removed[i] < removed[j] })
-	var runs []PARange
-	for _, c := range removed {
-		base := mem.Addr(c << m.granShift)
-		if k := len(runs); k > 0 && runs[k-1].End() == base {
-			runs[k-1].Size += m.granBytes
-		} else {
-			runs = append(runs, PARange{Base: base, Size: m.granBytes})
-		}
-	}
-	return runs
-}
-
 func (m *refAAM) decMapped(id AtomID) {
 	if n := m.mappedChunks[id]; n <= 1 {
 		delete(m.mappedChunks, id)
@@ -304,17 +280,6 @@ func (u *refAMU) ExecMap(id AtomID, pa mem.Addr, size uint64) {
 func (u *refAMU) ExecUnmap(id AtomID, pa mem.Addr, size uint64) {
 	u.stats.UnmapOps++
 	u.applyRuns(id, []PARange{{Base: pa, Size: size}}, true)
-}
-
-func (u *refAMU) ExecUnmapAll(id AtomID) []PARange {
-	u.stats.UnmapOps++
-	runs := u.aam.UnmapAll(id)
-	for _, r := range runs {
-		for pa := mem.PageAddr(r.Base); pa < r.End(); pa += mem.PageBytes {
-			u.alb.InvalidatePage(pa)
-		}
-	}
-	return runs
 }
 
 func (u *refAMU) ExecActivate(id AtomID) {

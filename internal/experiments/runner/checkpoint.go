@@ -55,10 +55,14 @@ func sanitizeFile(s string) string {
 
 // openCheckpoint prepares the sweep's checkpoint per the options: nil when
 // checkpointing is off, otherwise a checkpoint preloaded with resumable
-// records when Resume is set and a prior file exists.
+// records when Resume is set and a prior file exists. It creates the
+// checkpoint directory, so a bad path fails before any point runs.
 func openCheckpoint(sweep string, opt Options) (*checkpoint, error) {
 	if opt.CheckpointDir == "" {
 		return nil, nil
+	}
+	if err := os.MkdirAll(opt.CheckpointDir, 0o755); err != nil {
+		return nil, fmt.Errorf("runner: checkpoint directory: %w", err)
 	}
 	ck := &checkpoint{
 		path: CheckpointPath(opt.CheckpointDir, sweep),

@@ -233,6 +233,37 @@ func TestCheckpointSweepMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckpointDirectory: Run creates a missing checkpoint directory, and
+// a path it cannot create fails before any point runs.
+func TestCheckpointDirectory(t *testing.T) {
+	t.Run("created", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "a", "b")
+		if _, err := Run("ckpt", squarePoints(2), Options{Parallel: 1, CheckpointDir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(CheckpointPath(dir, "ckpt")); err != nil {
+			t.Fatalf("checkpoint file missing: %v", err)
+		}
+	})
+	t.Run("under-a-file", func(t *testing.T) {
+		file := filepath.Join(t.TempDir(), "afile")
+		if err := os.WriteFile(file, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		pts := squarePoints(2)
+		var calls atomic.Int64
+		for i := range pts {
+			pts[i].Run = func(*Ctx) (int, error) { calls.Add(1); return 0, nil }
+		}
+		if _, err := Run("ckpt", pts, Options{Parallel: 1, CheckpointDir: filepath.Join(file, "ck")}); err == nil {
+			t.Error("a checkpoint directory under a regular file was accepted")
+		}
+		if n := calls.Load(); n != 0 {
+			t.Errorf("%d points ran before the checkpoint error", n)
+		}
+	})
+}
+
 func TestDuplicateKeysRejected(t *testing.T) {
 	pts := squarePoints(3)
 	pts[2].Key = pts[0].Key

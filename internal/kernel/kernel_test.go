@@ -234,15 +234,6 @@ func TestAddressSpaceRegions(t *testing.T) {
 	if vaA == vaB {
 		t.Fatal("overlapping regions")
 	}
-	if atom, ok := as.RegionAtom(vaB + 100); !ok || atom != 2 {
-		t.Errorf("RegionAtom(B) = %d,%v", atom, ok)
-	}
-	if _, ok := as.RegionAtom(0x10); ok {
-		t.Error("unallocated VA has an atom")
-	}
-	if len(as.Regions()) != 2 {
-		t.Errorf("regions = %d", len(as.Regions()))
-	}
 }
 
 func TestAddressSpaceMallocErrors(t *testing.T) {

@@ -14,17 +14,6 @@ type PlacementPolicy interface {
 	PreferredBanks(atom core.AtomID) []int
 }
 
-// Region records one allocation.
-type Region struct {
-	Name string
-	Base mem.Addr
-	Size uint64
-	Atom core.AtomID
-}
-
-// End returns the first address past the region.
-func (r Region) End() mem.Addr { return r.Base + mem.Addr(r.Size) }
-
 // AddressSpace is a process' virtual memory: a page table over a frame
 // allocator, plus the allocator-level atom knowledge of §4.1.2 (malloc takes
 // an Atom ID, so the OS can place data-structure pages deliberately before
@@ -34,11 +23,10 @@ type AddressSpace struct {
 	// vaBase's. VAs are handed out in increasing order and never unmapped,
 	// so it only grows. An entry holds the frame base plus one, so that 0
 	// marks an unmapped page (a guard page) while frame 0 stays mappable.
-	pages   []mem.Addr
-	nextVA  mem.Addr
-	alloc   FrameAllocator
-	policy  PlacementPolicy
-	regions []Region
+	pages  []mem.Addr
+	nextVA mem.Addr
+	alloc  FrameAllocator
+	policy PlacementPolicy
 }
 
 // vaBase leaves the null page (and then some) unmapped.
@@ -92,26 +80,7 @@ func (as *AddressSpace) Malloc(name string, size uint64, atom core.AtomID) (mem.
 	// A guard page follows the region.
 	as.pages = append(as.pages, 0)
 	as.nextVA = base + mem.Addr(npages+1)*mem.PageBytes
-	as.regions = append(as.regions, Region{Name: name, Base: base, Size: size, Atom: atom})
 	return base, nil
-}
-
-// Regions returns the allocations in order.
-func (as *AddressSpace) Regions() []Region {
-	out := make([]Region, len(as.regions))
-	copy(out, as.regions)
-	return out
-}
-
-// RegionAtom returns the atom of the region containing va — the OS-side
-// static VA-to-atom mapping exposed by the allocator interface (§4.1.2).
-func (as *AddressSpace) RegionAtom(va mem.Addr) (core.AtomID, bool) {
-	for _, r := range as.regions {
-		if va >= r.Base && va < r.End() {
-			return r.Atom, true
-		}
-	}
-	return core.InvalidAtom, false
 }
 
 // MappedPages returns the number of mapped virtual pages.

@@ -69,20 +69,5 @@ func (k AccessKind) String() string {
 // (as opposed to a prefetcher or a writeback).
 func (k AccessKind) IsDemand() bool { return k == Read || k == Write }
 
-// Request is a memory request at cache-line granularity travelling through
-// the hierarchy. Cycle values are in CPU cycles.
-type Request struct {
-	// Addr is the physical line-aligned address.
-	Addr Addr
-	// Kind is the operation.
-	Kind AccessKind
-	// Issue is the CPU cycle at which the request entered the component
-	// currently holding it.
-	Issue uint64
-	// PC identifies the issuing instruction; prefetchers key stride
-	// detection on it.
-	PC Addr
-}
-
 // Cycles is a duration in CPU cycles.
 type Cycles = uint64

@@ -21,7 +21,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -118,9 +117,6 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int { return len(r.entries) }
-
 // Snapshot reads every source, in registration order.
 func (r *Registry) Snapshot() []float64 {
 	out := make([]float64, len(r.entries))
@@ -131,21 +127,6 @@ func (r *Registry) Snapshot() []float64 {
 			out[i] = e.gau()
 		}
 	}
-	return out
-}
-
-// Groups returns the distinct first segments of the registered names,
-// sorted — the trace exporter gives each group its own track.
-func (r *Registry) Groups() []string {
-	seen := map[string]bool{}
-	for _, e := range r.entries {
-		seen[group(e.name)] = true
-	}
-	out := make([]string, 0, len(seen))
-	for g := range seen {
-		out = append(out, g)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -23,9 +23,6 @@ func TestRegistrySnapshot(t *testing.T) {
 	if got := r.Snapshot(); !reflect.DeepEqual(got, []float64{42, 0.25}) {
 		t.Fatalf("Snapshot() after update = %v", got)
 	}
-	if got := r.Groups(); !reflect.DeepEqual(got, []string{"cache", "dram"}) {
-		t.Fatalf("Groups() = %v", got)
-	}
 }
 
 func TestRegistryDoubleRegisterPanics(t *testing.T) {

@@ -61,15 +61,6 @@ type Config struct {
 	XMemDegree int
 	// AMU sizes the Atom Management Unit structures.
 	AMU xm.AMUConfig
-	// StripAtomAttrs zeroes the Attributes of every atom the workload
-	// declares, keeping IDs, names, and mappings intact. The run then
-	// models the *unannotated* binary attrinfer starts from: the machine
-	// sees the same atoms with no expressed semantics, so XMem-guided
-	// policies fall back to neutral behaviour. InferSmoke compares such a
-	// run against the declared one to validate inferred annotations.
-	// (Runtime CreateAtom calls reusing a declared site keep the stripped
-	// attributes — repeat-site attributes are ignored by core.Lib.)
-	StripAtomAttrs bool
 	// CheckInvariants attaches a core.InvariantChecker to each core's
 	// XMemLib: every operation cross-validates the AAM/AST/ALB/GAT and
 	// audits the Atom lifecycle contract. Structural divergence and

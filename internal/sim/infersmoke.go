@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	xm "xmem/internal/core"
 	"xmem/internal/workload"
 )
 
@@ -61,10 +62,8 @@ func (r InferSmokeResult) String() string {
 // and returns the comparison. cfg should enable the XMem-guided policies
 // (XMemCache, AllocXMemPlacement) or the attributes cannot matter.
 func InferSmoke(cfg Config, w workload.Workload) (InferSmokeResult, error) {
-	sample := func(strip bool) (InferSample, error) {
-		c := cfg
-		c.StripAtomAttrs = strip
-		r, err := Run(c, w)
+	sample := func(w workload.Workload) (InferSample, error) {
+		r, err := Run(cfg, w)
 		if err != nil {
 			return InferSample{}, err
 		}
@@ -80,11 +79,32 @@ func InferSmoke(cfg Config, w workload.Workload) (InferSmokeResult, error) {
 	}
 	out := InferSmokeResult{Workload: w.Name}
 	var err error
-	if out.Stripped, err = sample(true); err != nil {
+	if out.Stripped, err = sample(unannotated(w)); err != nil {
 		return out, err
 	}
-	if out.Declared, err = sample(false); err != nil {
+	if out.Declared, err = sample(w); err != nil {
 		return out, err
 	}
 	return out, nil
+}
+
+// unannotated models the binary attrinfer starts from: a copy of w whose
+// Declare re-creates every declared site, in ID order, with zero
+// Attributes. The machine sees the same atom IDs and names with no
+// expressed semantics, so XMem-guided policies fall back to neutral
+// behaviour. Run's CreateAtom calls still pass the declared attributes,
+// which core.Lib ignores on a repeat site.
+func unannotated(w workload.Workload) workload.Workload {
+	declare := w.Declare
+	if declare == nil {
+		return w
+	}
+	w.Declare = func(lib *xm.Lib) {
+		decl := xm.NewLib(nil)
+		declare(decl)
+		for _, a := range decl.Atoms() {
+			lib.CreateAtom(a.Name, xm.Attributes{})
+		}
+	}
+	return w
 }

@@ -17,14 +17,9 @@ func smokeConfig() Config {
 }
 
 func TestInferSmokeGemm(t *testing.T) {
-	var w workload.Workload
-	for _, k := range workload.AllKernels() {
-		if k.Name == "gemm" {
-			w = k.Make(workload.TiledConfig{N: 64, TileBytes: 8 << 10})
-		}
-	}
-	if w.Run == nil {
-		t.Fatal("gemm kernel not found")
+	w, err := workload.ByName("gemm", workload.TiledConfig{N: 64, TileBytes: 8 << 10}, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	r, err := InferSmoke(smokeConfig(), w)
 	if err != nil {
@@ -42,14 +37,12 @@ func TestInferSmokeGemm(t *testing.T) {
 // binary, so two stripped runs must agree exactly — the comparison in
 // InferSmoke is meaningless otherwise.
 func TestStripAtomAttrsDeterministic(t *testing.T) {
-	var w workload.Workload
-	for _, k := range workload.AllKernels() {
-		if k.Name == "gemm" {
-			w = k.Make(workload.TiledConfig{N: 48, TileBytes: 8 << 10})
-		}
+	w, err := workload.ByName("gemm", workload.TiledConfig{N: 48, TileBytes: 8 << 10}, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	w = unannotated(w)
 	cfg := smokeConfig()
-	cfg.StripAtomAttrs = true
 	a, err := Run(cfg, w)
 	if err != nil {
 		t.Fatal(err)

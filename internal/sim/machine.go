@@ -96,10 +96,10 @@ type Machine struct {
 	// Observability state (nil unless Config.Metrics; the hot path checks
 	// only `sampler != nil` — with Config.OnEpoch but no Metrics, sampler
 	// is a registry-less boundary ticker and reg stays nil). pageAtoms is
-	// the OS-side PA-page→atom index built at Malloc time for attribution
-	// fallback. lat carries the latency histograms (with Metrics); spans
-	// the causal tracer (with Config.SpanSample). The probe (probe.go)
-	// feeds attrib, lat and spans.
+	// the OS-side PA-page→atom index built at Malloc time (with Metrics or
+	// spans on) as resolveAtom's fallback. lat carries the latency
+	// histograms (with Metrics); spans the causal tracer (with
+	// Config.SpanSample). The probe (probe.go) feeds attrib, lat and spans.
 	reg       *obs.Registry
 	sampler   *obs.Sampler
 	attrib    *obs.AtomTable
@@ -151,14 +151,6 @@ func declareAtoms(w workload.Workload) ([]xm.Atom, error) {
 		return nil, fmt.Errorf("sim: atom segment: %w", err)
 	}
 	return atoms, nil
-}
-
-// stripAtomAttrs models the unannotated binary (Config.StripAtomAttrs):
-// every atom keeps its identity but loses its expressed semantics.
-func stripAtomAttrs(atoms []xm.Atom) {
-	for i := range atoms {
-		atoms[i].Attrs = xm.Attributes{}
-	}
 }
 
 // buildMachine assembles core i's private hierarchy over the machine's
@@ -368,7 +360,7 @@ func (m *Machine) Malloc(name string, size uint64, atom xm.AtomID) mem.Addr {
 	if err != nil {
 		panic(fmt.Sprintf("sim: %v", err))
 	}
-	if m.attrib != nil {
+	if m.attrib != nil || m.spans != nil {
 		m.recordRegionAtoms(va, size, atom)
 	}
 	return va

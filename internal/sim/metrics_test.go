@@ -85,13 +85,10 @@ func TestMetricsAttributionCoverageGemm(t *testing.T) {
 	// system, at least 90% of L3 demand misses attribute to a named atom.
 	cfg := metricsConfig()
 	cfg.XMemCache = true
-	k := workload.AllKernels()[0]
-	for _, c := range workload.AllKernels() {
-		if strings.HasPrefix(c.Name, "gemm") {
-			k = c
-		}
+	w, err := workload.ByName("gemm", workload.TiledConfig{N: 128, TileBytes: 64 << 10}, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	w := k.Make(workload.TiledConfig{N: 128, TileBytes: 64 << 10})
 	rows := MustRun(cfg, w).Metrics.PerAtom
 	if len(rows) == 0 {
 		t.Fatal("no per-atom rows")

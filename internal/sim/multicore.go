@@ -145,9 +145,6 @@ func RunMulti(cfg MultiConfig, ws []workload.Workload) (MultiResult, error) {
 		if err != nil {
 			return MultiResult{}, err
 		}
-		if cfg.Core.StripAtomAttrs {
-			stripAtomAttrs(atoms)
-		}
 		policy, err := placement(&cfg, atoms, i)
 		if err != nil {
 			return MultiResult{}, err

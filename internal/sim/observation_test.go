@@ -40,7 +40,7 @@ func TestObservationGolden(t *testing.T) {
 	thrash.EpochCycles = 50_000
 	thrash.SpanSample = 50
 	res := MustRun(thrash, gemmThrash())
-	if got, want := observationDigest(t, res), "0ca02950977bffd4"; got != want {
+	if got, want := observationDigest(t, res), "e10e064951267df6"; got != want {
 		t.Errorf("thrash: digest %s, want %s", got, want)
 	}
 

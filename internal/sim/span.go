@@ -40,7 +40,9 @@ type pendingSpan struct {
 // spanBegin opens the sampled span at the true issue cycle (inside the
 // IssueMem closure, after any ROB/LSQ stall): the AMU resolution stage is
 // recorded stats-neutrally (ALB.Covers + AMU.Peek touch no modeled
-// counters) and the span registers for DRAM-stage matching.
+// counters) and the span registers for DRAM-stage matching. The span's atom
+// comes from resolveAtom, as in per-atom attribution; the amu stage keeps
+// the AMU's own outcome.
 //
 //xmem:statsneutral
 func (m *Machine) spanBegin(kind mem.AccessKind, pa, pc mem.Addr, at uint64) {
@@ -57,10 +59,10 @@ func (m *Machine) spanBegin(kind mem.AccessKind, pa, pc mem.Addr, at uint64) {
 		reason = span.ReasonALBHit
 	}
 	outcome := "no-atom"
-	if id, ok := m.amu.Peek(pa); ok {
-		sp.Atom = id
+	if _, ok := m.amu.Peek(pa); ok {
 		outcome = "atom"
 	}
+	sp.Atom = m.resolveAtom(pa)
 	sp.AddStage("amu", outcome, reason, at, at)
 	ss.cur = sp
 	ss.curLine = mem.LineIndex(pa)

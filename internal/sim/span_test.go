@@ -22,13 +22,11 @@ func thrashConfig() Config {
 }
 
 func gemmThrash() workload.Workload {
-	k := workload.AllKernels()[0]
-	for _, c := range workload.AllKernels() {
-		if strings.HasPrefix(c.Name, "gemm") {
-			k = c
-		}
+	w, err := workload.ByName("gemm", workload.TiledConfig{N: 96, TileBytes: 256 << 10}, 1)
+	if err != nil {
+		panic(err)
 	}
-	return k.Make(workload.TiledConfig{N: 96, TileBytes: 256 << 10})
+	return w
 }
 
 func TestSpansDisabledByDefault(t *testing.T) {
@@ -124,6 +122,24 @@ func TestSpanTraceGemmThrash(t *testing.T) {
 	for _, want := range []string{"gemm.tile", span.ReasonPinnedByReuse} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestSpanAtomsFollowAttribution: a span names its access's atom the way
+// per-atom attribution does, falling back to the atom Malloc tagged when no
+// active mapping covers the address. gemm maps only its tile atom, so spans
+// over A and C are named only through the fallback.
+func TestSpanAtomsFollowAttribution(t *testing.T) {
+	cfg := thrashConfig()
+	cfg.SpanSample = 50
+	named := map[string]int{}
+	for _, sp := range MustRun(cfg, gemmThrash()).Spans.Spans {
+		named[sp.AtomName]++
+	}
+	for _, name := range []string{"gemm.A", "gemm.C"} {
+		if named[name] == 0 {
+			t.Errorf("no span names %s; spans per atom: %v", name, named)
 		}
 	}
 }

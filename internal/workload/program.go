@@ -10,6 +10,8 @@
 package workload
 
 import (
+	"fmt"
+
 	"xmem/internal/core"
 	"xmem/internal/mem"
 )
@@ -46,3 +48,19 @@ type Workload struct {
 
 // ElemBytes is the element size of every kernel (float64).
 const ElemBytes = 8
+
+// ByName returns the workload called name: a kernel of AllKernels built
+// with cfg, else a Suite27 workload scaled by scale.
+func ByName(name string, cfg TiledConfig, scale float64) (Workload, error) {
+	for _, k := range AllKernels() {
+		if k.Name == name {
+			return k.Make(cfg), nil
+		}
+	}
+	for _, s := range Suite27() {
+		if s.Name == name {
+			return Synthetic(s.Scaled(scale)), nil
+		}
+	}
+	return Workload{}, fmt.Errorf("unknown workload %q", name)
+}

@@ -49,7 +49,8 @@ if [ -n "$dry" ]; then
 fi
 
 step "scratch copy with pre-fix example"
-(cd "$ROOT" && tar --exclude=.git -cf - .) | tar -xf - -C "$SCRATCH"
+(cd "$ROOT" && tar --exclude=.git --exclude=./.bench_build --exclude=./.smoke -cf - .) |
+	tar -xf - -C "$SCRATCH"
 cp "$ROOT/$PREFIX" "$SCRATCH/$EXAMPLE"
 
 step "pre-fix example: attrinfer must report findings"
