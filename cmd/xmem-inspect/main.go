@@ -47,13 +47,13 @@ func main() {
 	case *name != "":
 		atoms, err := declaredAtoms(*name)
 		if err != nil {
-			fail(err)
+			usageError(err)
 		}
 		dumpAtoms(atoms, *segment)
 	case *placement != "":
 		atoms, err := declaredAtoms(*placement)
 		if err != nil {
-			fail(err)
+			usageError(err)
 		}
 		dumpPlacement(atoms, *banks)
 	case *validate != "":
@@ -145,6 +145,13 @@ func summarizeVet(path string) {
 func fail(err error) {
 	fmt.Fprintf(os.Stderr, "xmem-inspect: %v\n", err)
 	os.Exit(1)
+}
+
+// usageError reports a bad argument, such as an unknown workload, and exits
+// 2, as the flag package does.
+func usageError(err error) {
+	fmt.Fprintf(os.Stderr, "xmem-inspect: %v\n", err)
+	os.Exit(2)
 }
 
 func declaredAtoms(name string) ([]xm.Atom, error) {

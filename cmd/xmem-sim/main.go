@@ -15,8 +15,9 @@
 // -workload list runs as a deterministic sweep: -parallel N fans the
 // workloads over N workers with byte-identical output to a sequential run,
 // and -checkpoint/-resume skip already-completed workloads. The metrics and
-// span-tracing flags (-metrics, -progress, -atoms-top, -span-sample,
-// -span-out) apply to single-workload runs.
+// span-tracing flags (-metrics, -epoch, -atoms-top, -progress,
+// -span-sample, -span-buf, -span-out) apply to single-workload runs only: a
+// sweep, -multi or -infer-smoke run that sets one exits 2 and names it.
 //
 // With -multi the comma-separated workloads co-run on ONE multi-core
 // machine — one core each, private hierarchies, shared memory controller —
@@ -107,6 +108,14 @@ func main() {
 	}
 
 	names := strings.Split(*name, ",")
+
+	if *inferSmoke || *multi || len(names) > 1 {
+		if set := observationFlags(); len(set) > 0 {
+			fmt.Fprintf(os.Stderr, "xmem-sim: %s: observation flags apply only to single-workload runs (not -multi, -infer-smoke or a -workload list)\n",
+				strings.Join(set, ", "))
+			os.Exit(2)
+		}
+	}
 
 	if *inferSmoke {
 		// Differential validation for inferred annotations (attrinfer):
@@ -250,6 +259,19 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// observationFlags returns, as "-name" in lexical order, the observation
+// flags the command line set. Only a single-workload run honours them.
+func observationFlags() []string {
+	var set []string
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "metrics", "epoch", "atoms-top", "progress", "span-sample", "span-buf", "span-out":
+			set = append(set, "-"+f.Name)
+		}
+	})
+	return set
 }
 
 // runWorkloadSweep runs each named workload as one deterministic sweep

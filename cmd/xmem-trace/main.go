@@ -56,6 +56,13 @@ func fail(err error) {
 	os.Exit(1)
 }
 
+// usageError reports a bad argument, such as an unknown workload, and exits
+// 2, as the flag package does.
+func usageError(err error) {
+	fmt.Fprintf(os.Stderr, "xmem-trace: %v\n", err)
+	os.Exit(2)
+}
+
 func loadTrace(path string) *trace.Trace {
 	f, err := os.Open(path)
 	if err != nil {
@@ -83,7 +90,7 @@ func cmdRecord(args []string) {
 	}
 	w, err := workload.ByName(*name, workload.TiledConfig{N: *n, TileBytes: *tile, Steps: *steps}, *scale)
 	if err != nil {
-		fail(err)
+		usageError(err)
 	}
 	t := trace.Record(w)
 	f, err := os.Create(*out)

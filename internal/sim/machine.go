@@ -95,17 +95,20 @@ type Machine struct {
 
 	// Observability state (nil unless Config.Metrics; the hot path checks
 	// only `sampler != nil` — with Config.OnEpoch but no Metrics, sampler
-	// is a registry-less boundary ticker and reg stays nil). pageAtoms is
-	// the OS-side PA-page→atom index built at Malloc time (with Metrics or
-	// spans on) as resolveAtom's fallback. lat carries the latency
-	// histograms (with Metrics); spans the causal tracer (with
+	// is a registry-less boundary ticker and reg stays nil). lat carries
+	// the latency histograms (with Metrics); spans the causal tracer (with
 	// Config.SpanSample). The probe (probe.go) feeds attrib, lat and spans.
-	reg       *obs.Registry
-	sampler   *obs.Sampler
-	attrib    *obs.AtomTable
-	pageAtoms map[uint64]xm.AtomID
-	lat       *latencyState
-	spans     *spanState
+	reg     *obs.Registry
+	sampler *obs.Sampler
+	attrib  *obs.AtomTable
+	lat     *latencyState
+	spans   *spanState
+
+	// index is this core's position on its machine; frames is the memory
+	// side's frame table, where Malloc records the core's frames when
+	// Metrics or spans are on.
+	index  int
+	frames *frameTable
 
 	// tiers is the hybrid memory ctl holds, for per-tier counters and
 	// labels (nil on other machines).
@@ -185,7 +188,7 @@ func buildMachine(cfg *Config, w workload.Workload, atoms []xm.Atom,
 	m := &Machine{
 		cfg: *cfg, w: w, core: cpu.New(cfg.Core),
 		l1d: l1d, l2: l2, l3: l3, ctl: side.mem, tiers: side.tiers,
-		as: as, amu: amu, lib: lib,
+		as: as, amu: amu, lib: lib, index: i, frames: &side.frames,
 	}
 	if cfg.StridePrefetch {
 		m.strider = prefetch.NewMultiStride(cfg.StrideEntries, cfg.StrideDegree)
@@ -361,7 +364,13 @@ func (m *Machine) Malloc(name string, size uint64, atom xm.AtomID) mem.Addr {
 		panic(fmt.Sprintf("sim: %v", err))
 	}
 	if m.attrib != nil || m.spans != nil {
-		m.recordRegionAtoms(va, size, atom)
+		// Pages are mapped eagerly, so every frame is translatable here;
+		// allocations never share a page (guard pages between them).
+		for off := uint64(0); off < size; off += mem.PageBytes {
+			if pa, ok := m.as.Translate(va + mem.Addr(off)); ok {
+				m.frames.set(pa, m.index, atom)
+			}
+		}
 	}
 	return va
 }

@@ -8,6 +8,7 @@ import (
 	"xmem/internal/dram"
 	"xmem/internal/hybrid"
 	"xmem/internal/kernel"
+	"xmem/internal/mem"
 	"xmem/internal/numa"
 )
 
@@ -21,16 +22,57 @@ type memorySystem interface {
 }
 
 // memorySide is what the cores of one machine share below their L3s: the
-// memory and the frame pool their address spaces draw from.
+// memory, the frame pool their address spaces draw from, and the table of
+// each frame's owner (filled only with metrics or spans on; the cores hold
+// it by pointer).
 type memorySide struct {
-	mem   memorySystem
-	alloc kernel.FrameAllocator
+	mem    memorySystem
+	alloc  kernel.FrameAllocator
+	frames frameTable
 	// tiers is a hybrid machine's memory: region 0 is DRAM, region 1 NVM
 	// (nil on other machines).
 	tiers *dram.RegionMemory
 	// ports holds each core's port into a NUMA machine's node memory (nil
 	// on other machines).
 	ports []*numa.Port
+}
+
+// frameTable records each physical frame's owner: the core whose Malloc
+// took it and the atom that Malloc tagged it with (§4.1.2: the OS learns an
+// allocation's atom before first touch). A frame belongs to one process, so
+// every DRAM command has one owning core. The table is dense, indexed by
+// frame number, and grows to the highest frame set; a frame no core
+// allocated reads as the zero entry, core 0 and untagged.
+type frameTable struct {
+	owners []frameOwner
+}
+
+// frameOwner is one frame's entry (cores are far fewer than 2^16). tag is
+// the atom plus one, so the zero entry is untagged: InvalidAtom (0xFFFF)
+// wraps to 0.
+type frameOwner struct {
+	core uint16
+	tag  xm.AtomID
+}
+
+// set records that core allocated the frame holding pa and tagged it with
+// atom.
+func (t *frameTable) set(pa mem.Addr, core int, atom xm.AtomID) {
+	f := mem.PageIndex(pa)
+	if n := uint64(len(t.owners)); f >= n {
+		t.owners = append(t.owners, make([]frameOwner, f+1-n)...)
+	}
+	t.owners[f] = frameOwner{core: uint16(core), tag: atom + 1}
+}
+
+// owner returns the core that allocated the frame holding pa and the atom
+// it tagged the frame with.
+func (t *frameTable) owner(pa mem.Addr) (core int, atom xm.AtomID) {
+	var e frameOwner
+	if f := mem.PageIndex(pa); f < uint64(len(t.owners)) {
+		e = t.owners[f]
+	}
+	return int(e.core), e.tag - 1
 }
 
 // buildMemory assembles the memory side of a machine with the given

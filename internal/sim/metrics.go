@@ -36,8 +36,8 @@ func (m *Machine) enableMetrics() {
 
 // resolveAtom attributes a physical address to an atom: the AMU's dynamic
 // mapping wins (most specific — e.g. the currently-mapped tile); addresses
-// outside any mapped atom fall back to the OS' static region→atom tags
-// recorded at Malloc time (§4.1.2: the allocator knows each region's atom
+// outside any mapped atom fall back to the atom Malloc tagged the frame
+// with in the frame table (§4.1.2: the allocator knows each region's atom
 // before first touch). The AMU peek is stats-neutral, so attribution never
 // disturbs the modeled ALB/AAM counters.
 //
@@ -46,27 +46,8 @@ func (m *Machine) resolveAtom(pa mem.Addr) xm.AtomID {
 	if id, ok := m.amu.Peek(pa); ok {
 		return id
 	}
-	if id, ok := m.pageAtoms[mem.PageIndex(pa)]; ok {
-		return id
-	}
-	return xm.InvalidAtom
-}
-
-// recordRegionAtoms indexes a fresh allocation's physical pages by atom.
-// Pages are mapped eagerly by kernel.AddressSpace.Malloc, so every frame is
-// translatable here; regions never share a page (guard pages between them).
-func (m *Machine) recordRegionAtoms(va mem.Addr, size uint64, atom xm.AtomID) {
-	if atom == xm.InvalidAtom {
-		return
-	}
-	if m.pageAtoms == nil {
-		m.pageAtoms = make(map[uint64]xm.AtomID)
-	}
-	for off := uint64(0); off < size; off += mem.PageBytes {
-		if pa, ok := m.as.Translate(va + mem.Addr(off)); ok {
-			m.pageAtoms[mem.PageIndex(pa)] = atom
-		}
-	}
+	_, id := m.frames.owner(pa)
+	return id
 }
 
 // sampleEpochsAt is the hot-path tick: called with an op's true issue cycle

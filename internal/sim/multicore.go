@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"xmem/internal/dram"
+	"xmem/internal/mem"
 	"xmem/internal/workload"
 )
 
@@ -42,12 +43,10 @@ type NUMAConfig struct {
 type MultiResult struct {
 	// Cores holds one result per workload; the DRAM stats in each are the
 	// shared memory's machine-wide totals. With Config.Metrics each core
-	// carries its own Metrics report, and with Config.SpanSample
-	// its own spans. A one-core run attributes DRAM commands and gives
-	// spans dram/nvm stages, exactly as Run does. With several cores the
-	// shared memory has no observer yet: reports cover private-hierarchy
-	// events only, and spans carry AMU and cache stages but no dram/nvm
-	// stage.
+	// carries its own Metrics report, and with Config.SpanSample its own
+	// spans. Each DRAM command is attributed, and gives a span its dram/nvm
+	// stage, on the core whose Malloc took the command's frame; commands
+	// in frames no core allocated count as core 0's unattributed ones.
 	Cores []Result
 	// Cycles is the finishing time of the slowest core.
 	Cycles uint64
@@ -154,12 +153,17 @@ func RunMulti(cfg MultiConfig, ws []workload.Workload) (MultiResult, error) {
 		}
 	}
 
+	if cfg.Core.Metrics || cfg.Core.SpanSample > 0 {
+		// One observer for the shared memory: each command goes to the
+		// core that owns its frame.
+		side.mem.SetObserver(func(pa mem.Addr, kind mem.AccessKind, rowHit bool, arrival, done uint64) {
+			core, _ := side.frames.owner(pa)
+			ms[core].observeDRAM(pa, kind, rowHit, arrival, done)
+		})
+	}
 	var cycles []uint64
 	if len(ms) == 1 {
 		m := ms[0]
-		if cfg.Core.Metrics || cfg.Core.SpanSample > 0 {
-			m.observeDRAM()
-		}
 		m.w.Run(m)
 		cycles = []uint64{m.core.Finish()}
 	} else {

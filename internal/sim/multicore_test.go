@@ -43,17 +43,17 @@ func multiDigest(r MultiResult) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestRunMultiGolden pins the serial scheduler's output byte for byte on
-// three shared-DRAM co-runs (one per frame allocator) and three NUMA
-// co-runs (one per placement policy). A refactor of the multicore path
-// must leave every digest unchanged; a deliberate modelling change
-// re-records them and explains the moved numbers.
-func TestRunMultiGolden(t *testing.T) {
-	type golden struct {
-		name   string
-		cfg    func() MultiConfig
-		digest string
-	}
+// multiGolden is one co-run TestRunMultiGolden pins: corunWorkloads(3) on
+// the machine cfg builds, and the multiDigest of its result.
+type multiGolden struct {
+	name   string
+	cfg    func() MultiConfig
+	digest string
+}
+
+// multiGoldens are three shared-DRAM co-runs (one per frame allocator) and
+// three NUMA co-runs (one per placement policy).
+func multiGoldens() []multiGolden {
 	dramRun := func(alloc AllocPolicy) func() MultiConfig {
 		return func() MultiConfig {
 			cfg := multiConfig()
@@ -70,7 +70,7 @@ func TestRunMultiGolden(t *testing.T) {
 			return cfg
 		}
 	}
-	cases := []golden{
+	return []multiGolden{
 		{"dram/sequential", dramRun(AllocSequential), "e036827c42dfcbe0"},
 		{"dram/random", dramRun(AllocRandom), "7dfc837d767bc222"},
 		{"dram/xmem", dramRun(AllocXMemPlacement), "810682bebc3cf406"},
@@ -78,10 +78,51 @@ func TestRunMultiGolden(t *testing.T) {
 		{"numa/node0", numaRun("node0"), "9821e2376e1aee8a"},
 		{"numa/xmem", numaRun("xmem"), "c96eafc72f54a8b9"},
 	}
+}
+
+// TestRunMultiGolden pins the serial scheduler's output byte for byte on
+// the multiGoldens co-runs. A refactor of the multicore path must leave
+// every digest unchanged; a deliberate modelling change re-records them and
+// explains the moved numbers.
+func TestRunMultiGolden(t *testing.T) {
 	ws := corunWorkloads(3)
-	for _, c := range cases {
-		if got := multiDigest(MustRunMulti(c.cfg(), ws)); got != c.digest {
-			t.Errorf("%s: digest %s, want %s", c.name, got, c.digest)
+	for _, g := range multiGoldens() {
+		if got := multiDigest(MustRunMulti(g.cfg(), ws)); got != g.digest {
+			t.Errorf("%s: digest %s, want %s", g.name, got, g.digest)
+		}
+	}
+}
+
+// TestRunMultiObservation: with metrics and spans on, the shared memory's
+// one observer hands every DRAM command of a co-run to exactly one core.
+// On each golden co-run, observation leaves the digest unchanged, the
+// cores' per-atom row hits and row misses add up to the memory's own
+// counters, and some span carries a dram stage.
+func TestRunMultiObservation(t *testing.T) {
+	ws := corunWorkloads(3)
+	for _, g := range multiGoldens() {
+		cfg := g.cfg()
+		cfg.Core.Metrics = true
+		cfg.Core.SpanSample = 50
+		r := MustRunMulti(cfg, ws)
+		if got := multiDigest(r); got != g.digest {
+			t.Errorf("%s: observed digest %s, want %s", g.name, got, g.digest)
+		}
+		var hits, misses uint64
+		stages := 0
+		for _, c := range r.Cores {
+			for _, a := range c.Metrics.PerAtom {
+				hits += a.RowHits
+				misses += a.RowMisses
+			}
+			stages += dramStages(c.Spans)
+		}
+		if d := r.DRAM; hits != d.RowHits || misses != d.RowEmpty+d.RowConflicts {
+			t.Errorf("%s: per-atom row hits %d, misses %d; memory %d hits, %d misses",
+				g.name, hits, misses, d.RowHits, d.RowEmpty+d.RowConflicts)
+		}
+		if stages == 0 {
+			t.Errorf("%s: no span carries a dram stage", g.name)
 		}
 	}
 }

@@ -31,9 +31,9 @@ func observationDigest(t *testing.T, r Result) string {
 // TestObservationGolden pins the metrics report and span dump byte for byte
 // on three observed runs: the Figure 4 thrash point (pins, XMem prefetches,
 // DRAM stages), a hybrid machine that spills to NVM (both dram and nvm
-// demand-service histograms), and a two-core co-run (cache-only spans and
-// per-core reports). A refactor of the observation path must leave every
-// digest unchanged.
+// demand-service histograms), and a two-core co-run (per-core reports, each
+// attributing the DRAM commands in its own frames). A refactor of the
+// observation path must leave every digest unchanged.
 func TestObservationGolden(t *testing.T) {
 	thrash := thrashConfig()
 	thrash.Metrics = true
@@ -68,7 +68,7 @@ func TestObservationGolden(t *testing.T) {
 	mr := MustRunMulti(MultiConfig{Core: multi}, []workload.Workload{
 		streamWorkload(1024, 2), streamWorkload(512, 2),
 	})
-	for i, want := range []string{"6ef6bfe4c3b4c877", "69ff179aabbfe545"} {
+	for i, want := range []string{"93001db1b4d774eb", "fa8c041b8acef6bb"} {
 		if got := observationDigest(t, mr.Cores[i]); got != want {
 			t.Errorf("multi core %d: digest %s, want %s", i, got, want)
 		}

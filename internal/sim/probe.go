@@ -16,7 +16,8 @@ const l3Level = 2
 
 // installProbe attaches the machine's sinks to the caches (one cache.Event
 // stream per level) and the XMem prefetcher (issues per atom); RunMulti
-// adds the DRAM sink (observeDRAM) on one-core machines. buildMachine
+// installs the memory's one observer, which hands each DRAM command to the
+// DRAM sink (observeDRAM) of the core that owns its frame. buildMachine
 // calls it once, when Metrics or SpanSample is set; otherwise every probe
 // stays nil and costs one branch per event. Prefetcher training is not a
 // probe: it changes timing, so it stays on the L3's cache.Observer
@@ -70,44 +71,41 @@ func (m *Machine) observePrefetchIssue(id xm.AtomID, n int) {
 	}
 }
 
-// observeDRAM installs the memory's sink: per-atom row-buffer attribution,
-// the per-tier and per-atom demand-service histograms, and the span
-// tracer's DRAM stage. RunMulti calls it on one-core machines only: on a
-// multi-core machine the memory is shared, and its commands are not yet
-// attributed to cores (multicore spans carry cache stages only).
-func (m *Machine) observeDRAM() {
-	m.ctl.SetObserver(func(pa mem.Addr, kind mem.AccessKind, rowHit bool, arrival, done uint64) {
-		tier := "dram"
-		if m.tiers != nil && m.tiers.Region(pa) == int(hybrid.TierNVM) {
-			tier = "nvm"
+// observeDRAM is the core's sink for the DRAM commands in its frames, and
+// core 0's for those in frames no core allocated: per-atom row-buffer
+// attribution, the per-tier and per-atom demand-service histograms, and
+// the span tracer's DRAM stage.
+func (m *Machine) observeDRAM(pa mem.Addr, kind mem.AccessKind, rowHit bool, arrival, done uint64) {
+	tier := "dram"
+	if m.tiers != nil && m.tiers.Region(pa) == int(hybrid.TierNVM) {
+		tier = "nvm"
+	}
+	if m.attrib != nil {
+		id := m.resolveAtom(pa)
+		if rowHit {
+			m.attrib.RowHit(id)
+		} else {
+			m.attrib.RowMiss(id)
 		}
-		if m.attrib != nil {
-			id := m.resolveAtom(pa)
-			if rowHit {
-				m.attrib.RowHit(id)
+		if kind.IsDemand() {
+			lat := done - arrival
+			if tier == "nvm" {
+				m.lat.nvm.Observe(lat)
 			} else {
-				m.attrib.RowMiss(id)
+				m.lat.dram.Observe(lat)
 			}
-			if kind.IsDemand() {
-				lat := done - arrival
-				if tier == "nvm" {
-					m.lat.nvm.Observe(lat)
-				} else {
-					m.lat.dram.Observe(lat)
-				}
-				m.lat.atomObserve(id, lat)
-			}
+			m.lat.atomObserve(id, lat)
 		}
-		if m.spans != nil && kind.IsDemand() {
-			if sp := m.spans.inflight[mem.LineIndex(pa)]; sp != nil {
-				outcome := "row-miss"
-				if rowHit {
-					outcome = "row-hit"
-				}
-				sp.AddStage(tier, outcome, "", arrival, done)
+	}
+	if m.spans != nil && kind.IsDemand() {
+		if sp := m.spans.inflight[mem.LineIndex(pa)]; sp != nil {
+			outcome := "row-miss"
+			if rowHit {
+				outcome = "row-hit"
 			}
+			sp.AddStage(tier, outcome, "", arrival, done)
 		}
-	})
+	}
 }
 
 // latencyState holds the per-layer and per-atom latency histograms that

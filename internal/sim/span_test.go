@@ -177,26 +177,33 @@ func TestSpanTimingNeutral(t *testing.T) {
 	}
 }
 
-// TestSpanMultiCore: on a shared-controller machine each core traces its own
-// spans, but DRAM commands are not attributed to cores (see
-// MultiResult.Cores), so spans end at the cache stages.
+// TestSpanMultiCore: on a shared-controller machine each core traces its
+// own spans, and the memory's observer hands each DRAM command to the core
+// that owns its frame, so every core's spans on a co-run whose demand
+// misses reach DRAM carry dram stages.
 func TestSpanMultiCore(t *testing.T) {
-	cfg := testConfig()
-	cfg.SpanSample = 10
-	res := MustRunMulti(MultiConfig{Core: cfg}, []workload.Workload{
-		streamWorkload(1024, 2), streamWorkload(512, 2),
-	})
+	cfg := multiConfig()
+	cfg.Core.SpanSample = 10
+	res := MustRunMulti(cfg, corunWorkloads(3))
 	for i, c := range res.Cores {
 		if c.Spans == nil || len(c.Spans.Spans) == 0 {
 			t.Fatalf("core %d: no spans", i)
 		}
-		for _, sp := range c.Spans.Spans {
-			for _, st := range sp.Stages {
-				if st.Layer == "dram" || st.Layer == "nvm" {
-					t.Fatalf("core %d span %d has a %s stage on a shared controller",
-						i, sp.Seq, st.Layer)
-				}
+		if dramStages(c.Spans) == 0 {
+			t.Errorf("core %d: no dram stage in %d spans", i, len(c.Spans.Spans))
+		}
+	}
+}
+
+// dramStages counts the dram stages of the spans in d.
+func dramStages(d *span.Dump) int {
+	n := 0
+	for _, sp := range d.Spans {
+		for _, st := range sp.Stages {
+			if st.Layer == "dram" {
+				n++
 			}
 		}
 	}
+	return n
 }

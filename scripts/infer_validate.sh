@@ -22,12 +22,16 @@
 #      declaring the inferred attributes must not make the memory system
 #      worse (L3 hit rate down AND cycles up).
 #
+# The scratch copy and its outputs go to $INFER_VALIDATE_DIR, by default the
+# git-ignored .smoke/infer_validate in the repo (the Go tool and the xmem-vet
+# loader skip dot-directories, and the copy excludes .smoke itself).
+#
 # Exits non-zero on the first violated step.
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 GO=${GO:-go}
-SCRATCH=${INFER_VALIDATE_DIR:-/tmp/xmem_infer_validate}
+SCRATCH=${INFER_VALIDATE_DIR:-$ROOT/.smoke/infer_validate}
 PREFIX=internal/analysis/testdata/inferdemo_prefix/main.go.txt
 EXAMPLE=examples/inferdemo/main.go
 
