@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test test-short vet xmem-vet vet-json vet-hotpath \
         infer-validate lint fmtcheck check bench bench-test alloc-gate race \
-        fuzz-smoke sweep-smoke metrics-smoke trace-smoke experiments experiments-paper \
+        fuzz-smoke sweep-smoke metrics-smoke trace-smoke cli-smoke experiments experiments-paper \
         examples clean
 
 all: build vet test
@@ -22,9 +22,10 @@ vet:
 xmem-vet:
 	$(GO) run ./cmd/xmem-vet ./...
 
-# Machine-readable findings for trend tracking: writes the xmem-vet/v1
-# schema to results_vet.json (validate with xmem-inspect -vet). The file is
-# written even when the run reports findings, so the trend captures them.
+# Machine-readable findings for trend tracking: writes the xmem-vet/v2
+# schema to results_vet.json (validate with xmem-inspect -vet, which also
+# reads v1 reports). The file is written even when the run reports
+# findings, so the trend captures them.
 vet-json:
 	$(GO) run ./cmd/xmem-vet -json ./... > results_vet.json; \
 		status=$$?; $(GO) run ./cmd/xmem-inspect -vet results_vet.json; exit $$status
@@ -56,7 +57,7 @@ fmtcheck:
 lint: vet fmtcheck vet-json
 	$(GO) test -race ./internal/core/... ./internal/sim/...
 
-check: build vet fmtcheck test bench-test race alloc-gate fuzz-smoke vet-hotpath metrics-smoke trace-smoke sweep-smoke
+check: build vet fmtcheck test bench-test race alloc-gate fuzz-smoke vet-hotpath metrics-smoke trace-smoke sweep-smoke cli-smoke
 
 # Allocation regression gate for the per-access path. In steady state the
 # AMU lookup path (AMU.Lookup, Peek, LookupAttributes on ALB hit, miss+evict
@@ -106,7 +107,7 @@ fuzz-smoke:
 race:
 	$(GO) test -race ./...
 
-# The three end-to-end smokes below write under SMOKE, a git-ignored
+# The four end-to-end smokes below write under SMOKE, a git-ignored
 # directory inside the repo, so make check writes nothing outside it (the
 # Go tool and the xmem-vet loader skip dot-directories).
 SMOKE = .smoke
@@ -143,6 +144,31 @@ trace-smoke:
 		-span-out $(SMOKE)/xmem_trace_smoke.jsonl >/dev/null
 	$(GO) run ./cmd/xmem-inspect -validate-spans $(SMOKE)/xmem_trace_smoke.jsonl
 	$(GO) run ./cmd/xmem-trace explain -i $(SMOKE)/xmem_trace_smoke.jsonl >/dev/null
+
+# Command-line smoke: build the five commands once, then check that each
+# usage error below exits 2, before anything runs, and that a small valid
+# run exits 0. Prints every case that exits otherwise.
+cli-smoke:
+	mkdir -p $(SMOKE)/bin
+	$(GO) build -o $(SMOKE)/bin/ ./cmd/...
+	@b=$(SMOKE)/bin; fails=0; \
+	exits() { want=$$1; shift; "$$@" >/dev/null 2>&1; got=$$?; \
+		if [ $$got -ne $$want ]; then echo "cli-smoke: $$* exited $$got, want $$want"; fails=1; fi; }; \
+	exits 2 $$b/xmem-sim -workload nosuch; \
+	exits 2 $$b/xmem-sim -system bogus; \
+	exits 2 $$b/xmem-sim -alloc bogus; \
+	exits 2 $$b/xmem-sim -multi -workload gemm,libq -metrics $(SMOKE)/cli_metrics.json; \
+	exits 2 $$b/xmem-trace; \
+	exits 2 $$b/xmem-trace record -workload gemm; \
+	for c in info profile replay explain; do exits 2 $$b/xmem-trace $$c; done; \
+	exits 2 $$b/xmem-inspect -workload nosuch; \
+	exits 2 $$b/xmem-inspect -placement nosuch; \
+	exits 2 $$b/xmem-bench -exp nosuch; \
+	exits 2 $$b/xmem-bench -preset nosuch; \
+	exits 2 $$b/xmem-bench -resume; \
+	exits 2 $$b/xmem-vet -run nosuch ./...; \
+	exits 0 $$b/xmem-sim -workload gemm -n 32; \
+	exit $$fails
 
 test:
 	$(GO) test ./...

@@ -8,7 +8,6 @@
 //	xmem-bench [-preset mini|fast|paper] [-exp names]
 //	           [-kernels gemm,2mm] [-workloads libq,mcf] [-v] [-json file]
 //	           [-parallel N] [-timeout 30s] [-checkpoint dir] [-resume]
-//	           [-sweep-metrics file]
 //
 // -exp takes a comma-separated list of experiment names; the table in
 // internal/experiments defines them, and xmem-bench -h lists them. The
@@ -21,7 +20,8 @@
 // points over N workers and produces byte-identical report output to a
 // sequential run. -checkpoint dir writes a JSON checkpoint per sweep after
 // every completed point; -resume restores completed points from it and
-// re-runs only failed and missing ones.
+// re-runs only failed and missing ones. -v prints each point's wall time
+// as it completes and a per-sweep summary.
 //
 // The fast preset (default) runs the full kernel and workload lists at
 // 8×-reduced scale; paper approaches Table 3 scale (hours). See
@@ -39,7 +39,6 @@ import (
 
 	"xmem/internal/experiments"
 	"xmem/internal/experiments/runner"
-	"xmem/internal/obs"
 )
 
 func main() {
@@ -55,7 +54,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "per-point timeout (0 = none); timed-out points are recorded as failed")
 		checkpoint = flag.String("checkpoint", "", "directory for per-sweep JSON checkpoints (empty = off)")
 		resume     = flag.Bool("resume", false, "restore completed points from the checkpoint directory and run only the rest")
-		sweepOut   = flag.String("sweep-metrics", "", "write per-point wall-time metrics (schema-v1 .json or .csv) to this file")
 	)
 	flag.Parse()
 
@@ -81,10 +79,6 @@ func main() {
 	}
 	out := os.Stdout
 
-	var reg *obs.Registry
-	if *sweepOut != "" {
-		reg = obs.NewRegistry()
-	}
 	if *resume && *checkpoint == "" {
 		fmt.Fprintln(os.Stderr, "xmem-bench: -resume requires -checkpoint")
 		os.Exit(2)
@@ -95,13 +89,6 @@ func main() {
 		CheckpointDir: *checkpoint,
 		Resume:        *resume,
 		Progress:      progress,
-		Registry:      reg,
-	}
-	fatal := func(err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xmem-bench: %v\n", err)
-			os.Exit(1)
-		}
 	}
 
 	// results holds each shown result by JSON key; entries that show the
@@ -111,7 +98,10 @@ func main() {
 		res, ok := results[e.Result]
 		if !ok {
 			res, err = e.Run(preset, opt)
-			fatal(err)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "xmem-bench: %v\n", err)
+				os.Exit(1)
+			}
 			results[e.Result] = res
 		}
 		e.Print(res, out)
@@ -127,22 +117,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if reg != nil {
-		fatal(writeSweepMetrics(reg, *sweepOut))
-	}
-}
-
-// writeSweepMetrics exports the runner's per-point wall-time counters as a
-// single-sample schema-v1 report (or CSV), reusing the obs exporters.
-func writeSweepMetrics(reg *obs.Registry, path string) error {
-	report := &obs.Report{
-		Workload:    "xmem-bench sweeps",
-		EpochCycles: 1,
-		Counters:    reg.Names(),
-		Samples:     []obs.Sample{{Epoch: 0, Cycle: 0, Values: reg.Snapshot()}},
-	}
-	if err := report.WriteFile(path); err != nil {
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	return nil
 }

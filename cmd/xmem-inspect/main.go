@@ -37,7 +37,7 @@ func main() {
 		banks     = flag.Int("banks", 8, "bank groups for -placement")
 		validate  = flag.String("validate-metrics", "", "validate a schema-v1 metrics JSON file (from xmem-sim -metrics)")
 		spans     = flag.String("validate-spans", "", "validate a causal span JSONL stream (from xmem-sim -span-out)")
-		vet       = flag.String("vet", "", "validate and summarize an xmem-vet/v1 JSON report (from xmem-vet -json)")
+		vet       = flag.String("vet", "", "validate and summarize an xmem-vet/v2 (or v1) JSON report (from xmem-vet -json)")
 	)
 	flag.Parse()
 

@@ -104,6 +104,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "xmem-sim: unknown system %q\n", *system)
 			os.Exit(2)
 		}
+		switch cfg.Alloc {
+		case sim.AllocSequential, sim.AllocRandom, sim.AllocXMemPlacement:
+		default:
+			fmt.Fprintf(os.Stderr, "xmem-sim: unknown alloc policy %q (sequential, random or xmem)\n", *alloc)
+			os.Exit(2)
+		}
 		return cfg
 	}
 
@@ -175,7 +181,7 @@ func main() {
 		if *verbose {
 			sweepProgress = os.Stderr
 		}
-		err := runWorkloadSweep(names, baseConfig, runner.Options{
+		err := runWorkloadSweep(names, baseConfig(), runner.Options{
 			Parallel:      *parallel,
 			Timeout:       *timeout,
 			CheckpointDir: *checkpoint,
@@ -278,7 +284,7 @@ func observationFlags() []string {
 // point and prints the rendered reports in name order, separated by a rule.
 // The point result is the rendered text itself, so checkpointed points
 // replay byte-identically on -resume.
-func runWorkloadSweep(names []string, baseConfig func() sim.Config, opt runner.Options,
+func runWorkloadSweep(names []string, cfg sim.Config, opt runner.Options,
 	resolve func(name string) (workload.Workload, error)) error {
 	var pts []runner.Point[string]
 	for _, name := range names {
@@ -290,7 +296,7 @@ func runWorkloadSweep(names []string, baseConfig func() sim.Config, opt runner.O
 				if err != nil {
 					return "", err
 				}
-				res, err := sim.Run(baseConfig(), w)
+				res, err := sim.Run(cfg, w)
 				if err != nil {
 					return "", err
 				}

@@ -4,15 +4,17 @@
 //	xmem-trace record -workload gemm -n 64 -tile 8192 -o gemm.trc
 //	xmem-trace info -i gemm.trc
 //	xmem-trace profile -i gemm.trc          # infer atom attributes (§3.5.1 profiling channel)
-//	xmem-trace replay -i gemm.trc -l3 262144 -system xmem
+//	xmem-trace replay -i gemm.trc -l3 262144
 //	xmem-trace explain -i gemm.spans.jsonl  # why were the sampled accesses slow?
 //
 // The profile subcommand is the paper's third expression channel: for code
 // that carries no annotations, a profiling run derives the attributes and
 // emits the same atom segment the programmer or compiler would have. The
-// explain subcommand consumes the JSONL span stream written by
-// xmem-sim -span-sample/-span-out and prints, per atom, the slowest causal
-// paths with their attribute-tied reason codes.
+// replay subcommand declares no atoms, so it runs the baseline machine;
+// examples/profiling replays a trace with its profiled atoms
+// (trace.ReplayWithAtoms). The explain subcommand consumes the JSONL span
+// stream written by xmem-sim -span-sample/-span-out and prints, per atom,
+// the slowest causal paths with their attribute-tied reason codes.
 package main
 
 import (
@@ -63,6 +65,14 @@ func usageError(err error) {
 	os.Exit(2)
 }
 
+// requireFlag exits 2, naming the flag, when the subcommand's flag name was
+// left empty.
+func requireFlag(fs *flag.FlagSet, name string) {
+	if fs.Lookup(name).Value.String() == "" {
+		usageError(fmt.Errorf("%s: -%s is required", fs.Name(), name))
+	}
+}
+
 func loadTrace(path string) *trace.Trace {
 	f, err := os.Open(path)
 	if err != nil {
@@ -85,9 +95,7 @@ func cmdRecord(args []string) {
 	scale := fs.Float64("scale", 0.05, "synthetic workload scale")
 	out := fs.String("o", "", "output trace file")
 	fs.Parse(args)
-	if *out == "" {
-		fail(fmt.Errorf("record needs -o"))
-	}
+	requireFlag(fs, "o")
 	w, err := workload.ByName(*name, workload.TiledConfig{N: *n, TileBytes: *tile, Steps: *steps}, *scale)
 	if err != nil {
 		usageError(err)
@@ -109,6 +117,7 @@ func cmdInfo(args []string) {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
 	in := fs.String("i", "", "input trace file")
 	fs.Parse(args)
+	requireFlag(fs, "i")
 	t := loadTrace(*in)
 	fmt.Printf("events:    %d\n", len(t.Events))
 	fmt.Printf("accesses:  %d\n", t.Accesses())
@@ -124,6 +133,7 @@ func cmdProfile(args []string) {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	in := fs.String("i", "", "input trace file")
 	fs.Parse(args)
+	requireFlag(fs, "i")
 	t := loadTrace(*in)
 	p := trace.Analyze(t)
 	fmt.Printf("%-20s %10s %8s %10s %8s %6s   %s\n",
@@ -147,9 +157,7 @@ func cmdExplain(args []string) {
 	in := fs.String("i", "", "input span JSONL file (from xmem-sim -span-out)")
 	top := fs.Int("top", 5, "causal paths to print per atom (0 = all)")
 	fs.Parse(args)
-	if *in == "" {
-		fail(fmt.Errorf("explain needs -i"))
-	}
+	requireFlag(fs, "i")
 	data, err := os.ReadFile(*in)
 	if err != nil {
 		fail(err)
@@ -167,12 +175,10 @@ func cmdReplay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	in := fs.String("i", "", "input trace file")
 	l3 := fs.Uint64("l3", 256<<10, "L3 bytes")
-	system := fs.String("system", "baseline", "baseline or xmem")
 	fs.Parse(args)
+	requireFlag(fs, "i")
 	t := loadTrace(*in)
-	cfg := sim.FastConfig(*l3)
-	cfg.XMemCache = *system == "xmem"
-	res, err := sim.Run(cfg, trace.Replay("replay:"+*in, t))
+	res, err := sim.Run(sim.FastConfig(*l3), trace.Replay("replay:"+*in, t))
 	if err != nil {
 		fail(err)
 	}

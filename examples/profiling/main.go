@@ -21,14 +21,6 @@
 // alone recovers most of the placement benefit, and the obs layer shows
 // per structure where the remaining misses land.
 //
-// Experiment sweeps feed the same registry: `xmem-bench -sweep-metrics
-// sweeps.json` records one `runner.<sweep>.point_<key>_wall_ns` counter
-// per sweep point (plus points_total/points_failed/wall_ns_total per
-// sweep), exported as a single-sample schema-v1 report. Reading it is the
-// same as step 4 below — `obs.ValidateJSON`, then scan Counters/Values
-// for the `runner.` prefix — so per-point timings can be compared across
-// runs with the exact tooling used for per-atom attribution.
-//
 // Run with: go run ./examples/profiling
 package main
 

@@ -96,8 +96,8 @@ func sizeLabel(b uint64) string {
 	}
 }
 
-// sweepName identifies one figure's sweep at one preset; point seeds,
-// checkpoint files, and runner metric names all hang off it.
+// sweepName identifies one figure's sweep at one preset; checkpoint files
+// and progress lines hang off it.
 func sweepName(fig string, p Preset) string { return fig + "/" + p.Name }
 
 // runSweep runs fig's sweep at p and returns the successful results in

@@ -34,8 +34,8 @@ type checkpoint struct {
 	state checkpointFile
 }
 
-// CheckpointPath returns the checkpoint file a sweep uses under dir.
-func CheckpointPath(dir, sweep string) string {
+// checkpointPath returns the checkpoint file a sweep uses under dir.
+func checkpointPath(dir, sweep string) string {
 	return filepath.Join(dir, sanitizeFile(sweep)+".ckpt.json")
 }
 
@@ -65,7 +65,7 @@ func openCheckpoint(sweep string, opt Options) (*checkpoint, error) {
 		return nil, fmt.Errorf("runner: checkpoint directory: %w", err)
 	}
 	ck := &checkpoint{
-		path: CheckpointPath(opt.CheckpointDir, sweep),
+		path: checkpointPath(opt.CheckpointDir, sweep),
 		state: checkpointFile{
 			Schema: CheckpointSchema,
 			Sweep:  sweep,

@@ -1,7 +1,7 @@
 // Package runner is the deterministic parallel sweep engine behind the
 // experiment drivers: it fans independent experiment points (figure ×
 // workload × config) out over a bounded worker pool while keeping every
-// observable output — results, seeds, reports — identical to a sequential
+// observable output — results and reports — identical to a sequential
 // run.
 //
 // Determinism model (see DESIGN.md, "Sweep runner"):
@@ -11,10 +11,10 @@
 //     assembly (and therefore every printed report) is independent of
 //     scheduling.
 //
-//   - Seeds derive from identity, not from time or scheduling. Each point
-//     owns a *rand.Rand seeded by a stable FNV-1a hash of (sweep, key); no
-//     point ever touches the process-global math/rand source, so two points
-//     running concurrently cannot perturb each other's random streams.
+//   - Points share nothing. Each point builds its own machine and
+//     workload; every seeded component takes a fixed seed from its config
+//     (such as sim.Config.AllocSeed), never one derived from time or
+//     scheduling.
 //
 //   - Failure is data. A panicking or timed-out point records a failed
 //     Outcome instead of killing the sweep; the checkpoint remembers the
@@ -23,53 +23,29 @@ package runner
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
-
-	"xmem/internal/obs"
 )
 
 // Point is one independent unit of sweep work.
 type Point[R any] struct {
 	// Key identifies the point: stable across runs, unique within the
-	// sweep (e.g. "gemm/tile=64KB"). Seeds and checkpoint entries hang
-	// off it.
+	// sweep (e.g. "gemm/tile=64KB"). Checkpoint entries hang off it.
 	Key string
 	// Run computes the point's result. It must not touch shared mutable
-	// state: everything it needs arrives via its closure (immutable) or
-	// the Ctx (point-private).
+	// state: everything it needs arrives via its closure (immutable).
 	Run func(c *Ctx) (R, error)
 	// Line optionally renders a completed result as progress text (may be
 	// multi-line). The runner emits it atomically on completion.
 	Line func(r R) string
 }
 
-// Ctx carries the point-private execution context into Run.
+// Ctx carries the running point's identity into Run.
 type Ctx struct {
 	// Sweep and Key identify the running point.
 	Sweep, Key string
-	// Rand is the point's private deterministic source, seeded from
-	// (Sweep, Key). Never shared, so concurrent points cannot interfere.
-	Rand *rand.Rand
-}
-
-// Seed returns a stable int64 derived from the point identity — handy for
-// APIs that take a seed rather than a *rand.Rand (e.g. sim.Config.AllocSeed).
-func (c *Ctx) Seed() int64 { return Seed(c.Sweep, c.Key) }
-
-// Seed derives the stable seed for a (sweep, key) pair: FNV-1a over
-// "sweep\x00key". Changing this breaks golden seed tests on purpose — the
-// derivation is part of the determinism contract.
-func Seed(sweep, key string) int64 {
-	h := fnv.New64a()
-	io.WriteString(h, sweep)
-	h.Write([]byte{0})
-	io.WriteString(h, key)
-	return int64(h.Sum64())
 }
 
 // Options tune one sweep execution.
@@ -92,19 +68,13 @@ type Options struct {
 	// Progress, when non-nil, receives live "[done/total]" lines as points
 	// complete plus a final summary line.
 	Progress io.Writer
-	// Registry, when non-nil, receives sweep counters after completion:
-	// per-point wall time plus points_total/failed/resumed, wall_ns_total
-	// (sum over points) and elapsed_ns (sweep wall clock) — the ratio of
-	// the last two is the measured parallel speedup.
-	Registry *obs.Registry
 }
 
 // Outcome is one point's recorded execution.
 type Outcome[R any] struct {
-	// Key and Index identify the point; outcomes are returned in point
-	// order regardless of completion order.
-	Key   string
-	Index int
+	// Key identifies the point; outcomes are returned in point order
+	// regardless of completion order.
+	Key string
 	// Result is valid when Err is empty.
 	Result R
 	// Err is the point's failure ("" = success): the Run error, a panic
@@ -115,17 +85,6 @@ type Outcome[R any] struct {
 	Wall time.Duration
 	// Resumed marks results restored from a checkpoint.
 	Resumed bool
-}
-
-// Failed returns the keys of failed outcomes, in point order.
-func Failed[R any](outs []Outcome[R]) []string {
-	var keys []string
-	for _, o := range outs {
-		if o.Err != "" {
-			keys = append(keys, o.Key)
-		}
-	}
-	return keys
 }
 
 // Results extracts the successful results in point order.
@@ -183,7 +142,7 @@ func Run[R any](sweep string, points []Point[R], opt Options) ([]Outcome[R], err
 
 	outs := make([]Outcome[R], len(points))
 	for i, p := range points {
-		outs[i] = Outcome[R]{Key: p.Key, Index: i}
+		outs[i] = Outcome[R]{Key: p.Key}
 	}
 
 	ck, err := openCheckpoint(sweep, opt)
@@ -233,7 +192,7 @@ func Run[R any](sweep string, points []Point[R], opt Options) ([]Outcome[R], err
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				outs[i] = runPoint(sweep, points[i], i, opt.Timeout)
+				outs[i] = runPoint(sweep, points[i], opt.Timeout)
 				finish(i)
 			}
 		}()
@@ -244,8 +203,8 @@ func Run[R any](sweep string, points []Point[R], opt Options) ([]Outcome[R], err
 	close(idx)
 	wg.Wait()
 
-	elapsed := time.Since(start)
 	if opt.Progress != nil {
+		elapsed := time.Since(start)
 		var wallSum time.Duration
 		failed := 0
 		for _, o := range outs {
@@ -257,9 +216,6 @@ func Run[R any](sweep string, points []Point[R], opt Options) ([]Outcome[R], err
 		fmt.Fprintf(opt.Progress,
 			"sweep %s done: %d points (%d failed, %d resumed) in %.2fs (points sum %.2fs, workers %d)\n",
 			sweep, len(outs), failed, len(points)-len(todo), elapsed.Seconds(), wallSum.Seconds(), workers)
-	}
-	if opt.Registry != nil {
-		publish(opt.Registry, sweep, outs, elapsed)
 	}
 	return outs, ckErr
 }
@@ -273,8 +229,8 @@ func pointLine[R any](p Point[R], o Outcome[R]) string {
 }
 
 // runPoint executes one point with panic recovery and an optional timeout.
-func runPoint[R any](sweep string, p Point[R], i int, timeout time.Duration) Outcome[R] {
-	out := Outcome[R]{Key: p.Key, Index: i}
+func runPoint[R any](sweep string, p Point[R], timeout time.Duration) Outcome[R] {
+	out := Outcome[R]{Key: p.Key}
 	start := time.Now()
 	type reply struct {
 		r   R
@@ -288,12 +244,7 @@ func runPoint[R any](sweep string, p Point[R], i int, timeout time.Duration) Out
 				ch <- reply{zero, fmt.Errorf("panic: %v", v)}
 			}
 		}()
-		c := &Ctx{
-			Sweep: sweep,
-			Key:   p.Key,
-			Rand:  rand.New(rand.NewSource(Seed(sweep, p.Key))),
-		}
-		r, err := p.Run(c)
+		r, err := p.Run(&Ctx{Sweep: sweep, Key: p.Key})
 		ch <- reply{r, err}
 	}()
 	var expired <-chan time.Time // nil without a timeout: never fires

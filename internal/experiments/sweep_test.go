@@ -2,11 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"xmem/internal/experiments/runner"
-	"xmem/internal/obs"
 )
 
 // TestFig4SweepParallelMatchesSequential is the acceptance check for the
@@ -42,8 +43,8 @@ func TestFig4SweepParallelMatchesSequential(t *testing.T) {
 }
 
 // TestFig4SweepCheckpointResume runs a figure sweep with checkpointing,
-// then resumes it: every point must restore rather than re-run, and the
-// assembled result must be identical.
+// then resumes it: the -v summary must count every point as resumed, none
+// re-run, and the assembled result must be identical.
 func TestFig4SweepCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
@@ -58,18 +59,14 @@ func TestFig4SweepCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	resumed, err := fig4.Run(p, runner.Options{Parallel: 2, CheckpointDir: dir, Resume: true, Registry: reg})
+	var progress bytes.Buffer
+	resumed, err := fig4.Run(p, runner.Options{Parallel: 2, CheckpointDir: dir, Resume: true, Progress: &progress})
 	if err != nil {
 		t.Fatal(err)
 	}
-	counters := map[string]float64{}
-	for i, v := range reg.Snapshot() {
-		counters[reg.Names()[i]] = v
-	}
-	total, restored := counters["runner.fig4_mini.points_total"], counters["runner.fig4_mini.points_resumed"]
-	if total == 0 || restored != total {
-		t.Errorf("resumed %v of %v points; every point must restore instead of re-running", restored, total)
+	n := len(fig4Points(p))
+	if want := fmt.Sprintf("sweep fig4/mini done: %d points (0 failed, %d resumed)", n, n); !strings.Contains(progress.String(), want) {
+		t.Errorf("every point must restore instead of re-running; want %q in:\n%s", want, progress.String())
 	}
 	if !reflect.DeepEqual(resumed, first) {
 		t.Errorf("resumed result differs:\nfirst   %+v\nresumed %+v", first, resumed)

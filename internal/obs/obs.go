@@ -100,14 +100,6 @@ func (r *Registry) Gauge(name string, f GaugeSource) {
 	r.add(name, entry{name: name, kind: kindGauge, gau: f})
 }
 
-// Has reports whether a metric is already registered under name — callers
-// that register dynamically derived names (the sweep runner) probe with it
-// instead of tripping the duplicate panic.
-func (r *Registry) Has(name string) bool {
-	_, ok := r.byName[name]
-	return ok
-}
-
 // Names returns the registered metric names in registration order.
 func (r *Registry) Names() []string {
 	out := make([]string, len(r.entries))
