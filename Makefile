@@ -64,10 +64,10 @@ check: build vet fmtcheck test bench-test race alloc-gate fuzz-smoke vet-hotpath
 # and unmapped pages), page-table translation, cpu.IssueMem under ROB and
 # LSQ stalls, cache hits and misses with the probe on and off, the stride
 # and XMem prefetchers' train+Drain, and DRAM writebacks and write-queue
-# hits allocate nothing; a DRAM read allocates exactly its Future. On a
-# warmed sim Machine an L1-hitting load allocates nothing and a thrashing
-# stream at most one object per DRAM read. Cheap enough for every check/CI
-# run.
+# hits allocate nothing; DRAM reads allocate one 16-Future chunk per 16
+# reads, 24 bytes per read. On a warmed sim Machine an L1-hitting load
+# allocates nothing and a thrashing stream at most one object per 16 DRAM
+# reads plus one per channel. Cheap enough for every check/CI run.
 alloc-gate:
 	$(GO) test -run 'TestHotPath|TestProbeAllocs' -v ./internal/core/ \
 		./internal/kernel/ ./internal/cpu/ ./internal/cache/ \
@@ -158,6 +158,7 @@ cli-smoke:
 	exits 2 $$b/xmem-sim -system bogus; \
 	exits 2 $$b/xmem-sim -alloc bogus; \
 	exits 2 $$b/xmem-sim -multi -workload gemm,libq -metrics $(SMOKE)/cli_metrics.json; \
+	for l in gemm,gemm gemm, gemm,nosuch; do exits 2 $$b/xmem-sim -workload $$l -n 32; done; \
 	exits 2 $$b/xmem-trace; \
 	exits 2 $$b/xmem-trace record -workload gemm; \
 	for c in info profile replay explain; do exits 2 $$b/xmem-trace $$c; done; \
@@ -168,6 +169,7 @@ cli-smoke:
 	exits 2 $$b/xmem-bench -resume; \
 	exits 2 $$b/xmem-vet -run nosuch ./...; \
 	exits 0 $$b/xmem-sim -workload gemm -n 32; \
+	exits 0 $$b/xmem-sim -multi -workload gemm,gemm -n 32; \
 	exit $$fails
 
 test:

@@ -14,10 +14,12 @@
 // synthetic workloads by suite name (-scale applies). A comma-separated
 // -workload list runs as a deterministic sweep: -parallel N fans the
 // workloads over N workers with byte-identical output to a sequential run,
-// and -checkpoint/-resume skip already-completed workloads. The metrics and
-// span-tracing flags (-metrics, -epoch, -atoms-top, -progress,
-// -span-sample, -span-buf, -span-out) apply to single-workload runs only: a
-// sweep, -multi or -infer-smoke run that sets one exits 2 and names it.
+// and -checkpoint/-resume skip already-completed workloads. A sweep names
+// each workload once: an empty, repeated or unknown entry exits 2 before
+// any point runs. The metrics and span-tracing flags (-metrics, -epoch,
+// -atoms-top, -progress, -span-sample, -span-buf, -span-out) apply to
+// single-workload runs only: a sweep, -multi or -infer-smoke run that sets
+// one exits 2 and names it.
 //
 // With -multi the comma-separated workloads co-run on ONE multi-core
 // machine — one core each, private hierarchies, shared memory controller —
@@ -31,6 +33,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"xmem/internal/dram"
@@ -113,7 +116,23 @@ func main() {
 		return cfg
 	}
 
+	// Resolve every -workload entry before anything runs, so a bad one
+	// exits 2. A sweep runs each workload once and rejects a repeat;
+	// -multi runs one core per entry and -infer-smoke one check per entry.
 	names := strings.Split(*name, ",")
+	ws := make([]workload.Workload, len(names))
+	for i, wname := range names {
+		if !*multi && !*inferSmoke && slices.Contains(names[:i], wname) {
+			fmt.Fprintf(os.Stderr, "xmem-sim: workload %q is listed twice (a sweep runs each once)\n", wname)
+			os.Exit(2)
+		}
+		w, err := resolveWorkload(wname, *n, *tile, *steps, *scale)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "xmem-sim: %v\n", err)
+			os.Exit(2)
+		}
+		ws[i] = w
+	}
 
 	if *inferSmoke || *multi || len(names) > 1 {
 		if set := observationFlags(); len(set) > 0 {
@@ -129,12 +148,7 @@ func main() {
 		// force them on — stripped vs declared is only meaningful when the
 		// machine actually consumes the attributes.
 		failed := false
-		for _, wname := range names {
-			w, err := resolveWorkload(wname, *n, *tile, *steps, *scale)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "xmem-sim: %v\n", err)
-				os.Exit(2)
-			}
+		for _, w := range ws {
 			cfg := baseConfig()
 			cfg.XMemCache = true
 			cfg.Alloc = sim.AllocXMemPlacement
@@ -154,15 +168,6 @@ func main() {
 	}
 
 	if *multi {
-		ws := make([]workload.Workload, len(names))
-		for i, wname := range names {
-			w, err := resolveWorkload(wname, *n, *tile, *steps, *scale)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "xmem-sim: %v\n", err)
-				os.Exit(2)
-			}
-			ws[i] = w
-		}
 		res, err := sim.RunMulti(sim.MultiConfig{Core: baseConfig()}, ws)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "xmem-sim: %v\n", err)
@@ -181,26 +186,18 @@ func main() {
 		if *verbose {
 			sweepProgress = os.Stderr
 		}
-		err := runWorkloadSweep(names, baseConfig(), runner.Options{
+		err := runWorkloadSweep(names, ws, baseConfig(), runner.Options{
 			Parallel:      *parallel,
 			Timeout:       *timeout,
 			CheckpointDir: *checkpoint,
 			Resume:        *resume,
 			Progress:      sweepProgress,
-		}, func(name string) (workload.Workload, error) {
-			return resolveWorkload(name, *n, *tile, *steps, *scale)
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "xmem-sim: %v\n", err)
 			os.Exit(1)
 		}
 		return
-	}
-
-	w, err := resolveWorkload(*name, *n, *tile, *steps, *scale)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xmem-sim: %v\n", err)
-		os.Exit(2)
 	}
 
 	cfg := baseConfig()
@@ -222,7 +219,7 @@ func main() {
 		}
 	}
 
-	res, err := sim.Run(cfg, w)
+	res, err := sim.Run(cfg, ws[0])
 	if err == nil && *metricsOut != "" {
 		err = res.Metrics.WriteFile(*metricsOut)
 	}
@@ -280,22 +277,17 @@ func observationFlags() []string {
 	return set
 }
 
-// runWorkloadSweep runs each named workload as one deterministic sweep
-// point and prints the rendered reports in name order, separated by a rule.
-// The point result is the rendered text itself, so checkpointed points
-// replay byte-identically on -resume.
-func runWorkloadSweep(names []string, cfg sim.Config, opt runner.Options,
-	resolve func(name string) (workload.Workload, error)) error {
+// runWorkloadSweep runs each workload as one deterministic sweep point keyed
+// by its name in the list, and prints the rendered reports in list order,
+// separated by a rule. The point result is the rendered text itself, so
+// checkpointed points replay byte-identically on -resume.
+func runWorkloadSweep(names []string, ws []workload.Workload, cfg sim.Config, opt runner.Options) error {
 	var pts []runner.Point[string]
-	for _, name := range names {
-		name := name
+	for i, name := range names {
+		w := ws[i]
 		pts = append(pts, runner.Point[string]{
 			Key: name,
 			Run: func(*runner.Ctx) (string, error) {
-				w, err := resolve(name)
-				if err != nil {
-					return "", err
-				}
 				res, err := sim.Run(cfg, w)
 				if err != nil {
 					return "", err

@@ -81,9 +81,8 @@ type Config struct {
 // request is one queued command, held by value in its channel's queue.
 // Access decodes the address once and stores the per-channel bank index and
 // the row, so the scheduler's scans read contiguous memory. A read's Future
-// is its only allocation; a writeback allocates nothing. Futures are never
-// pooled: cache fill slots, the core's window and span state keep the
-// Results that point at them after the request has left the queue.
+// comes from its channel's current chunk (see futureChunk); a writeback
+// allocates nothing.
 type request struct {
 	fut     *mem.Future // reads only: resolved by issue, forced through the channel
 	addr    mem.Addr
@@ -159,6 +158,17 @@ type bank struct {
 	activateAt uint64
 }
 
+// futureChunk is the number of read Futures a channel allocates at once,
+// when a read finds its current chunk used up. A slot is never recycled:
+// cache fill slots, the core's window, span state and bench/'s replay stack
+// keep Results that point at a read's Future after the read has left the
+// queue, and a reused slot would let a stale Result read another read's
+// completion. A chunk is collected once no Result points into it. Sixteen
+// 24-byte Futures fill one 384-byte size class exactly; Go puts an 8-byte
+// header in front of any pointerful object above 512 bytes and rounds the
+// total up to the next size class, so 64 would take 1,792 B, 28 B each.
+const futureChunk = 16
+
 type channel struct {
 	ctl          *Controller
 	banks        []bank
@@ -167,7 +177,8 @@ type channel struct {
 	clock        uint64
 	readQ        queue
 	writeQ       queue
-	readSeq      uint64 // seq of the next read inserted
+	readSeq      uint64       // seq of the next read inserted
+	futures      []mem.Future // unused tail of the current Future chunk
 	// draining latches write-drain mode: once the write queue reaches the
 	// high watermark, writes drain in a batch down to the low watermark
 	// rather than ping-ponging rows with interleaved reads.
@@ -290,7 +301,11 @@ func (c *Controller) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.
 			return mem.Done(at + c.timing.CAS)
 		}
 	}
-	req.fut = new(mem.Future)
+	if len(ch.futures) == 0 {
+		ch.futures = make([]mem.Future, futureChunk)
+	}
+	req.fut = &ch.futures[0]
+	ch.futures = ch.futures[1:]
 	req.fut.Init(ch)
 	req.seq = ch.readSeq
 	ch.readSeq++

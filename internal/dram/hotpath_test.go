@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"runtime"
 	"testing"
 
 	"xmem/internal/mem"
@@ -8,7 +9,8 @@ import (
 
 // The TestHotPath gates (part of `make alloc-gate`) pin the controller's
 // per-request budget on warmed queues: a writeback and a write-queue hit
-// allocate nothing, and a read allocates exactly one object, its Future.
+// allocate nothing, and reads allocate one chunk of futureChunk Futures per
+// futureChunk reads, 24 bytes per read.
 
 // allocsPerBatch counts the allocations of n steps. AllocsPerRun truncates
 // to whole allocations per run, so a run is a batch of steps and an
@@ -77,7 +79,7 @@ func TestHotPathWriteQueueHitAllocFree(t *testing.T) {
 	}
 }
 
-func TestHotPathReadAllocatesItsFuture(t *testing.T) {
+func TestHotPathReadsAllocateInChunks(t *testing.T) {
 	c := hotController(t)
 	var i, at uint64
 	step := func() {
@@ -92,11 +94,26 @@ func TestHotPathReadAllocatesItsFuture(t *testing.T) {
 		step()
 	}
 	before := c.Stats()
-	if allocs := allocsPerBatch(256, step); allocs != 256 {
-		t.Errorf("reads allocate %v per 256, want 256 (one Future each)", allocs)
+	// The stream alternates the two channels, so the warm-up leaves each
+	// on a chunk boundary and a batch of 256 reads takes exactly
+	// 256/futureChunk chunks.
+	if allocs := allocsPerBatch(256, step); allocs != 256/futureChunk {
+		t.Errorf("reads allocate %v per 256, want %d (one chunk per %d reads)", allocs, 256/futureChunk, futureChunk)
 	}
 	after := c.Stats()
 	if after.Reads == before.Reads || after.WriteQueueHits != before.WriteQueueHits {
 		t.Fatalf("measured reads were not scheduled misses: before %+v, after %+v", before, after)
+	}
+
+	const reads = 1024
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	start := ms.TotalAlloc
+	for j := 0; j < reads; j++ {
+		step()
+	}
+	runtime.ReadMemStats(&ms)
+	if bytes := ms.TotalAlloc - start; bytes > 24*reads {
+		t.Errorf("%d reads allocate %d bytes, want at most 24 per read", reads, bytes)
 	}
 }

@@ -3,17 +3,18 @@ package mem
 // Future is the eventually-known completion time of a memory request whose
 // scheduling depends on other requests that may not have arrived yet (DRAM
 // requests under FR-FCFS). Its owner (the memory controller) advances its
-// scheduler until the request completes when the future is forced.
+// scheduler until the request completes when the future is forced. A nil
+// owner means resolved: a Future is pending only after Init or NewFuture,
+// and the zero value reads as resolved at cycle 0.
 type Future struct {
-	done     uint64
-	resolved bool
-	owner    Forcer
+	done  uint64
+	owner Forcer
 }
 
 // Forcer is the owner of pending futures. Force runs the owner's scheduler
-// until f is resolved. An owner that implements Forcer on a pointer type
-// makes a pending request cost one allocation, the Future itself: storing
-// a pointer in an interface does not allocate.
+// until f is resolved. Storing a pointer in an interface does not allocate,
+// so an owner that implements Forcer on a pointer type adds nothing to the
+// cost of a pending request; where the Futures live is up to the owner.
 type Forcer interface {
 	Force(f *Future)
 }
@@ -37,23 +38,22 @@ func NewFuture(force func()) *Future {
 // Resolve records the completion cycle. Resolving twice is a bug in the
 // owner and panics.
 func (f *Future) Resolve(cycle uint64) {
-	if f.resolved {
+	if f.owner == nil {
 		panic("mem: future resolved twice")
 	}
 	f.done = cycle
-	f.resolved = true
 	f.owner = nil
 }
 
 // Resolved reports whether the completion time is known.
-func (f *Future) Resolved() bool { return f.resolved }
+func (f *Future) Resolved() bool { return f.owner == nil }
 
 // Force blocks (by running the owner's scheduler) until the completion time
 // is known, then returns it.
 func (f *Future) Force() uint64 {
-	if !f.resolved {
+	if f.owner != nil {
 		f.owner.Force(f)
-		if !f.resolved {
+		if f.owner != nil {
 			panic("mem: force did not resolve future")
 		}
 	}

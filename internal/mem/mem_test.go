@@ -89,8 +89,17 @@ func TestFutureForceResolves(t *testing.T) {
 	}
 }
 
-// recordOwner keeps its futures inside its own request records, the way
-// the DRAM controller does, and resolves one when it is forced.
+func TestFutureZeroValueIsResolved(t *testing.T) {
+	// A nil owner means resolved, so a Future is pending only after Init.
+	var zero Future
+	if c, ok := Pending(&zero).Peek(); !ok || c != 0 {
+		t.Fatalf("zero Future peeks %d,%v; want 0,true", c, ok)
+	}
+}
+
+// recordOwner keeps each future inside a record of its own, so the owner
+// decides where its futures live (the DRAM controller carves them from
+// chunks), and resolves one when it is forced.
 type recordOwner struct {
 	records []*ownedRecord
 	forced  []*Future
