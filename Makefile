@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build test test-short vet xmem-vet vet-json vet-hotpath \
-        infer-validate lint fmtcheck check bench bench-test alloc-gate race \
+        infer-validate lint fmtcheck check bench-test alloc-gate race \
         fuzz-smoke sweep-smoke metrics-smoke trace-smoke cli-smoke experiments experiments-paper \
         examples clean
 
@@ -147,25 +147,36 @@ trace-smoke:
 
 # Command-line smoke: build the five commands once, then check that each
 # usage error below exits 2, before anything runs, and that a small valid
-# run exits 0. Prints every case that exits otherwise.
+# run exits 0. A Go panic also exits 2, so a case whose stderr holds a
+# goroutine trace fails too. Prints every case that exits otherwise.
 cli-smoke:
 	mkdir -p $(SMOKE)/bin
 	$(GO) build -o $(SMOKE)/bin/ ./cmd/...
 	@b=$(SMOKE)/bin; fails=0; \
-	exits() { want=$$1; shift; "$$@" >/dev/null 2>&1; got=$$?; \
+	exits() { want=$$1; shift; err=$$("$$@" 2>&1 >/dev/null); got=$$?; \
+		case "$$err" in *"goroutine "*) echo "cli-smoke: $$* panicked"; fails=1; return;; esac; \
 		if [ $$got -ne $$want ]; then echo "cli-smoke: $$* exited $$got, want $$want"; fails=1; fi; }; \
 	exits 2 $$b/xmem-sim -workload nosuch; \
 	exits 2 $$b/xmem-sim -system bogus; \
 	exits 2 $$b/xmem-sim -alloc bogus; \
+	exits 2 $$b/xmem-sim -scheme bogus -n 32; \
+	for v in 0 -8; do exits 2 $$b/xmem-sim -workload gemm -n $$v; done; \
+	for v in 0 -1; do exits 2 $$b/xmem-sim -workload libq -scale $$v; done; \
 	exits 2 $$b/xmem-sim -multi -workload gemm,libq -metrics $(SMOKE)/cli_metrics.json; \
 	for l in gemm,gemm gemm, gemm,nosuch; do exits 2 $$b/xmem-sim -workload $$l -n 32; done; \
 	exits 2 $$b/xmem-trace; \
 	exits 2 $$b/xmem-trace record -workload gemm; \
+	exits 2 $$b/xmem-trace record -workload gemm -n 0 -o $(SMOKE)/cli.trc; \
+	exits 2 $$b/xmem-trace record -workload libq -scale 0 -o $(SMOKE)/cli.trc; \
 	for c in info profile replay explain; do exits 2 $$b/xmem-trace $$c; done; \
 	exits 2 $$b/xmem-inspect -workload nosuch; \
 	exits 2 $$b/xmem-inspect -placement nosuch; \
+	exits 2 $$b/xmem-inspect -placement libq -banks 0; \
 	exits 2 $$b/xmem-bench -exp nosuch; \
 	exits 2 $$b/xmem-bench -preset nosuch; \
+	exits 2 $$b/xmem-bench -preset mini -exp alb -kernels nosuch; \
+	exits 2 $$b/xmem-bench -preset mini -exp fig4 -kernels gemm,gemm; \
+	exits 2 $$b/xmem-bench -preset mini -exp fig7 -workloads libq,; \
 	exits 2 $$b/xmem-bench -resume; \
 	exits 2 $$b/xmem-vet -run nosuch ./...; \
 	exits 0 $$b/xmem-sim -workload gemm -n 32; \
@@ -177,9 +188,6 @@ test:
 
 test-short:
 	$(GO) test -short ./...
-
-bench:
-	$(GO) test -bench=. -benchmem .
 
 # The host-cost benchmark's own tests (bench/ is a separate module, so the
 # root go test ./... never enters it): per-workload smoke runs checked

@@ -14,7 +14,10 @@
 // name all selects every experiment the table marks as part of it and
 // combines with other names (-exp all,numa). Each experiment prints once,
 // in table order, and experiments that show the same result share its
-// sweep: fig8 prints Figure 8 from fig7's runs.
+// sweep: fig8 prints Figure 8 from fig7's runs. -kernels names Figure 4
+// kernels and -workloads members of the 27-workload suite. An unknown or
+// empty -exp name, and an unknown, empty or repeated -kernels or
+// -workloads entry, exit 2 before any sweep runs.
 //
 // Every experiment is a deterministic sweep: -parallel N fans the sweep's
 // points over N workers and produces byte-identical report output to a
@@ -35,7 +38,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
 
 	"xmem/internal/experiments"
 	"xmem/internal/experiments/runner"
@@ -67,11 +69,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xmem-bench: %v\n", err)
 		os.Exit(2)
 	}
-	if *kernels != "" {
-		preset.UC1Kernels = strings.Split(*kernels, ",")
-	}
-	if *workloads != "" {
-		preset.UC2Workloads = strings.Split(*workloads, ",")
+	if err := preset.Filter(*kernels, *workloads); err != nil {
+		fmt.Fprintf(os.Stderr, "xmem-bench: %v\n", err)
+		os.Exit(2)
 	}
 	var progress io.Writer
 	if *verbose {

@@ -51,6 +51,9 @@ func main() {
 		}
 		dumpAtoms(atoms, *segment)
 	case *placement != "":
+		if *banks <= 0 {
+			usageError(fmt.Errorf("-banks %d: the placement needs at least one bank group", *banks))
+		}
 		atoms, err := declaredAtoms(*placement)
 		if err != nil {
 			usageError(err)

@@ -86,6 +86,14 @@ func main() {
 		fmt.Println("mapping schemes:     ", strings.Join(dram.SchemeNames(), " "))
 		return
 	}
+	switch {
+	case *n <= 0:
+		fmt.Fprintf(os.Stderr, "xmem-sim: -n %d: the kernel dimension must be positive\n", *n)
+		os.Exit(2)
+	case !(*scale > 0):
+		fmt.Fprintf(os.Stderr, "xmem-sim: -scale %g: the workload scale must be positive\n", *scale)
+		os.Exit(2)
+	}
 
 	baseConfig := func() sim.Config {
 		cfg := sim.FastConfig(*l3)
@@ -111,6 +119,10 @@ func main() {
 		case sim.AllocSequential, sim.AllocRandom, sim.AllocXMemPlacement:
 		default:
 			fmt.Fprintf(os.Stderr, "xmem-sim: unknown alloc policy %q (sequential, random or xmem)\n", *alloc)
+			os.Exit(2)
+		}
+		if schemes := dram.SchemeNames(); !slices.Contains(schemes, *scheme) {
+			fmt.Fprintf(os.Stderr, "xmem-sim: unknown scheme %q (%s)\n", *scheme, strings.Join(schemes, ", "))
 			os.Exit(2)
 		}
 		return cfg

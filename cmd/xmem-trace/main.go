@@ -96,6 +96,12 @@ func cmdRecord(args []string) {
 	out := fs.String("o", "", "output trace file")
 	fs.Parse(args)
 	requireFlag(fs, "o")
+	switch {
+	case *n <= 0:
+		usageError(fmt.Errorf("record: -n %d: the kernel dimension must be positive", *n))
+	case !(*scale > 0):
+		usageError(fmt.Errorf("record: -scale %g: the workload scale must be positive", *scale))
+	}
 	w, err := workload.ByName(*name, workload.TiledConfig{N: *n, TileBytes: *tile, Steps: *steps}, *scale)
 	if err != nil {
 		usageError(err)

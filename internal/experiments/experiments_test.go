@@ -22,6 +22,48 @@ func TestPresetByName(t *testing.T) {
 	}
 }
 
+// TestPresetFilter pins how xmem-bench reads -kernels and -workloads: a
+// valid list replaces the preset's in its own order, an empty value keeps
+// the preset's, and an unknown, empty or repeated entry is an error that
+// names it.
+func TestPresetFilter(t *testing.T) {
+	for _, tc := range []struct {
+		kernels, workloads string
+		wantK, wantW       []string
+		err                string // non-empty: the filter is rejected
+	}{
+		{"", "", Mini().UC1Kernels, Mini().UC2Workloads, ""},
+		{"heat-3d,gemm", "mcf,libq", []string{"heat-3d", "gemm"}, []string{"mcf", "libq"}, ""},
+		{"2mm", "", []string{"2mm"}, Mini().UC2Workloads, ""},
+		{"nosuch", "", nil, nil, `-kernels: unknown entry "nosuch"`},
+		{"libq", "", nil, nil, `-kernels: unknown entry "libq"`},
+		{"gemm,gemm", "", nil, nil, `-kernels: "gemm" is listed twice`},
+		{"gemm,", "", nil, nil, `-kernels "gemm," has an empty entry`},
+		{"", "nosuch", nil, nil, `-workloads: unknown entry "nosuch"`},
+		{"", "gemm", nil, nil, `-workloads: unknown entry "gemm"`},
+		{"", "libq,mcf,libq", nil, nil, `-workloads: "libq" is listed twice`},
+		{"", "libq,", nil, nil, `-workloads "libq," has an empty entry`},
+		{"", ",", nil, nil, `-workloads "," has an empty entry`},
+	} {
+		p := Mini()
+		err := p.Filter(tc.kernels, tc.workloads)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("Filter(%q, %q) = %v; want an error containing %s", tc.kernels, tc.workloads, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Filter(%q, %q): %v", tc.kernels, tc.workloads, err)
+			continue
+		}
+		if !reflect.DeepEqual(p.UC1Kernels, tc.wantK) || !reflect.DeepEqual(p.UC2Workloads, tc.wantW) {
+			t.Errorf("Filter(%q, %q) kept kernels %v, workloads %v; want %v, %v",
+				tc.kernels, tc.workloads, p.UC1Kernels, p.UC2Workloads, tc.wantK, tc.wantW)
+		}
+	}
+}
+
 // TestSelect pins how xmem-bench reads -exp: the views it prints, in
 // order, and the results it runs and writes to JSON, one sweep each.
 func TestSelect(t *testing.T) {

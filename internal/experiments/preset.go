@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
+	"strings"
+
 	"xmem/internal/dram"
+	"xmem/internal/workload"
 )
 
 // Preset scales the experiment suite. Absolute numbers change with scale;
@@ -116,4 +121,37 @@ func PresetByName(name string) (Preset, bool) {
 	default:
 		return Preset{}, false
 	}
+}
+
+// Filter applies xmem-bench's -kernels and -workloads values, each a
+// comma-separated list; an empty value keeps the preset's list. Kernels
+// name Figure 4 kernels and workloads name members of the 27-workload
+// suite. An unknown, empty or repeated entry is an error that names it,
+// and the preset is then unusable.
+func (p *Preset) Filter(kernels, workloads string) error {
+	var err error
+	if kernels != "" {
+		p.UC1Kernels, err = filterNames("-kernels", kernels, workload.KernelNames())
+	}
+	if err == nil && workloads != "" {
+		p.UC2Workloads, err = filterNames("-workloads", workloads, workload.SuiteNames())
+	}
+	return err
+}
+
+// filterNames splits list and checks each entry against valid, keeping the
+// list's order.
+func filterNames(flag, list string, valid []string) ([]string, error) {
+	names := strings.Split(list, ",")
+	for i, name := range names {
+		switch {
+		case name == "":
+			return nil, fmt.Errorf("%s %q has an empty entry", flag, list)
+		case !slices.Contains(valid, name):
+			return nil, fmt.Errorf("%s: unknown entry %q; valid entries are %s", flag, name, strings.Join(valid, ", "))
+		case slices.Contains(names[:i], name):
+			return nil, fmt.Errorf("%s: %q is listed twice", flag, name)
+		}
+	}
+	return names, nil
 }

@@ -16,9 +16,6 @@ type MultiConfig struct {
 	// Core is the per-core configuration (caches, prefetchers, XMem
 	// flags). Its DRAM and Hybrid fields configure the shared memory.
 	Core Config
-	// QuantumCycles is the interleaving granularity of the deterministic
-	// scheduler (0 = 500).
-	QuantumCycles uint64
 	// NUMA, when set, replaces the shared controller with a multi-node
 	// memory: core i runs on node i mod Nodes, remote accesses pay the
 	// interconnect penalty, and — with XMemPlacement — each process'
@@ -57,6 +54,11 @@ type MultiResult struct {
 	RemoteFraction float64
 }
 
+// quantumCycles is the interleaving granularity of the deterministic
+// co-run scheduler: the core furthest behind runs this many cycles before
+// the scheduler picks again.
+const quantumCycles = 500
+
 // token is the ownership baton the scheduler passes between core
 // goroutines: holding it grants the right to run the core and to touch the
 // shared memory system.
@@ -78,8 +80,7 @@ type coreTask struct {
 
 	// Handoff state: the yielding core itself picks the next runnable
 	// peer.
-	peers   []*coreTask
-	quantum uint64
+	peers []*coreTask
 }
 
 // nextLive returns the runnable task with the smallest local cycle, ties to
@@ -103,7 +104,7 @@ func (t *coreTask) nextLive() *coreTask {
 // run's completion channel.
 func (t *coreTask) handoff() chan<- token {
 	if next := t.nextLive(); next != nil {
-		next.quantumEnd = next.cycle + next.quantum
+		next.quantumEnd = next.cycle + quantumCycles
 		return next.start
 	}
 	return t.finish
@@ -167,11 +168,7 @@ func RunMulti(cfg MultiConfig, ws []workload.Workload) (MultiResult, error) {
 		m.w.Run(m)
 		cycles = []uint64{m.core.Finish()}
 	} else {
-		quantum := cfg.QuantumCycles
-		if quantum == 0 {
-			quantum = 500
-		}
-		cycles = corun(ms, quantum)
+		cycles = corun(ms)
 	}
 	return side.result(ms, cycles), nil
 }
@@ -180,15 +177,14 @@ func RunMulti(cfg MultiConfig, ws []workload.Workload) (MultiResult, error) {
 // returns each core's finishing cycle. A panic on a core's goroutine is
 // recovered there, so the other cores run to completion; corun then
 // re-raises the first one on the caller's goroutine.
-func corun(ms []*Machine, quantum uint64) []uint64 {
+func corun(ms []*Machine) []uint64 {
 	allDone := make(chan token)
 	tasks := make([]*coreTask, len(ms))
 	for i, m := range ms {
 		t := &coreTask{
-			m:       m,
-			start:   make(chan token),
-			finish:  allDone,
-			quantum: quantum,
+			m:      m,
+			start:  make(chan token),
+			finish: allDone,
 		}
 		m.yield = func(cycle uint64) {
 			t.cycle = cycle
@@ -200,10 +196,10 @@ func corun(ms []*Machine, quantum uint64) []uint64 {
 				// Still the furthest-behind core: continue in place.
 				// This self-continuation is the common case for balanced
 				// co-runners and costs zero channel operations.
-				t.quantumEnd = cycle + t.quantum
+				t.quantumEnd = cycle + quantumCycles
 				return
 			}
-			next.quantumEnd = next.cycle + next.quantum
+			next.quantumEnd = next.cycle + quantumCycles
 			next.start <- token{}
 			<-t.start
 		}
@@ -234,7 +230,7 @@ func corun(ms []*Machine, quantum uint64) []uint64 {
 	// Inject the token at the deterministic first pick (all cycles are 0,
 	// so ties resolve to core 0) and wait for the last core to return it.
 	first := tasks[0]
-	first.quantumEnd = first.cycle + quantum
+	first.quantumEnd = first.cycle + quantumCycles
 	first.start <- token{}
 	<-allDone
 	if fault != nil {
