@@ -146,9 +146,10 @@ trace-smoke:
 	$(GO) run ./cmd/xmem-trace explain -i $(SMOKE)/xmem_trace_smoke.jsonl >/dev/null
 
 # Command-line smoke: build the five commands once, then check that each
-# usage error below exits 2, before anything runs, and that a small valid
-# run exits 0. A Go panic also exits 2, so a case whose stderr holds a
-# goroutine trace fails too. Prints every case that exits otherwise.
+# usage error below exits 2, before anything runs, that a small valid run
+# exits 0, and that the workload listings name the extended kernels
+# -workload accepts. A Go panic also exits 2, so a case whose stderr holds
+# a goroutine trace fails too. Prints every case that behaves otherwise.
 cli-smoke:
 	mkdir -p $(SMOKE)/bin
 	$(GO) build -o $(SMOKE)/bin/ ./cmd/...
@@ -156,12 +157,16 @@ cli-smoke:
 	exits() { want=$$1; shift; err=$$("$$@" 2>&1 >/dev/null); got=$$?; \
 		case "$$err" in *"goroutine "*) echo "cli-smoke: $$* panicked"; fails=1; return;; esac; \
 		if [ $$got -ne $$want ]; then echo "cli-smoke: $$* exited $$got, want $$want"; fails=1; fi; }; \
+	prints() { want=$$1; shift; case "$$("$$@" 2>&1)" in *"$$want"*) ;; \
+		*) echo "cli-smoke: $$* does not print $$want"; fails=1;; esac; }; \
 	exits 2 $$b/xmem-sim -workload nosuch; \
 	exits 2 $$b/xmem-sim -system bogus; \
 	exits 2 $$b/xmem-sim -alloc bogus; \
 	exits 2 $$b/xmem-sim -scheme bogus -n 32; \
 	for v in 0 -8; do exits 2 $$b/xmem-sim -workload gemm -n $$v; done; \
 	for v in 0 -1; do exits 2 $$b/xmem-sim -workload libq -scale $$v; done; \
+	for v in 0 100000; do exits 2 $$b/xmem-sim -workload gemm -n 32 -l3 $$v; done; \
+	exits 2 $$b/xmem-sim -workload gemm -n 32 -bw -5; \
 	exits 2 $$b/xmem-sim -multi -workload gemm,libq -metrics $(SMOKE)/cli_metrics.json; \
 	for l in gemm,gemm gemm, gemm,nosuch; do exits 2 $$b/xmem-sim -workload $$l -n 32; done; \
 	exits 2 $$b/xmem-trace; \
@@ -169,9 +174,10 @@ cli-smoke:
 	exits 2 $$b/xmem-trace record -workload gemm -n 0 -o $(SMOKE)/cli.trc; \
 	exits 2 $$b/xmem-trace record -workload libq -scale 0 -o $(SMOKE)/cli.trc; \
 	for c in info profile replay explain; do exits 2 $$b/xmem-trace $$c; done; \
+	exits 2 $$b/xmem-trace replay -i $(SMOKE)/cli.trc -l3 0; \
 	exits 2 $$b/xmem-inspect -workload nosuch; \
 	exits 2 $$b/xmem-inspect -placement nosuch; \
-	exits 2 $$b/xmem-inspect -placement libq -banks 0; \
+	for v in 0 100000; do exits 2 $$b/xmem-inspect -placement libq -banks $$v; done; \
 	exits 2 $$b/xmem-bench -exp nosuch; \
 	exits 2 $$b/xmem-bench -preset nosuch; \
 	exits 2 $$b/xmem-bench -preset mini -exp alb -kernels nosuch; \
@@ -181,6 +187,8 @@ cli-smoke:
 	exits 2 $$b/xmem-vet -run nosuch ./...; \
 	exits 0 $$b/xmem-sim -workload gemm -n 32; \
 	exits 0 $$b/xmem-sim -multi -workload gemm,gemm -n 32; \
+	prints gesummv $$b/xmem-sim -list; \
+	prints gesummv $$b/xmem-inspect; \
 	exit $$fails
 
 test:

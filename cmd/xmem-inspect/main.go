@@ -23,6 +23,7 @@ import (
 	"xmem/internal/analysis"
 	"xmem/internal/compress"
 	xm "xmem/internal/core"
+	"xmem/internal/dram"
 	"xmem/internal/kernel"
 	"xmem/internal/obs"
 	"xmem/internal/obs/span"
@@ -51,8 +52,8 @@ func main() {
 		}
 		dumpAtoms(atoms, *segment)
 	case *placement != "":
-		if *banks <= 0 {
-			usageError(fmt.Errorf("-banks %d: the placement needs at least one bank group", *banks))
+		if *banks <= 0 || *banks > dram.MaxBanksPerChannel {
+			usageError(fmt.Errorf("-banks %d: the placement needs 1 to %d bank groups (a channel's banks)", *banks, dram.MaxBanksPerChannel))
 		}
 		atoms, err := declaredAtoms(*placement)
 		if err != nil {
@@ -67,6 +68,9 @@ func main() {
 		fmt.Println("available workloads:")
 		for _, k := range workload.KernelNames() {
 			fmt.Printf("  %s (use case 1)\n", k)
+		}
+		for _, k := range workload.ExtraKernels() {
+			fmt.Printf("  %s (extended kernel)\n", k.Name)
 		}
 		for _, s := range workload.SuiteNames() {
 			fmt.Printf("  %s (use case 2)\n", s)

@@ -81,7 +81,12 @@ func main() {
 	flag.Parse()
 
 	if *list {
+		var extra []string
+		for _, k := range workload.ExtraKernels() {
+			extra = append(extra, k.Name)
+		}
 		fmt.Println("use case 1 kernels:  ", strings.Join(workload.KernelNames(), " "))
+		fmt.Println("extended kernels:    ", strings.Join(extra, " "))
 		fmt.Println("use case 2 workloads:", strings.Join(workload.SuiteNames(), " "))
 		fmt.Println("mapping schemes:     ", strings.Join(dram.SchemeNames(), " "))
 		return
@@ -92,6 +97,13 @@ func main() {
 		os.Exit(2)
 	case !(*scale > 0):
 		fmt.Fprintf(os.Stderr, "xmem-sim: -scale %g: the workload scale must be positive\n", *scale)
+		os.Exit(2)
+	case !(*bwCore >= 0):
+		fmt.Fprintf(os.Stderr, "xmem-sim: -bw %g: the per-core bandwidth must be positive, or 0 for full channel bandwidth\n", *bwCore)
+		os.Exit(2)
+	}
+	if err := sim.FastConfig(*l3).L3.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "xmem-sim: -l3 %d: %v\n", *l3, err)
 		os.Exit(2)
 	}
 

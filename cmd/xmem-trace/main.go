@@ -183,8 +183,12 @@ func cmdReplay(args []string) {
 	l3 := fs.Uint64("l3", 256<<10, "L3 bytes")
 	fs.Parse(args)
 	requireFlag(fs, "i")
+	cfg := sim.FastConfig(*l3)
+	if err := cfg.L3.Validate(); err != nil {
+		usageError(fmt.Errorf("replay: -l3 %d: %w", *l3, err))
+	}
 	t := loadTrace(*in)
-	res, err := sim.Run(sim.FastConfig(*l3), trace.Replay("replay:"+*in, t))
+	res, err := sim.Run(cfg, trace.Replay("replay:"+*in, t))
 	if err != nil {
 		fail(err)
 	}

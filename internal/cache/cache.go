@@ -188,20 +188,29 @@ type Cache struct {
 	stats Stats
 }
 
+// Validate checks the cache's shape: positive ways, and a size that holds
+// a power-of-two number of sets of Ways lines.
+func (c Config) Validate() error {
+	if c.Ways <= 0 {
+		return fmt.Errorf("cache %s: ways must be positive", c.Name)
+	}
+	lines := c.SizeBytes / mem.LineBytes
+	if lines == 0 || lines%uint64(c.Ways) != 0 {
+		return fmt.Errorf("cache %s: size %d not divisible into %d ways of %d-byte lines",
+			c.Name, c.SizeBytes, c.Ways, mem.LineBytes)
+	}
+	if sets := lines / uint64(c.Ways); sets&(sets-1) != 0 {
+		return fmt.Errorf("cache %s: set count %d is not a power of two", c.Name, sets)
+	}
+	return nil
+}
+
 // New builds a cache from cfg, forwarding misses to next.
 func New(cfg Config, next Lower) (*Cache, error) {
-	if cfg.Ways <= 0 {
-		return nil, fmt.Errorf("cache %s: ways must be positive", cfg.Name)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	lines := cfg.SizeBytes / mem.LineBytes
-	if lines == 0 || lines%uint64(cfg.Ways) != 0 {
-		return nil, fmt.Errorf("cache %s: size %d not divisible into %d ways of %d-byte lines",
-			cfg.Name, cfg.SizeBytes, cfg.Ways, mem.LineBytes)
-	}
-	sets := int(lines) / cfg.Ways
-	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("cache %s: set count %d is not a power of two", cfg.Name, sets)
-	}
+	sets := int(cfg.SizeBytes/mem.LineBytes) / cfg.Ways
 	var pol Policy
 	switch cfg.Policy {
 	case "", "lru":

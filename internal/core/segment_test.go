@@ -154,3 +154,17 @@ func TestGATLoadAndQuery(t *testing.T) {
 		t.Errorf("All() returned %d atoms", len(g.All()))
 	}
 }
+
+func TestHomeAttributeRoundTrips(t *testing.T) {
+	atoms := []Atom{{ID: 0, Name: "x", Attrs: Attributes{Home: HomeThread(3)}}}
+	decoded, err := DecodeSegment(EncodeSegment(atoms))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if th, ok := HomeOf(decoded[0].Attrs.Home); !ok || th != 3 {
+		t.Errorf("decoded home = %d,%v, want thread 3", th, ok)
+	}
+	if _, ok := HomeOf(HomeNone); ok {
+		t.Error("HomeNone decoded as a thread")
+	}
+}

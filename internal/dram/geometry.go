@@ -42,9 +42,9 @@ func DefaultGeometry() Geometry {
 	}
 }
 
-// maxBanksPerChannel bounds RanksPerChannel*BanksPerRank: the scheduler
+// MaxBanksPerChannel bounds RanksPerChannel*BanksPerRank: the scheduler
 // marks a channel's banks in one uint64.
-const maxBanksPerChannel = 64
+const MaxBanksPerChannel = 64
 
 // Validate checks that every field is a positive power of two where needed
 // and that a channel has at most 64 banks.
@@ -58,9 +58,9 @@ func (g Geometry) Validate() error {
 	if g.BanksPerRank <= 0 || g.BanksPerRank&(g.BanksPerRank-1) != 0 {
 		return fmt.Errorf("dram: banks = %d, want positive power of two", g.BanksPerRank)
 	}
-	if n := g.BanksPerChannel(); n > maxBanksPerChannel {
+	if n := g.BanksPerChannel(); n > MaxBanksPerChannel {
 		return fmt.Errorf("dram: %d ranks x %d banks = %d banks per channel, limit %d",
-			g.RanksPerChannel, g.BanksPerRank, n, maxBanksPerChannel)
+			g.RanksPerChannel, g.BanksPerRank, n, MaxBanksPerChannel)
 	}
 	if g.RowBytes < mem.LineBytes || g.RowBytes&(g.RowBytes-1) != 0 {
 		return fmt.Errorf("dram: row bytes = %d, want power of two >= line size", g.RowBytes)

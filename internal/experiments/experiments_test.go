@@ -23,9 +23,9 @@ func TestPresetByName(t *testing.T) {
 }
 
 // TestPresetFilter pins how xmem-bench reads -kernels and -workloads: a
-// valid list replaces the preset's in its own order, an empty value keeps
-// the preset's, and an unknown, empty or repeated entry is an error that
-// names it.
+// valid list replaces the preset's and runs in its own order, an empty
+// value keeps the preset's, and an unknown, empty or repeated entry is an
+// error that names it.
 func TestPresetFilter(t *testing.T) {
 	for _, tc := range []struct {
 		kernels, workloads string
@@ -60,6 +60,17 @@ func TestPresetFilter(t *testing.T) {
 		if !reflect.DeepEqual(p.UC1Kernels, tc.wantK) || !reflect.DeepEqual(p.UC2Workloads, tc.wantW) {
 			t.Errorf("Filter(%q, %q) kept kernels %v, workloads %v; want %v, %v",
 				tc.kernels, tc.workloads, p.UC1Kernels, p.UC2Workloads, tc.wantK, tc.wantW)
+		}
+		var runK, runW []string
+		for _, k := range uc1Kernels(p) {
+			runK = append(runK, k.Name)
+		}
+		for _, s := range uc2Specs(p) {
+			runW = append(runW, s.Name)
+		}
+		if !reflect.DeepEqual(runK, tc.wantK) || !reflect.DeepEqual(runW, tc.wantW) {
+			t.Errorf("Filter(%q, %q) runs kernels %v, workloads %v; want %v, %v",
+				tc.kernels, tc.workloads, runK, runW, tc.wantK, tc.wantW)
 		}
 	}
 }

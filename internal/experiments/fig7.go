@@ -72,22 +72,21 @@ type Fig7Result struct {
 	Rows   []Fig7Row
 }
 
-// uc2Specs resolves the preset's workload list at its scale.
+// uc2Specs resolves the preset's workload list, in the list's order, at
+// its scale.
 func uc2Specs(p Preset) []workload.SynthSpec {
+	all := workload.Suite27()
+	names := p.UC2Workloads
+	if names == nil {
+		names = workload.SuiteNames()
+	}
 	var out []workload.SynthSpec
-	for _, spec := range workload.Suite27() {
-		if p.UC2Workloads != nil {
-			found := false
-			for _, name := range p.UC2Workloads {
-				if spec.Name == name {
-					found = true
-				}
-			}
-			if !found {
-				continue
+	for _, name := range names {
+		for _, spec := range all {
+			if spec.Name == name {
+				out = append(out, spec.Scaled(p.UC2Scale))
 			}
 		}
-		out = append(out, spec.Scaled(p.UC2Scale))
 	}
 	return out
 }

@@ -1,8 +1,9 @@
 // Package kernel models the OS pieces XMem interacts with: virtual memory
 // (page tables and frame allocation), the atom-aware memory allocator of
 // §4.1.2 (malloc carries an Atom ID so the OS knows data-structure
-// boundaries before virtual pages are mapped), and the XMem DRAM placement
-// policy of §6.2.
+// boundaries before virtual pages are mapped), and the XMem placement
+// policies: DRAM bank placement (§6.2), and the hybrid-memory tier and NUMA
+// Home rules of Table 1.
 package kernel
 
 import (

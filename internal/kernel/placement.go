@@ -130,3 +130,57 @@ type FirstTouch struct{}
 
 // PreferredBanks implements PlacementPolicy.
 func (FirstTouch) PreferredBanks(core.AtomID) []int { return []int{0} }
+
+// regionPlacement steers each atom it holds regions for to those regions of
+// a RegionAllocator, and every other atom to the fallback regions. The tier
+// and Home rules below are its two instances (Table 1 rows 7 and 8: the
+// atoms' attributes pick the region a page lands in, before first touch and
+// without profiling).
+type regionPlacement struct {
+	byAtom   core.PerAtom[[]int]
+	fallback []int
+}
+
+// PreferredBanks implements PlacementPolicy.
+func (p *regionPlacement) PreferredBanks(id core.AtomID) []int {
+	if regions := p.byAtom.Get(id); regions != nil {
+		return regions
+	}
+	return p.fallback
+}
+
+// hotTierIntensity is the access intensity at which even read-only data
+// earns the fast tier of a hybrid memory.
+const hotTierIntensity = 170
+
+// NewTierPlacement is the XMem tier policy for a hybrid memory whose region
+// 0 is the fast DRAM tier and region 1 the NVM tier (Table 1, hybrid
+// memories): structures that are written, or hot, deserve DRAM; cold
+// read-only data goes to NVM, where the write asymmetry cannot hurt it. An
+// atom the segment does not declare prefers DRAM, as FirstTouch does.
+func NewTierPlacement(atoms []core.Atom) PlacementPolicy {
+	p := &regionPlacement{fallback: []int{0}}
+	nvm := []int{1}
+	for _, a := range atoms {
+		written := a.Attrs.RW == core.ReadWrite || a.Attrs.RW == core.WriteOnly
+		if !written && a.Attrs.Intensity < hotTierIntensity {
+			*p.byAtom.At(a.ID) = nvm
+		}
+	}
+	return p
+}
+
+// NewHomePlacement is the XMem NUMA policy for a process on node local of a
+// machine with the given node count, thread t running on node t mod nodes
+// (Table 1, NUMA): an atom whose Home attribute names a thread allocates on
+// that thread's node; an atom without affinity allocates locally (this
+// process expressed it, so this process accesses it).
+func NewHomePlacement(atoms []core.Atom, local, nodes int) PlacementPolicy {
+	p := &regionPlacement{fallback: []int{local}}
+	for _, a := range atoms {
+		if t, ok := core.HomeOf(a.Attrs.Home); ok {
+			*p.byAtom.At(a.ID) = []int{t % nodes}
+		}
+	}
+	return p
+}

@@ -33,7 +33,10 @@ type Config struct {
 	// L1D, L2, L3 are the cache levels (Table 3: 32 KB LRU, 128 KB DRRIP,
 	// 1-8 MB DRRIP).
 	L1D, L2, L3 cache.Config
-	// Geometry and Timing configure DRAM.
+	// Geometry, Timing, Scheme, IdealRBL and FCFS configure every memory
+	// device: the plain DRAM controller, both hybrid tiers and each NUMA
+	// node. A tier or node takes its own capacity in place of
+	// Geometry.CapacityBytes, and the NVM tier keeps dram.NVMTiming.
 	Geometry dram.Geometry
 	Timing   dram.Timing
 	// Scheme is the physical address-mapping scheme.
@@ -43,7 +46,8 @@ type Config struct {
 	// FCFS disables the memory controller's row-hit-first reordering
 	// (scheduler ablation).
 	FCFS bool
-	// Alloc picks the frame allocator; AllocSeed seeds AllocRandom.
+	// Alloc picks the frame allocator of plain DRAM; AllocSeed seeds
+	// AllocRandom.
 	Alloc     AllocPolicy
 	AllocSeed int64
 	// StridePrefetch enables the baseline multi-stride L3 prefetcher;
@@ -98,8 +102,9 @@ type Config struct {
 	// measuring XMem's context-switch sensitivity.
 	ContextSwitchInterval uint64
 	// Hybrid, when set, replaces DRAM with a two-tier DRAM+NVM memory
-	// (the Table 1 hybrid-memory use case). Alloc is ignored: the tier
-	// allocator takes over.
+	// (the Table 1 hybrid-memory use case). Every device field above
+	// applies to both tiers; Alloc applies only to plain DRAM, so here the
+	// tier allocator takes over.
 	Hybrid *HybridConfig
 }
 

@@ -7,7 +7,6 @@ import (
 	xm "xmem/internal/core"
 	"xmem/internal/cpu"
 	"xmem/internal/dram"
-	"xmem/internal/hybrid"
 	"xmem/internal/kernel"
 	"xmem/internal/mem"
 	"xmem/internal/obs"
@@ -258,8 +257,8 @@ func (m *Machine) result(cycles uint64) Result {
 		res.PinnedAtomsMax = m.pins.maxPinned
 	}
 	if m.tiers != nil {
-		d := m.tiers.Controller(int(hybrid.TierDRAM)).Stats()
-		n := m.tiers.Controller(int(hybrid.TierNVM)).Stats()
+		d := m.tiers.Controller(tierDRAM).Stats()
+		n := m.tiers.Controller(tierNVM).Stats()
 		res.TierDRAM, res.TierNVM = &d, &n
 	}
 	if m.reg != nil {

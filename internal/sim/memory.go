@@ -6,10 +6,8 @@ import (
 	"xmem/internal/cache"
 	xm "xmem/internal/core"
 	"xmem/internal/dram"
-	"xmem/internal/hybrid"
 	"xmem/internal/kernel"
 	"xmem/internal/mem"
-	"xmem/internal/numa"
 )
 
 // memorySystem is the memory below the L3s: a bare DRAM controller, or a
@@ -29,13 +27,21 @@ type memorySide struct {
 	mem    memorySystem
 	alloc  kernel.FrameAllocator
 	frames frameTable
-	// tiers is a hybrid machine's memory: region 0 is DRAM, region 1 NVM
-	// (nil on other machines).
+	// tiers is a hybrid machine's memory, its regions numbered tierDRAM
+	// and tierNVM (nil on other machines).
 	tiers *dram.RegionMemory
 	// ports holds each core's port into a NUMA machine's node memory (nil
 	// on other machines).
-	ports []*numa.Port
+	ports []*port
 }
+
+// The tiers of a hybrid machine are the regions of its memory, in this
+// order: kernel.FirstTouch fills the DRAM tier first, and
+// kernel.NewTierPlacement names the same regions.
+const (
+	tierDRAM = iota
+	tierNVM
+)
 
 // frameTable records each physical frame's owner: the core whose Malloc
 // took it and the atom that Malloc tagged it with (§4.1.2: the OS learns an
@@ -76,31 +82,35 @@ func (t *frameTable) owner(pa mem.Addr) (core int, atom xm.AtomID) {
 }
 
 // buildMemory assembles the memory side of a machine with the given
-// number of cores. A plain machine gets a bare DRAM controller and the
-// frame allocator cfg.Core.Alloc names. A hybrid or NUMA machine gets a
-// region memory with a region allocator over it; on NUMA, core i sits on
-// node i mod Nodes.
+// number of cores. Every device is built by device from cfg.Core. A plain
+// machine gets a bare DRAM controller and the frame allocator cfg.Core.Alloc
+// names. A hybrid or NUMA machine gets a region memory with a region
+// allocator over it; on NUMA, core i sits on node i mod Nodes.
 func buildMemory(cfg *MultiConfig, cores int) (*memorySide, error) {
 	c := &cfg.Core
 	if n := cfg.NUMA; n != nil {
-		nodes, err := numa.New(numa.Config{Nodes: n.Nodes, NodeBytes: n.NodeBytes, Scheme: c.Scheme, Timing: c.Timing})
+		if n.Nodes <= 0 {
+			return nil, fmt.Errorf("sim: NUMA node count %d, want at least one", n.Nodes)
+		}
+		devices := make([]dram.Config, n.Nodes)
+		usable := make([]uint64, n.Nodes)
+		for i := range devices {
+			devices[i], usable[i] = device(c, n.NodeBytes, c.Timing), n.NodeBytes
+		}
+		nodes, err := dram.NewRegionMemory(devices...)
 		if err != nil {
 			return nil, err
 		}
-		usable := make([]uint64, n.Nodes)
-		for i := range usable {
-			usable[i] = n.NodeBytes
-		}
 		side := regionSide(nodes, usable...)
 		for i := 0; i < cores; i++ {
-			side.ports = append(side.ports, &numa.Port{Mem: nodes, Node: i % n.Nodes})
+			side.ports = append(side.ports, &port{mem: nodes, node: i % n.Nodes})
 		}
 		return side, nil
 	}
 	if h := c.Hybrid; h != nil {
-		hc := hybrid.DefaultConfig(h.DRAMBytes, h.NVMBytes)
-		hc.DRAM.IdealRBL, hc.NVM.IdealRBL = c.IdealRBL, c.IdealRBL
-		tiers, err := dram.NewRegionMemory(hc.DRAM, hc.NVM)
+		tiers, err := dram.NewRegionMemory(
+			device(c, tierCapacity(h.DRAMBytes), c.Timing),
+			device(c, tierCapacity(h.NVMBytes), dram.NVMTiming()))
 		if err != nil {
 			return nil, err
 		}
@@ -108,13 +118,7 @@ func buildMemory(cfg *MultiConfig, cores int) (*memorySide, error) {
 		side.tiers = tiers
 		return side, nil
 	}
-	ctl, err := dram.NewController(dram.Config{
-		Geometry: c.Geometry,
-		Timing:   c.Timing,
-		Scheme:   c.Scheme,
-		IdealRBL: c.IdealRBL,
-		FCFS:     c.FCFS,
-	})
+	ctl, err := dram.NewController(device(c, c.Geometry.CapacityBytes, c.Timing))
 	if err != nil {
 		return nil, err
 	}
@@ -132,6 +136,26 @@ func buildMemory(cfg *MultiConfig, cores int) (*memorySide, error) {
 	return side, nil
 }
 
+// device is the controller configuration of one memory device of c's
+// machine: c's geometry at the given capacity, c's scheme, ideal-RBL and
+// FCFS modes, and the given timing.
+func device(c *Config, capacity uint64, t dram.Timing) dram.Config {
+	g := c.Geometry
+	g.CapacityBytes = capacity
+	return dram.Config{Geometry: g, Timing: t, Scheme: c.Scheme, IdealRBL: c.IdealRBL, FCFS: c.FCFS}
+}
+
+// tierCapacity is the device capacity behind a hybrid tier of the given
+// usable bytes: the next power of two (row addressing needs one), at least
+// 1 MiB so tiny tiers stay valid. The allocator still sees the exact budget.
+func tierCapacity(usable uint64) uint64 {
+	p := uint64(1 << 20)
+	for p < usable {
+		p <<= 1
+	}
+	return p
+}
+
 // regionSide pairs a region memory with a region allocator over the first
 // usable[i] bytes of each region i.
 func regionSide(rm *dram.RegionMemory, usable ...uint64) *memorySide {
@@ -140,6 +164,48 @@ func regionSide(rm *dram.RegionMemory, usable ...uint64) *memorySide {
 		ranges[i] = kernel.FrameRange{Base: rm.Base(i), Bytes: b}
 	}
 	return &memorySide{mem: rm, alloc: kernel.NewRegionAllocator(ranges...)}
+}
+
+// remoteLatency is the one-way interconnect penalty a NUMA access to
+// another node's memory pays, in CPU cycles (~30 ns at 3.6 GHz).
+const remoteLatency = 108
+
+// port is one core's view of a NUMA machine's node memory. It implements
+// cache.Lower: an access to another node's region pays remoteLatency on the
+// way there and, unless it is a posted writeback, again on the way back.
+type port struct {
+	mem  *dram.RegionMemory
+	node int
+	// remote and local count the port's cross-node and same-node accesses.
+	remote, local uint64
+}
+
+// Access implements cache.Lower.
+func (p *port) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.Addr) mem.Result {
+	if p.mem.Region(pa) == p.node {
+		p.local++
+		return p.mem.Access(pa, kind, at, pc)
+	}
+	p.remote++
+	res := p.mem.Access(pa, kind, at+remoteLatency, pc)
+	if kind == mem.Writeback {
+		return res
+	}
+	return res.Offset(remoteLatency)
+}
+
+// remoteFraction is the share of the ports' accesses that crossed the
+// interconnect (the metric NUMA placement minimizes); 0 with no accesses.
+func remoteFraction(ports []*port) float64 {
+	var remote, total uint64
+	for _, p := range ports {
+		remote += p.remote
+		total += p.remote + p.local
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(remote) / float64(total)
 }
 
 // lower returns what core i's L3 sits over: its NUMA port, or the memory.
@@ -154,7 +220,7 @@ func (s *memorySide) lower(i int) cache.Lower {
 // and their finishing cycles.
 func (s *memorySide) result(ms []*Machine, cycles []uint64) MultiResult {
 	s.mem.DrainAll()
-	res := MultiResult{DRAM: s.mem.Stats(), RemoteFraction: numa.RemoteFraction(s.ports)}
+	res := MultiResult{DRAM: s.mem.Stats(), RemoteFraction: remoteFraction(s.ports)}
 	for i, m := range ms {
 		res.Cores = append(res.Cores, m.result(cycles[i]))
 		res.Cycles = max(res.Cycles, cycles[i])
@@ -173,13 +239,13 @@ func placement(cfg *MultiConfig, atoms []xm.Atom, i int) (kernel.PlacementPolicy
 		case "node0":
 			return kernel.FirstTouch{}, nil
 		case "xmem":
-			return numa.NewPlacement(atoms, i%n.Nodes, func(t int) int { return t % n.Nodes }), nil
+			return kernel.NewHomePlacement(atoms, i%n.Nodes, n.Nodes), nil
 		}
 		return nil, fmt.Errorf("sim: unknown NUMA placement %q", n.Placement)
 	}
 	if h := cfg.Core.Hybrid; h != nil {
 		if h.XMemPlacement {
-			return hybrid.NewPlacement(atoms), nil
+			return kernel.NewTierPlacement(atoms), nil
 		}
 		return kernel.FirstTouch{}, nil
 	}

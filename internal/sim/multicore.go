@@ -14,20 +14,21 @@ import (
 // banks and bandwidth exactly as the paper's co-run scenarios do.
 type MultiConfig struct {
 	// Core is the per-core configuration (caches, prefetchers, XMem
-	// flags). Its DRAM and Hybrid fields configure the shared memory.
+	// flags). Its device and Hybrid fields configure the shared memory.
 	Core Config
 	// NUMA, when set, replaces the shared controller with a multi-node
 	// memory: core i runs on node i mod Nodes, remote accesses pay the
-	// interconnect penalty, and — with XMemPlacement — each process'
-	// pages land on the node its atoms' Home attributes name.
+	// interconnect penalty, and — with the "xmem" placement — each
+	// process' pages land on the node its atoms' Home attributes name.
+	// Every node is a device built from Core's device fields.
 	NUMA *NUMAConfig
 }
 
 // NUMAConfig sizes the multi-node memory.
 type NUMAConfig struct {
-	// Nodes is the socket count.
+	// Nodes is the socket count (at least one).
 	Nodes int
-	// NodeBytes is each node's capacity.
+	// NodeBytes is each node's capacity (a power of two).
 	NodeBytes uint64
 	// Placement selects the OS policy: "interleave" (default) spreads
 	// pages round-robin, "node0" models first-touch by an initializing

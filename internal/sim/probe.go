@@ -5,7 +5,6 @@ import (
 
 	"xmem/internal/cache"
 	xm "xmem/internal/core"
-	"xmem/internal/hybrid"
 	"xmem/internal/mem"
 	"xmem/internal/obs"
 	"xmem/internal/obs/span"
@@ -77,7 +76,7 @@ func (m *Machine) observePrefetchIssue(id xm.AtomID, n int) {
 // the span tracer's DRAM stage.
 func (m *Machine) observeDRAM(pa mem.Addr, kind mem.AccessKind, rowHit bool, arrival, done uint64) {
 	tier := "dram"
-	if m.tiers != nil && m.tiers.Region(pa) == int(hybrid.TierNVM) {
+	if m.tiers != nil && m.tiers.Region(pa) == tierNVM {
 		tier = "nvm"
 	}
 	if m.attrib != nil {
