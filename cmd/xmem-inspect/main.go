@@ -38,7 +38,7 @@ func main() {
 		banks     = flag.Int("banks", 8, "bank groups for -placement")
 		validate  = flag.String("validate-metrics", "", "validate a schema-v1 metrics JSON file (from xmem-sim -metrics)")
 		spans     = flag.String("validate-spans", "", "validate a causal span JSONL stream (from xmem-sim -span-out)")
-		vet       = flag.String("vet", "", "validate and summarize an xmem-vet/v2 (or v1) JSON report (from xmem-vet -json)")
+		vet       = flag.String("vet", "", "validate and summarize an xmem-vet/v2 JSON report (from xmem-vet -json)")
 	)
 	flag.Parse()
 
@@ -108,11 +108,11 @@ func validateSpans(path string) {
 		path, d.Schema, d.Workload, d.SampleEvery, len(d.Spans), d.Dropped)
 }
 
-// summarizeVet validates an xmem-vet report (v2, or legacy v1) and prints
-// the per-analyzer finding counts — zero-finding analyzers included, so
-// the summary proves which checks ran. v2 findings that carry suggested
-// fixes are marked, with the total edit count, so CI logs show how much of
-// the report `xmem-vet -fix` would resolve.
+// summarizeVet validates an xmem-vet/v2 report and prints the
+// per-analyzer finding counts — zero-finding analyzers included, so the
+// summary proves which checks ran. Findings that carry suggested fixes are
+// marked, with the total edit count, so CI logs show how much of the
+// report `xmem-vet -fix` would resolve.
 func summarizeVet(path string) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -9,9 +9,10 @@
 // proves from the loop nests, and `xmem-vet -fix` writes back into this
 // file. The committed version of this file IS the fixed output; the
 // pre-fix original is preserved at
-// internal/analysis/testdata/inferdemo_prefix/main.go.txt and
-// `make infer-validate` re-applies the fixes to it and diffs the result
-// against this file, proving the committed annotations are machine-derived.
+// internal/analysis/testdata/inferdemo_prefix/main.go.txt, and
+// TestInferDemoProvenance (internal/analysis) re-applies the fixes to it
+// and compares the result with this file, proving the committed
+// annotations are machine-derived.
 //
 // The program then validates the inference against the simulator the same
 // way CI does: it runs itself twice on an XMem machine — once with every

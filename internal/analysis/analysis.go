@@ -185,19 +185,7 @@ func libMethod(info *types.Info, call *ast.CallExpr) (name string, recv ast.Expr
 		return "", nil, false
 	}
 	s := info.Selections[sel]
-	if s == nil || s.Kind() != types.MethodVal {
-		return "", nil, false
-	}
-	t := s.Recv()
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, okNamed := t.(*types.Named)
-	if !okNamed {
-		return "", nil, false
-	}
-	obj := named.Obj()
-	if obj.Name() != "Lib" || obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), "internal/core") {
+	if s == nil || s.Kind() != types.MethodVal || !isNamedIn(s.Recv(), "Lib", "internal/core") {
 		return "", nil, false
 	}
 	return sel.Sel.Name, sel.X, true

@@ -108,9 +108,9 @@ func TestSealedLib(t *testing.T) {
 	runFixture(t, SealedLib, "sealunknown")
 }
 
-// TestRepoClean runs every analyzer over the whole module — the same sweep
-// `go run ./cmd/xmem-vet ./...` performs — and requires zero findings.
-func TestRepoClean(t *testing.T) {
+// loadModule loads every package of the module, as xmem-vet ./... does.
+func loadModule(t *testing.T) (*Loader, []*Package) {
+	t.Helper()
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,38 @@ func TestRepoClean(t *testing.T) {
 	if len(pkgs) < 5 {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
+	return loader, pkgs
+}
+
+// TestRepoClean runs every analyzer over the whole module — the same sweep
+// `go run ./cmd/xmem-vet ./...` performs — and requires zero findings.
+func TestRepoClean(t *testing.T) {
+	loader, pkgs := loadModule(t)
 	for _, f := range Run(loader.Fset, pkgs, All()) {
 		t.Errorf("finding on clean repo: %s", f)
+	}
+}
+
+// TestDirectivesKnown fails on any //xmem: directive in the module that no
+// analyzer reads: a misspelt name such as //xmem:alocfree would otherwise
+// drop a contract root, or an exemption, without a word.
+func TestDirectivesKnown(t *testing.T) {
+	known := map[string]bool{
+		"allocfree": true, "alloc-ok": true, // allocfree
+		"statsneutral": true, "stats-ok": true, // statsneutral
+		"share-ok": true, // noshare
+		"noinfer":  true, // attrinfer
+	}
+	loader, pkgs := loadModule(t)
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, cg := range file.Comments {
+				for _, c := range cg.List {
+					if d, ok := parseDirective(c); ok && !known[d.name] {
+						t.Errorf("%s: no analyzer reads //xmem:%s", loader.Fset.Position(d.pos), d.name)
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,10 +1,7 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -25,201 +22,49 @@ var AttrConflict = &Analyzer{
 	Run:  runAttrConflict,
 }
 
-// attrUse is one CreateAtom call with a constant site string.
-type attrUse struct {
-	pos token.Pos
-	// key canonicalizes the attributes; resolvable is false when the
-	// expression could not be folded, in which case key is unusable.
-	key        string
-	resolvable bool
-}
-
 func runAttrConflict(u *Unit) {
-	bySite := make(map[string][]attrUse)
-	var sites []string
-	for _, pkg := range u.Packages {
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				name, _, okLib := libMethod(pkg.Info, call)
-				if !okLib || name != "CreateAtom" || len(call.Args) != 2 {
-					return true
-				}
-				site, okSite := constString(pkg.Info, call.Args[0])
-				if !okSite {
-					return true
-				}
-				key, okKey := canonAttrs(u, pkg, call.Args[1], 0)
-				if _, seen := bySite[site]; !seen {
-					sites = append(sites, site)
-				}
-				bySite[site] = append(bySite[site], attrUse{pos: call.Args[1].Pos(), key: key, resolvable: okKey})
-				return true
-			})
-		}
+	bySite := createSites(u)
+	sites := make([]string, 0, len(bySite))
+	for site := range bySite {
+		sites = append(sites, site)
 	}
 	sort.Strings(sites)
 	for _, site := range sites {
-		uses := bySite[site]
-		first := -1
-		for i, use := range uses {
-			if !use.resolvable {
+		var first ast.Expr
+		var firstKey string
+		for _, s := range bySite[site] {
+			attrs := s.call.Args[1]
+			key, ok := attrKey(u, s.pkg, attrs)
+			if !ok {
 				continue
 			}
-			if first < 0 {
-				first = i
+			if first == nil {
+				first, firstKey = attrs, key
 				continue
 			}
-			if use.key != uses[first].key {
-				u.Reportf(use.pos, "CreateAtom site %q re-created with different attributes {%s} than at %s {%s}; attributes are immutable (§3.2), the first creation wins",
-					site, use.key, u.Fset.Position(uses[first].pos), uses[first].key)
+			if key != firstKey {
+				u.Reportf(attrs.Pos(), "CreateAtom site %q re-created with different attributes {%s} than at %s {%s}; attributes are immutable (§3.2), the first creation wins",
+					site, key, u.Fset.Position(first.Pos()), firstKey)
 			}
 		}
 	}
 }
 
-// canonAttrs folds an Attributes expression to a canonical field=value
-// string. Omitted fields normalize to their zero value so {Type: x} and
-// {Type: x, Reuse: 0} compare equal. depth bounds variable chasing.
-func canonAttrs(u *Unit, pkg *Package, e ast.Expr, depth int) (string, bool) {
-	if depth > 4 {
-		return "", false
-	}
-	switch v := e.(type) {
-	case *ast.ParenExpr:
-		return canonAttrs(u, pkg, v.X, depth)
-	case *ast.CompositeLit:
-		return canonAttrsLit(pkg, v)
-	case *ast.Ident:
-		obj, ok := pkg.Info.Uses[v].(*types.Var)
-		if !ok {
-			return "", false
-		}
-		init, defPkg, okInit := singleInitializer(u, obj)
-		if !okInit {
-			return "", false
-		}
-		return canonAttrs(u, defPkg, init, depth+1)
-	}
-	return "", false
-}
-
-// canonAttrsLit canonicalizes a composite literal whose every field value
-// is a compile-time constant.
-func canonAttrsLit(pkg *Package, lit *ast.CompositeLit) (string, bool) {
-	tv, ok := pkg.Info.Types[lit]
+// attrKey renders an Attributes expression as its sorted field=value list,
+// so {Type: x} and {Type: x, Reuse: 0} compare equal. It fails unless
+// every field folds to a constant.
+func attrKey(u *Unit, pkg *Package, e ast.Expr) (string, bool) {
+	fields, ok := foldAttrs(u, pkg, e)
 	if !ok {
 		return "", false
 	}
-	st, ok := tv.Type.Underlying().(*types.Struct)
-	if !ok {
-		return "", false
-	}
-	vals := make(map[string]string, st.NumFields())
-	for i := 0; i < st.NumFields(); i++ {
-		vals[st.Field(i).Name()] = "0"
-	}
-	for i, elt := range lit.Elts {
-		var fieldName string
-		value := elt
-		if kv, isKV := elt.(*ast.KeyValueExpr); isKV {
-			key, isIdent := kv.Key.(*ast.Ident)
-			if !isIdent {
-				return "", false
-			}
-			fieldName = key.Name
-			value = kv.Value
-		} else {
-			if i >= st.NumFields() {
-				return "", false
-			}
-			fieldName = st.Field(i).Name()
-		}
-		tvv, okV := pkg.Info.Types[value]
-		if !okV || tvv.Value == nil {
+	parts := make([]string, 0, len(fields))
+	for name, v := range fields {
+		if v == nil {
 			return "", false
 		}
-		vals[fieldName] = tvv.Value.ExactString()
-	}
-	parts := make([]string, 0, len(vals))
-	for name, val := range vals {
-		parts = append(parts, fmt.Sprintf("%s=%s", name, val))
+		parts = append(parts, name+"="+v.ExactString())
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, " "), true
-}
-
-// singleInitializer returns the unique initializer expression of a variable
-// that is defined exactly once and never reassigned or address-taken in its
-// defining package — the only case where the initializer provably is the
-// variable's value at every use.
-func singleInitializer(u *Unit, obj *types.Var) (ast.Expr, *Package, bool) {
-	if obj.Pkg() == nil {
-		return nil, nil, false
-	}
-	var defPkg *Package
-	for _, pkg := range u.Packages {
-		if pkg.Types == obj.Pkg() {
-			defPkg = pkg
-			break
-		}
-	}
-	if defPkg == nil {
-		return nil, nil, false
-	}
-	var init ast.Expr
-	clean := true
-	for _, file := range defPkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			if !clean {
-				return false
-			}
-			switch v := n.(type) {
-			case *ast.ValueSpec:
-				for i, name := range v.Names {
-					if defPkg.Info.Defs[name] == obj {
-						if len(v.Values) != len(v.Names) || init != nil {
-							clean = false
-							return false
-						}
-						init = v.Values[i]
-					}
-				}
-			case *ast.AssignStmt:
-				for i, lhs := range v.Lhs {
-					id, okIdent := lhs.(*ast.Ident)
-					if !okIdent {
-						continue
-					}
-					if defPkg.Info.Defs[id] == obj {
-						if v.Tok != token.DEFINE || len(v.Lhs) != len(v.Rhs) || init != nil {
-							clean = false
-							return false
-						}
-						init = v.Rhs[i]
-					} else if defPkg.Info.Uses[id] == obj {
-						// Any plain assignment after the definition makes
-						// the initializer unreliable.
-						clean = false
-						return false
-					}
-				}
-			case *ast.UnaryExpr:
-				if v.Op == token.AND {
-					if id, okIdent := v.X.(*ast.Ident); okIdent && defPkg.Info.Uses[id] == obj {
-						clean = false
-						return false
-					}
-				}
-			}
-			return true
-		})
-	}
-	if !clean || init == nil {
-		return nil, nil, false
-	}
-	return init, defPkg, true
 }

@@ -104,14 +104,6 @@ type inferEvidence struct {
 	bodies   map[*ast.BlockStmt]bool
 }
 
-// siteDecl is one CreateAtom call of a site, with its literal when the
-// attributes are written inline (the editable case).
-type siteDecl struct {
-	pkg  *Package
-	call *ast.CallExpr
-	lit  *ast.CompositeLit // nil when not an inline core.Attributes literal
-}
-
 func runAttrInfer(u *Unit) {
 	sc := resolveSemConsts(u)
 	if !sc.ok {
@@ -119,34 +111,9 @@ func runAttrInfer(u *Unit) {
 	}
 	idx := newFuncIndex(u)
 
-	// Every CreateAtom call of the module, keyed by constant site string:
-	// the fix must rewrite all of them to keep attrconflict quiet.
-	siteDecls := make(map[string][]siteDecl)
-	for _, pkg := range u.Packages {
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if name, _, okLib := libMethod(pkg.Info, call); !okLib || name != "CreateAtom" || len(call.Args) != 2 {
-					return true
-				}
-				site, okSite := constString(pkg.Info, call.Args[0])
-				if !okSite {
-					return true
-				}
-				d := siteDecl{pkg: pkg, call: call}
-				if lit, okLit := ast.Unparen(call.Args[1]).(*ast.CompositeLit); okLit {
-					if tv, okTV := pkg.Info.Types[lit]; okTV && isNamedIn(tv.Type, "Attributes", "internal/core") {
-						d.lit = lit
-					}
-				}
-				siteDecls[site] = append(siteDecls[site], d)
-				return true
-			})
-		}
-	}
+	// The fix must rewrite every CreateAtom call of a site to keep
+	// attrconflict quiet.
+	sites := createSites(u)
 
 	evidence := make(map[string]*inferEvidence)
 	evidenceOf := func(bf *baseFact, pkg *Package, call *ast.CallExpr) *inferEvidence {
@@ -179,7 +146,7 @@ func runAttrInfer(u *Unit) {
 		})
 	}
 
-	suppressed := collectNoInferDirectives(u)
+	noinfer := lineDirectives(u, "noinfer")
 
 	keys := make([]string, 0, len(evidence))
 	for k := range evidence {
@@ -188,35 +155,8 @@ func runAttrInfer(u *Unit) {
 	sort.Strings(keys)
 	srcs := newSrcCache()
 	for _, k := range keys {
-		judgeSite(u, sc, evidence[k], siteDecls, srcs, suppressed)
+		judgeSite(u, sc, evidence[k], sites, srcs, noinfer)
 	}
-}
-
-// collectNoInferDirectives gathers every `//xmem:noinfer` comment: the
-// directive suppresses attrinfer findings anchored on its own line or the
-// line directly below (so it works trailing or as a lead-in comment).
-func collectNoInferDirectives(u *Unit) map[string]map[int]bool {
-	out := make(map[string]map[int]bool)
-	for _, pkg := range u.Packages {
-		for _, file := range pkg.Files {
-			for _, cg := range file.Comments {
-				for _, c := range cg.List {
-					if !strings.Contains(c.Text, "xmem:noinfer") {
-						continue
-					}
-					p := u.Fset.Position(c.Pos())
-					lines := out[p.Filename]
-					if lines == nil {
-						lines = make(map[int]bool)
-						out[p.Filename] = lines
-					}
-					lines[p.Line] = true
-					lines[p.Line+1] = true
-				}
-			}
-		}
-	}
-	return out
 }
 
 // inferScanBody walks one body, seeds untagged Mallocs so the evaluator
@@ -402,17 +342,17 @@ func seedNoAtomBases(u *Unit, pkg *Package, facts *bodyFacts, sc semConsts) map[
 
 // judgeSite compares one site's evidence against its declaration and, when
 // strictly stronger and fixable, reports with the machine-applicable fix.
-func judgeSite(u *Unit, sc semConsts, ev *inferEvidence, siteDecls map[string][]siteDecl, srcs *srcCache, suppressed map[string]map[int]bool) {
+func judgeSite(u *Unit, sc semConsts, ev *inferEvidence, sites map[string][]createSite, srcs *srcCache, noinfer *lineMarks) {
 	if ev.loads+ev.stores == 0 {
 		return
 	}
 	anchor := ev.fact.attrs.pos
 	if ev.noAtom {
 		anchor = ev.fact.mallocPos
-	} else if decls := siteDecls[ev.fact.attrs.site]; len(decls) > 0 {
+	} else if decls := sites[ev.fact.attrs.site]; len(decls) > 0 {
 		anchor = decls[0].call.Pos()
 	}
-	if p := u.Fset.Position(anchor); suppressed[p.Filename][p.Line] {
+	if noinfer.exempts(u.Fset, anchor) {
 		return
 	}
 	declPattern, declStride, declRW := int64(0), int64(0), int64(0)
@@ -484,7 +424,7 @@ func judgeSite(u *Unit, sc semConsts, ev *inferEvidence, siteDecls map[string][]
 	}
 
 	if ev.noAtom {
-		fix, ok := buildNoAtomFix(u, ev, vals, siteDecls, srcs)
+		fix, ok := buildNoAtomFix(u, ev, vals, sites, srcs)
 		if !ok {
 			return
 		}
@@ -497,7 +437,7 @@ func judgeSite(u *Unit, sc semConsts, ev *inferEvidence, siteDecls map[string][]
 		return
 	}
 
-	decls := siteDecls[ev.fact.attrs.site]
+	decls := sites[ev.fact.attrs.site]
 	fix, ok := buildLiteralFix(u, ev, vals, decls, srcs)
 	if !ok {
 		return
@@ -565,7 +505,7 @@ func coreQualifier(lit *ast.CompositeLit) string {
 // fields keep their source text, inferred fields are set, and the whole
 // literal is re-rendered single-line in canonical field order. Fails (no
 // finding) when any declaration is not an editable inline literal.
-func buildLiteralFix(u *Unit, ev *inferEvidence, vals []inferredVal, decls []siteDecl, srcs *srcCache) (SuggestedFix, bool) {
+func buildLiteralFix(u *Unit, ev *inferEvidence, vals []inferredVal, decls []createSite, srcs *srcCache) (SuggestedFix, bool) {
 	if len(decls) == 0 {
 		return SuggestedFix{}, false
 	}
@@ -605,7 +545,7 @@ func buildLiteralFix(u *Unit, ev *inferEvidence, vals []inferredVal, decls []sit
 // renderAttrLiteral renders d.lit with the inferred values folded in,
 // single-line, fields in declaration order. Fails on positional literals
 // and non-identifier keys.
-func renderAttrLiteral(u *Unit, d siteDecl, vals []inferredVal, srcs *srcCache) (string, bool) {
+func renderAttrLiteral(u *Unit, d createSite, vals []inferredVal, srcs *srcCache) (string, bool) {
 	lit := d.lit
 	qual := coreQualifier(lit)
 	existing := make(map[string]string)
@@ -651,7 +591,7 @@ func renderAttrLiteral(u *Unit, d siteDecl, vals []inferredVal, srcs *srcCache) 
 // Malloc with an inline CreateAtom carrying the inferred attributes. The
 // receiver must expose Lib() *core.Lib, the Malloc name must be constant
 // (it becomes the site suffix), and the synthesized site must be new.
-func buildNoAtomFix(u *Unit, ev *inferEvidence, vals []inferredVal, siteDecls map[string][]siteDecl, srcs *srcCache) (SuggestedFix, bool) {
+func buildNoAtomFix(u *Unit, ev *inferEvidence, vals []inferredVal, sites map[string][]createSite, srcs *srcCache) (SuggestedFix, bool) {
 	call, pkg := ev.mallocCall, ev.mallocPkg
 	if call == nil || pkg == nil {
 		return SuggestedFix{}, false
@@ -669,7 +609,7 @@ func buildNoAtomFix(u *Unit, ev *inferEvidence, vals []inferredVal, siteDecls ma
 		return SuggestedFix{}, false
 	}
 	site := pkg.Types.Name() + "." + name
-	if _, taken := siteDecls[site]; taken {
+	if _, taken := sites[site]; taken {
 		return SuggestedFix{}, false // site string already claimed by real declarations
 	}
 	qual, okQ := corePkgQualifier(u, pkg, call.Pos())

@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"flag"
+	"go/format"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,8 +12,9 @@ import (
 )
 
 // -update regenerates the attrinfer fix goldens (testdata/src/<fixture>/
-// <fixture>.go.golden) from the fixes attrinfer currently plans. Inspect
-// the diff before committing.
+// <fixture>.go.golden, and examples/inferdemo/main.go from its pre-fix
+// copy) from the fixes attrinfer currently plans. Inspect the diff before
+// committing.
 var updateGolden = flag.Bool("update", false, "rewrite attrinfer golden files")
 
 func TestAttrInfer(t *testing.T) {
@@ -24,18 +26,19 @@ func TestAttrInfer(t *testing.T) {
 
 // TestAttrInferFixGolden is the end-to-end contract of the -fix pipeline:
 // the fixes planned for the inferbad fixture must produce exactly the
-// golden file, the fixed source must still type-check, and a second
-// attrinfer pass over it must find nothing (idempotency).
+// golden file, the fixed source must still type-check and be gofmt-clean,
+// and a second pass must find nothing (idempotency, and no contradiction
+// attrtruth can prove).
 func TestAttrInferFixGolden(t *testing.T) {
-	checkFixGolden(t, "inferbad")
+	checkFixGolden(t, fixturePath("inferbad"), fixturePath("inferbad")+".golden")
 }
 
 // TestAttrInferDupSite: a site string declared in both Declare and Run
 // gets one fix that rewrites both CreateAtom calls to the identical
 // strengthened literal; checkFixGolden proves the fixed file type-checks
-// and draws no further attrinfer finding.
+// and draws no further finding.
 func TestAttrInferDupSite(t *testing.T) {
-	fixed := checkFixGolden(t, "dupsite")
+	fixed := checkFixGolden(t, fixturePath("dupsite"), fixturePath("dupsite")+".golden")
 	re := regexp.MustCompile(`CreateAtom\("dupsite\.buf", (core\.Attributes\{[^}]*\})\)`)
 	lits := re.FindAllSubmatch(fixed, -1)
 	if len(lits) != 2 {
@@ -49,20 +52,33 @@ func TestAttrInferDupSite(t *testing.T) {
 	}
 }
 
-// checkFixGolden applies attrinfer's planned fixes to a scratch copy of
-// testdata/src/<fixture>/<fixture>.go and checks that the result equals
-// the fixture's .golden file, type-checks, and draws no further attrinfer
+// TestInferDemoProvenance proves the committed annotations of
+// examples/inferdemo are machine output: re-applying attrinfer's fixes to
+// the preserved pre-fix example must reproduce the committed file byte for
+// byte. -update rewrites the example from the pre-fix file.
+func TestInferDemoProvenance(t *testing.T) {
+	checkFixGolden(t, filepath.Join("testdata", "inferdemo_prefix", "main.go.txt"),
+		filepath.Join("..", "..", "examples", "inferdemo", "main.go"))
+}
+
+// fixturePath is the source of testdata/src/<fixture>.
+func fixturePath(fixture string) string {
+	return filepath.Join("testdata", "src", fixture, fixture+".go")
+}
+
+// checkFixGolden applies attrinfer's planned fixes to a scratch copy of the
+// one-file package src and checks that the result equals golden,
+// type-checks, is gofmt-clean, and draws no further attrinfer or attrtruth
 // finding. It returns the fixed source.
-func checkFixGolden(t *testing.T, fixture string) []byte {
+func checkFixGolden(t *testing.T, src, golden string) []byte {
 	t.Helper()
-	fixtureDir := filepath.Join("testdata", "src", fixture)
-	src, err := os.ReadFile(filepath.Join(fixtureDir, fixture+".go"))
+	text, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tmp := t.TempDir()
-	tmpFile := filepath.Join(tmp, fixture+".go")
-	if err := os.WriteFile(tmpFile, src, 0o644); err != nil {
+	tmpFile := filepath.Join(tmp, "fix.go")
+	if err := os.WriteFile(tmpFile, text, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -74,13 +90,13 @@ func checkFixGolden(t *testing.T, fixture string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.LoadDir(tmp, "fixture/"+fixture)
+	pkg, err := loader.LoadDir(tmp, "fixture/fix")
 	if err != nil {
 		t.Fatal(err)
 	}
 	findings := Run(loader.Fset, []*Package{pkg}, []*Analyzer{AttrInfer})
 	if len(findings) == 0 {
-		t.Fatalf("attrinfer found nothing on the %s fixture", fixture)
+		t.Fatalf("attrinfer found nothing in %s", src)
 	}
 	for _, f := range findings {
 		if len(f.SuggestedFixes) == 0 {
@@ -100,21 +116,24 @@ func checkFixGolden(t *testing.T, fixture string) []byte {
 		t.Fatalf("plan edits files %v, want %s", keysOf(plan.Files), tmpFile)
 	}
 
-	goldenPath := filepath.Join(fixtureDir, fixture+".go.golden")
 	if *updateGolden {
-		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(goldenPath)
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("%v (run `go test -run %s -update` to create it)", err, t.Name())
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("fixed fixture differs from golden:\n--- got\n%s\n--- want\n%s", got, want)
+		t.Errorf("fixed %s differs from %s:\n--- got\n%s\n--- want\n%s", src, golden, got, want)
+	}
+	if formatted, err := format.Source(got); err != nil || !bytes.Equal(formatted, got) {
+		t.Errorf("fixed %s is not gofmt-clean (err %v)", src, err)
 	}
 
-	// Apply for real and prove the result loads clean: fixes are idempotent.
+	// Apply for real and prove the result loads clean: fixes are idempotent
+	// and contradict nothing attrtruth can prove.
 	if err := plan.WriteFixes(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +141,11 @@ func checkFixGolden(t *testing.T, fixture string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixedPkg, err := loader2.LoadDir(tmp, "fixture/"+fixture+"fixed")
+	fixedPkg, err := loader2.LoadDir(tmp, "fixture/fixed")
 	if err != nil {
 		t.Fatalf("fixed source does not type-check: %v", err)
 	}
-	for _, f := range Run(loader2.Fset, []*Package{fixedPkg}, []*Analyzer{AttrInfer}) {
+	for _, f := range Run(loader2.Fset, []*Package{fixedPkg}, []*Analyzer{AttrInfer, AttrTruth}) {
 		t.Errorf("finding after fix applied: %s", f)
 	}
 	return got

@@ -40,50 +40,6 @@ type hotPathChecks struct {
 	packedCallCovered bool
 }
 
-// hotMarkers maps file -> line -> true for one //xmem:<hatch> line marker,
-// tracking marker comments that carry no justification.
-type hotMarkers struct {
-	lines      map[string]map[int]bool
-	reasonless []token.Pos
-}
-
-// collectHotMarkers gathers //xmem:<name> line markers across the whole
-// universe (suppressions inside non-selected packages must still work when
-// their code is reached transitively).
-func collectHotMarkers(u *Unit, name string) *hotMarkers {
-	m := &hotMarkers{lines: make(map[string]map[int]bool)}
-	prefix := "//xmem:" + name
-	for _, pkg := range u.Universe() {
-		for _, file := range pkg.Files {
-			for _, cg := range file.Comments {
-				for _, c := range cg.List {
-					rest, ok := strings.CutPrefix(c.Text, prefix)
-					if !ok || (rest != "" && !strings.HasPrefix(rest, " ")) {
-						continue
-					}
-					p := u.Fset.Position(c.Pos())
-					if m.lines[p.Filename] == nil {
-						m.lines[p.Filename] = make(map[int]bool)
-					}
-					m.lines[p.Filename][p.Line] = true
-					if strings.TrimSpace(rest) == "" {
-						m.reasonless = append(m.reasonless, c.Pos())
-					}
-				}
-			}
-		}
-	}
-	return m
-}
-
-// suppressedAt reports whether pos's line, or the line above it, carries
-// the marker (same convention as //xmem:share-ok).
-func (m *hotMarkers) suppressedAt(fset *token.FileSet, pos token.Pos) bool {
-	p := fset.Position(pos)
-	lines := m.lines[p.Filename]
-	return lines != nil && (lines[p.Line] || lines[p.Line-1])
-}
-
 // selectedFileSet returns the files of the packages under analysis, or nil
 // when the whole universe is selected.
 func selectedFileSet(u *Unit) map[string]bool {
@@ -116,29 +72,24 @@ func runHotPathProver(u *Unit, c hotPathChecks) {
 		srcs = append(srcs, ssalite.Source{Pkg: pkg.Types, Info: pkg.Info, Files: pkg.Files})
 	}
 	prog := ssalite.Build(u.Fset, srcs)
-	markers := collectHotMarkers(u, c.hatch)
+	hatches := lineDirectives(u, c.hatch)
 	sel := selectedFileSet(u)
 
 	// Hatch hygiene: every suppression must say why it is safe.
-	directivePos := make(map[token.Pos]bool)
 	for _, fn := range prog.Funcs {
-		for _, d := range fn.Directives {
-			directivePos[d.Pos] = true
-		}
 		if !inSelected(u, sel, fn.Pos) {
 			continue
 		}
-		if d, ok := fn.Directive(c.hatch); ok && d.Reason == "" {
+		if d, ok := funcDirective(fn.Doc, c.hatch); ok && d.reason == "" {
 			u.Reportf(fn.Pos, "//xmem:%s suppression without a reason: say why %s is exempt from the %s contract",
 				c.hatch, fn.Name, c.root)
 		}
 	}
-	for _, pos := range markers.reasonless {
-		if directivePos[pos] || !inSelected(u, sel, pos) {
-			continue
+	for _, d := range hatches.list {
+		if d.reason == "" && inSelected(u, sel, d.pos) {
+			u.Reportf(d.pos, "//xmem:%s suppression without a reason: say why this line is exempt from the %s contract",
+				c.hatch, c.root)
 		}
-		u.Reportf(pos, "//xmem:%s suppression without a reason: say why this line is exempt from the %s contract",
-			c.hatch, c.root)
 	}
 
 	// BFS from each root gives shortest call chains; the global dedup means
@@ -149,14 +100,14 @@ func runHotPathProver(u *Unit, c hotPathChecks) {
 		if !inSelected(u, sel, root.Pos) {
 			continue
 		}
-		if _, ok := root.Directive(c.root); !ok {
+		if _, ok := funcDirective(root.Doc, c.root); !ok {
 			continue
 		}
-		walkHotPathRoot(u, prog, markers, c, root, reported)
+		walkHotPathRoot(u, prog, hatches, c, root, reported)
 	}
 }
 
-func walkHotPathRoot(u *Unit, prog *ssalite.Program, markers *hotMarkers, c hotPathChecks, root *ssalite.Func, reported map[string]bool) {
+func walkHotPathRoot(u *Unit, prog *ssalite.Program, hatches *lineMarks, c hotPathChecks, root *ssalite.Func, reported map[string]bool) {
 	report := func(nd hotPathNode, pos token.Pos, what string) {
 		key := u.Fset.Position(pos).String() + "|" + what
 		if reported[key] {
@@ -177,7 +128,7 @@ func walkHotPathRoot(u *Unit, prog *ssalite.Program, markers *hotMarkers, c hotP
 		nd := queue[0]
 		queue = queue[1:]
 		for _, in := range nd.fn.Instrs {
-			if markers.suppressedAt(u.Fset, in.Pos) {
+			if hatches.exempts(u.Fset, in.Pos) {
 				continue // audited line; for calls this also prunes the walk
 			}
 			if in.Kind != ssalite.KindCall {
@@ -205,7 +156,7 @@ func walkHotPathRoot(u *Unit, prog *ssalite.Program, markers *hotMarkers, c hotP
 					", which has no source in the analyzed packages and cannot be proven "+c.noSourceWhat)
 				continue
 			}
-			if _, hatched := callee.Directive(c.hatch); hatched {
+			if _, hatched := funcDirective(callee.Doc, c.hatch); hatched {
 				continue // audited cold path: the hatch covers its subtree
 			}
 			if !visited[callee] {

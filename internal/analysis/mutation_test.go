@@ -80,8 +80,9 @@ func TestHotPathMutationDifferential(t *testing.T) {
 	})
 }
 
-// copyModule clones the module into a temp dir, leaving out .git and the
-// results tree (same exclusions as scripts/infer_validate.sh).
+// copyModule clones the module into a temp dir, leaving out hidden
+// directories (.git, and the build and smoke outputs in .bench_build and
+// .smoke), which the Go tool skips anyway.
 func copyModule(t *testing.T, root string) string {
 	t.Helper()
 	dst := t.TempDir()
@@ -94,11 +95,11 @@ func copyModule(t *testing.T, root string) string {
 			return err
 		}
 		if d.IsDir() {
-			if d.Name() == ".git" || rel == "results" {
-				return filepath.SkipDir
-			}
 			if rel == "." {
 				return nil
+			}
+			if strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
 			}
 			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
 		}

@@ -36,8 +36,8 @@ import (
 // globals have no such serialization and are always findings.
 //
 // A finding on a line carrying (or directly below a line carrying) an
-// `//xmem:share-ok` comment is suppressed: the marker records that a human
-// audited the sharing.
+// `//xmem:share-ok` directive is suppressed: the marker records that a
+// human audited the sharing.
 var NoShare = &Analyzer{
 	Name: "noshare",
 	Doc:  "non-concurrency-safe simulator state leaked into goroutines, sweep points, or globals",
@@ -46,7 +46,7 @@ var NoShare = &Analyzer{
 
 // noshareTypes are the named types whose values must stay single-owner.
 // Pointers to them count the same.
-var noshareTypes = []struct{ name, pkgSuffix string }{
+var noshareTypes = []typeName{
 	{"Machine", "internal/sim"},
 	{"Lib", "internal/core"},
 	{"Controller", "internal/dram"},
@@ -67,18 +67,8 @@ func noshareType(t types.Type) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return "", false
-	}
-	for _, nt := range noshareTypes {
-		if obj.Name() == nt.name && strings.HasSuffix(obj.Pkg().Path(), nt.pkgSuffix) {
-			path := obj.Pkg().Path()
-			short := path[strings.LastIndex(path, "/")+1:]
-			return prefix + short + "." + obj.Name(), true
-		}
-	}
-	return "", false
+	name, ok := namedAmong(named, noshareTypes)
+	return prefix + name, ok
 }
 
 // carrierType reports whether t is (a pointer to) a named struct type with
@@ -170,44 +160,11 @@ func sendsToken(body ast.Node, use *ast.Ident) bool {
 	return found
 }
 
-// shareOK maps file name -> source lines carrying an //xmem:share-ok
-// comment.
-type shareOK map[string]map[int]bool
-
-func collectShareOK(u *Unit) shareOK {
-	sup := make(shareOK)
-	for _, pkg := range u.Packages {
-		for _, file := range pkg.Files {
-			for _, cg := range file.Comments {
-				for _, c := range cg.List {
-					if !strings.Contains(c.Text, "xmem:share-ok") {
-						continue
-					}
-					p := u.Fset.Position(c.Pos())
-					if sup[p.Filename] == nil {
-						sup[p.Filename] = make(map[int]bool)
-					}
-					sup[p.Filename][p.Line] = true
-				}
-			}
-		}
-	}
-	return sup
-}
-
-// suppressed reports whether pos's line, or the line above it, carries the
-// suppression marker.
-func (s shareOK) suppressed(fset *token.FileSet, pos token.Pos) bool {
-	p := fset.Position(pos)
-	lines := s[p.Filename]
-	return lines != nil && (lines[p.Line] || lines[p.Line-1])
-}
-
 func runNoShare(u *Unit) {
-	sup := collectShareOK(u)
+	audited := lineDirectives(u, "share-ok")
 	seen := make(map[token.Pos]bool) // dedupes nested-context reports
 	report := func(pos token.Pos, format string, args ...interface{}) {
-		if seen[pos] || sup.suppressed(u.Fset, pos) {
+		if seen[pos] || audited.exempts(u.Fset, pos) {
 			return
 		}
 		seen[pos] = true
@@ -346,19 +303,5 @@ func isRunnerRun(info *types.Info, call *ast.CallExpr) bool {
 // isRunnerPoint matches a composite literal of runner.Point (any
 // instantiation).
 func isRunnerPoint(info *types.Info, lit *ast.CompositeLit) bool {
-	tv, ok := info.Types[lit]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if p, okP := t.(*types.Pointer); okP {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Point" && obj.Pkg() != nil &&
-		strings.HasSuffix(obj.Pkg().Path(), "experiments/runner")
+	return isNamedIn(info.Types[lit].Type, "Point", "experiments/runner")
 }

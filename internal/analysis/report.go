@@ -11,14 +11,8 @@ import (
 
 // VetSchema is the identifier of the machine-readable report format below.
 // Consumers (xmem-inspect -vet, CI trend tracking) check it before reading
-// anything else; it only changes when a field changes meaning. v2 adds the
-// optional suggested_fixes array to findings — a pure extension, so v1
-// reports (VetSchemaV1) still validate on read.
+// anything else; it only changes when a field changes meaning.
 const VetSchema = "xmem-vet/v2"
-
-// VetSchemaV1 is the previous schema identifier, still accepted by
-// ReadVetReport: v1 reports are exactly v2 reports with no fixes.
-const VetSchemaV1 = "xmem-vet/v1"
 
 // VetReport is the stable JSON shape of one xmem-vet run.
 type VetReport struct {
@@ -49,7 +43,7 @@ type VetFinding struct {
 	Line int    `json:"line"`
 	Col  int    `json:"col"`
 	Msg  string `json:"msg"`
-	// SuggestedFixes are machine-applicable repairs (v2; omitted when the
+	// SuggestedFixes are machine-applicable repairs (omitted when the
 	// analyzer proved the violation but not the remedy).
 	SuggestedFixes []VetFix `json:"suggested_fixes,omitempty"`
 }
@@ -148,16 +142,15 @@ func (r VetReport) Write(w io.Writer) error {
 	return err
 }
 
-// ReadVetReport parses and validates a report produced by Write. Both the
-// current schema (v2) and its predecessor (v1, no suggested_fixes) are
-// accepted; anything else is rejected before the fields are trusted.
+// ReadVetReport parses and validates a report produced by Write; any
+// schema but VetSchema is rejected before the fields are trusted.
 func ReadVetReport(data []byte) (VetReport, error) {
 	var r VetReport
 	if err := json.Unmarshal(data, &r); err != nil {
 		return r, fmt.Errorf("analysis: parsing vet report: %w", err)
 	}
-	if r.Schema != VetSchema && r.Schema != VetSchemaV1 {
-		return r, fmt.Errorf("analysis: vet report schema %q, want %q (or legacy %q)", r.Schema, VetSchema, VetSchemaV1)
+	if r.Schema != VetSchema {
+		return r, fmt.Errorf("analysis: vet report schema %q, want %q", r.Schema, VetSchema)
 	}
 	if r.Module == "" {
 		return r, fmt.Errorf("analysis: vet report missing module")
@@ -169,9 +162,6 @@ func ReadVetReport(data []byte) (VetReport, error) {
 		if f.Analyzer == "" || f.File == "" || f.Line <= 0 {
 			return r, fmt.Errorf("analysis: vet report finding %d malformed (analyzer %q, file %q, line %d)",
 				i, f.Analyzer, f.File, f.Line)
-		}
-		if r.Schema == VetSchemaV1 && len(f.SuggestedFixes) > 0 {
-			return r, fmt.Errorf("analysis: vet report finding %d carries suggested_fixes under schema %q", i, VetSchemaV1)
 		}
 		for j, fix := range f.SuggestedFixes {
 			if len(fix.Edits) == 0 {

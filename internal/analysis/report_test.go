@@ -67,18 +67,28 @@ func TestVetReportEmptyFindingsIsArray(t *testing.T) {
 	}
 }
 
+// TestVetReportValidation: each report below breaks exactly one rule, and
+// ReadVetReport must reject it for that rule.
 func TestVetReportValidation(t *testing.T) {
-	bad := []string{
-		`{}`,
-		`{"schema":"xmem-vet/v0","module":"m","analyzers":[{"name":"a","doc":"d"}],"findings":[]}`,
-		`{"schema":"xmem-vet/v1","module":"","analyzers":[{"name":"a","doc":"d"}],"findings":[]}`,
-		`{"schema":"xmem-vet/v1","module":"m","analyzers":[],"findings":[]}`,
-		`{"schema":"xmem-vet/v1","module":"m","analyzers":[{"name":"a","doc":"d"}],"findings":[{"analyzer":"","file":"f","line":1,"col":1,"msg":"m"}]}`,
+	finding := func(fix string) string {
+		return `{"schema":"xmem-vet/v2","module":"m","analyzers":[{"name":"a","doc":"d"}],"findings":[{"analyzer":"a","file":"f","line":1,"col":1,"msg":"m","suggested_fixes":[{"msg":"f","edits":` + fix + `}]}]}`
 	}
-	for _, s := range bad {
-		if _, err := ReadVetReport([]byte(s)); err == nil {
-			t.Errorf("malformed report accepted: %s", s)
+	for _, c := range []struct{ report, why string }{
+		{`{}`, "schema"},
+		{`{"schema":"xmem-vet/v1","module":"m","analyzers":[{"name":"a","doc":"d"}],"findings":[]}`, "schema"},
+		{`{"schema":"xmem-vet/v2","module":"","analyzers":[{"name":"a","doc":"d"}],"findings":[]}`, "missing module"},
+		{`{"schema":"xmem-vet/v2","module":"m","analyzers":[],"findings":[]}`, "no analyzers"},
+		{`{"schema":"xmem-vet/v2","module":"m","analyzers":[{"name":"a","doc":"d"}],"findings":[{"analyzer":"","file":"f","line":1,"col":1,"msg":"m"}]}`, "finding 0 malformed"},
+		{finding(`[]`), "has no edits"},
+		{finding(`[{"file":"","start":0,"end":1,"new_text":"x"}]`), "edit 0 malformed"},
+		{finding(`[{"file":"a.go","start":5,"end":2,"new_text":"x"}]`), "edit 0 malformed"},
+	} {
+		if _, err := ReadVetReport([]byte(c.report)); err == nil || !strings.Contains(err.Error(), c.why) {
+			t.Errorf("ReadVetReport(%s) = %v, want an error naming %q", c.report, err, c.why)
 		}
+	}
+	if _, err := ReadVetReport([]byte(finding(`[{"file":"a.go","start":0,"end":1,"new_text":"x"}]`))); err != nil {
+		t.Errorf("well-formed fix rejected: %v", err)
 	}
 }
 
@@ -110,47 +120,6 @@ func TestVetReportFixRoundTrip(t *testing.T) {
 	e := back.Findings[0].SuggestedFixes[0].Edits[0]
 	if e.File != "pkg/a.go" || e.Start != 10 || e.End != 20 || e.NewText != "core.Attributes{}" {
 		t.Errorf("edit round-tripped as %+v", e)
-	}
-}
-
-// TestVetReportV1Compat: legacy v1 reports (no fixes) must still validate;
-// a v1 report smuggling suggested_fixes and malformed v2 edits must not.
-func TestVetReportV1Compat(t *testing.T) {
-	v1 := `{
-  "schema": "xmem-vet/v1",
-  "module": "xmem",
-  "analyzers": [{"name": "attrtruth", "doc": "d"}],
-  "findings": [{"analyzer": "attrtruth", "file": "a.go", "line": 3, "col": 1, "msg": "m"}]
-}`
-	if _, err := ReadVetReport([]byte(v1)); err != nil {
-		t.Errorf("legacy v1 report rejected: %v", err)
-	}
-	v1fixes := strings.Replace(v1, `"msg": "m"`,
-		`"msg": "m", "suggested_fixes": [{"msg": "f", "edits": [{"file": "a.go", "start": 0, "end": 1, "new_text": "x"}]}]`, 1)
-	if _, err := ReadVetReport([]byte(v1fixes)); err == nil {
-		t.Error("v1 report with suggested_fixes accepted, want rejection")
-	}
-
-	mkV2 := func(edits string) string {
-		return `{
-  "schema": "xmem-vet/v2",
-  "module": "xmem",
-  "analyzers": [{"name": "attrinfer", "doc": "d"}],
-  "findings": [{"analyzer": "attrinfer", "file": "a.go", "line": 3, "col": 1, "msg": "m",
-    "suggested_fixes": [{"msg": "f", "edits": ` + edits + `}]}]
-}`
-	}
-	if _, err := ReadVetReport([]byte(mkV2(`[]`))); err == nil {
-		t.Error("fix with no edits accepted")
-	}
-	if _, err := ReadVetReport([]byte(mkV2(`[{"file": "", "start": 0, "end": 1, "new_text": "x"}]`))); err == nil {
-		t.Error("edit with empty file accepted")
-	}
-	if _, err := ReadVetReport([]byte(mkV2(`[{"file": "a.go", "start": 5, "end": 2, "new_text": "x"}]`))); err == nil {
-		t.Error("edit with end < start accepted")
-	}
-	if _, err := ReadVetReport([]byte(mkV2(`[{"file": "a.go", "start": 0, "end": 1, "new_text": "x"}]`))); err != nil {
-		t.Errorf("well-formed v2 edit rejected: %v", err)
 	}
 }
 

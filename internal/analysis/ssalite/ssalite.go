@@ -84,19 +84,6 @@ func (p *Program) FuncOf(obj *types.Func) *Func {
 	return nil
 }
 
-// Directive is one //xmem:name[ reason] annotation from a function's doc
-// comment.
-type Directive struct {
-	// Name is the directive ("allocfree", "statsneutral", "alloc-ok",
-	// "stats-ok").
-	Name string
-	// Reason is the free text after the name; contract directives leave it
-	// empty, suppression directives are expected to justify themselves.
-	Reason string
-	// Pos locates the directive comment.
-	Pos token.Pos
-}
-
 // Func is one lowered function or method.
 type Func struct {
 	// Obj is the declared function object (the generic origin for generic
@@ -107,21 +94,12 @@ type Func struct {
 	Name string
 	// Pos locates the func keyword.
 	Pos token.Pos
-	// Directives are the //xmem: annotations from the doc comment.
-	Directives []Directive
+	// Doc is the declaration's doc comment, where the //xmem: contract
+	// directives sit; nil when there is none.
+	Doc *ast.CommentGroup
 	// Instrs is the effect stream, in source order (func literal bodies
 	// inlined at their creation point).
 	Instrs []Instr
-}
-
-// Directive returns the first directive with the given name, if any.
-func (f *Func) Directive(name string) (Directive, bool) {
-	for _, d := range f.Directives {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return Directive{}, false
 }
 
 // InstrKind classifies one effect instruction.
@@ -180,10 +158,10 @@ func Build(fset *token.FileSet, srcs []Source) *Program {
 					continue
 				}
 				fn := &Func{
-					Obj:        obj,
-					Name:       DisplayName(obj),
-					Pos:        fd.Pos(),
-					Directives: parseDirectives(fd.Doc),
+					Obj:  obj,
+					Name: DisplayName(obj),
+					Pos:  fd.Pos(),
+					Doc:  fd.Doc,
 				}
 				lo := &lowerer{info: src.Info, fn: fn}
 				lo.walk(fd.Body, obj.Type().(*types.Signature))
@@ -218,21 +196,4 @@ func pkgShort(pkg *types.Package) string {
 	}
 	path := pkg.Path()
 	return path[strings.LastIndex(path, "/")+1:]
-}
-
-// parseDirectives extracts //xmem: directives from a doc comment.
-func parseDirectives(doc *ast.CommentGroup) []Directive {
-	if doc == nil {
-		return nil
-	}
-	var out []Directive
-	for _, c := range doc.List {
-		text, ok := strings.CutPrefix(c.Text, "//xmem:")
-		if !ok {
-			continue
-		}
-		name, reason, _ := strings.Cut(text, " ")
-		out = append(out, Directive{Name: name, Reason: strings.TrimSpace(reason), Pos: c.Pos()})
-	}
-	return out
 }

@@ -43,7 +43,7 @@ var StatsNeutral = &Analyzer{
 // AAM's chunk counts and the obs atom table's counters and names are
 // PerAtom tables, whose growth in PerAtom.At is the store a write through
 // the returned pointer is seen by.
-var statsDenyTypes = []struct{ name, pkgSuffix string }{
+var statsDenyTypes = []typeName{
 	{"AMUStats", "internal/core"},
 	{"LibStats", "internal/core"},
 	{"Lib", "internal/core"},
@@ -63,22 +63,6 @@ var statsDenyTypes = []struct{ name, pkgSuffix string }{
 	{"Histogram", "internal/obs"},
 }
 
-// statsDenied reports whether n is a tracked type, returning its display
-// name.
-func statsDenied(n *types.Named) (string, bool) {
-	obj := n.Obj()
-	if obj == nil || obj.Pkg() == nil {
-		return "", false
-	}
-	for _, d := range statsDenyTypes {
-		if obj.Name() == d.name && strings.HasSuffix(obj.Pkg().Path(), d.pkgSuffix) {
-			path := obj.Pkg().Path()
-			return path[strings.LastIndex(path, "/")+1:] + "." + obj.Name(), true
-		}
-	}
-	return "", false
-}
-
 func runStatsNeutral(u *Unit) {
 	runHotPathProver(u, hotPathChecks{
 		root:         "statsneutral",
@@ -93,7 +77,7 @@ func statsNeutralInstr(in ssalite.Instr) string {
 	switch in.Kind {
 	case ssalite.KindStore:
 		for _, owner := range in.Owners {
-			if name, bad := statsDenied(owner); bad {
+			if name, bad := namedAmong(owner, statsDenyTypes); bad {
 				return "mutates " + name + " state (store to " + in.Path + ")"
 			}
 		}
@@ -147,7 +131,7 @@ func canReachStatsState(t types.Type, seen map[types.Type]bool) bool {
 	seen[t] = true
 	switch v := t.(type) {
 	case *types.Named:
-		if _, bad := statsDenied(v); bad {
+		if _, bad := namedAmong(v, statsDenyTypes); bad {
 			return true
 		}
 		return canReachStatsState(v.Underlying(), seen)

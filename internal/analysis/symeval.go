@@ -396,102 +396,31 @@ func isAccessCall(info *types.Info, call *ast.CallExpr) (store bool, addr ast.Ex
 	return sel.Sel.Name == "Store", call.Args[1], true
 }
 
-// isNamedIn reports whether t (or its pointee) is the named type name
-// declared in a package whose import path ends with pkgSuffix.
-func isNamedIn(t types.Type, name, pkgSuffix string) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), pkgSuffix)
-}
-
 // --- attribute resolution ---
 
 // resolveAttrs folds the Attributes argument of a CreateAtom call to the
-// fields the checks need. It fails when the expression does not reduce to a
-// composite literal (directly or through single-initializer variables, as
-// in the package-level vecAttrs/tileAttrs idiom) or when a checked field is
-// not a compile-time constant.
+// fields the checks need (foldAttrs). It fails when Pattern, StrideBytes or
+// RW is not an integer constant; an unresolvable Intensity or Home does not
+// give up the whole literal.
 func resolveAttrs(u *Unit, pkg *Package, create *ast.CallExpr) (*attrFacts, bool) {
-	facts := &attrFacts{pos: create.Pos()}
-	facts.site, _ = constString(pkg.Info, create.Args[0])
-	fields, ok := foldAttrFields(u, pkg, create.Args[1], 0)
+	fields, ok := foldAttrs(u, pkg, create.Args[1])
 	if !ok {
 		return nil, false
 	}
-	facts.pattern = fields["Pattern"]
-	facts.stride = fields["StrideBytes"]
-	facts.rw = fields["RW"]
+	facts := &attrFacts{pos: create.Pos()}
+	facts.site, _ = constString(pkg.Info, create.Args[0])
+	for name, dst := range map[string]*int64{"Pattern": &facts.pattern, "StrideBytes": &facts.stride, "RW": &facts.rw} {
+		v := fields[name]
+		if v == nil {
+			return nil, false
+		}
+		n, exact := constant.Int64Val(constant.ToInt(v))
+		if !exact {
+			return nil, false
+		}
+		*dst = n
+	}
 	return facts, true
-}
-
-// foldAttrFields reduces an Attributes expression to its constant field
-// values (absent fields are the zero value). Only the fields the checks
-// read must fold; an unresolvable Intensity or Home does not give up the
-// whole literal.
-func foldAttrFields(u *Unit, pkg *Package, e ast.Expr, depth int) (map[string]int64, bool) {
-	if depth > 4 {
-		return nil, false
-	}
-	switch v := ast.Unparen(e).(type) {
-	case *ast.CompositeLit:
-		tv, ok := pkg.Info.Types[v]
-		if !ok || !isNamedIn(tv.Type, "Attributes", "internal/core") {
-			return nil, false
-		}
-		st, ok := tv.Type.Underlying().(*types.Struct)
-		if !ok {
-			return nil, false
-		}
-		checked := map[string]bool{"Pattern": true, "StrideBytes": true, "RW": true}
-		fields := make(map[string]int64, 3)
-		for i, elt := range v.Elts {
-			name := ""
-			value := elt
-			if kv, isKV := elt.(*ast.KeyValueExpr); isKV {
-				key, isIdent := kv.Key.(*ast.Ident)
-				if !isIdent {
-					return nil, false
-				}
-				name = key.Name
-				value = kv.Value
-			} else {
-				if i >= st.NumFields() {
-					return nil, false
-				}
-				name = st.Field(i).Name()
-			}
-			if !checked[name] {
-				continue
-			}
-			tvv, okV := pkg.Info.Types[value]
-			if !okV || tvv.Value == nil {
-				return nil, false
-			}
-			n, exact := constant.Int64Val(constant.ToInt(tvv.Value))
-			if !exact {
-				return nil, false
-			}
-			fields[name] = n
-		}
-		return fields, true
-	case *ast.Ident:
-		obj, ok := pkg.Info.Uses[v].(*types.Var)
-		if !ok {
-			return nil, false
-		}
-		init, defPkg, okInit := singleInitializer(u, obj)
-		if !okInit {
-			return nil, false
-		}
-		return foldAttrFields(u, defPkg, init, depth+1)
-	}
-	return nil, false
 }
 
 // --- symbolic address shapes ---

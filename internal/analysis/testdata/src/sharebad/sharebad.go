@@ -23,6 +23,7 @@ func goCapture(m *sim.Machine) {
 func goCaptureLib(lib *core.Lib) {
 	done := make(chan struct{})
 	go func() {
+		// Not audited: nobody wrote an xmem:share-ok marker for this capture.
 		_ = lib // want "captured by a function"
 		close(done)
 	}()
@@ -124,4 +125,13 @@ func carrierSweep(t *task) error {
 // scope.
 func carrierGlobal(t *task) {
 	leakedTask = t // want "stored into package-level variable"
+}
+
+// goCaptureMisnamed sits under a directive whose name only starts with
+// share-ok: the name must match whole, so the capture is still reported.
+func goCaptureMisnamed(m *sim.Machine) {
+	go func() {
+		//xmem:share-okay audited, but under a name noshare does not read
+		_ = m // want "captured by a function started by a go statement"
+	}()
 }

@@ -188,14 +188,14 @@ type Cache struct {
 	stats Stats
 }
 
-// Validate checks the cache's shape: positive ways, and a size that holds
-// a power-of-two number of sets of Ways lines.
+// Validate checks the cache's shape: positive ways, and a size that is a
+// whole number of lines holding a power-of-two number of sets of Ways lines.
 func (c Config) Validate() error {
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache %s: ways must be positive", c.Name)
 	}
 	lines := c.SizeBytes / mem.LineBytes
-	if lines == 0 || lines%uint64(c.Ways) != 0 {
+	if lines == 0 || c.SizeBytes%mem.LineBytes != 0 || lines%uint64(c.Ways) != 0 {
 		return fmt.Errorf("cache %s: size %d not divisible into %d ways of %d-byte lines",
 			c.Name, c.SizeBytes, c.Ways, mem.LineBytes)
 	}

@@ -58,6 +58,10 @@ func TestCacheRejectsBadGeometry(t *testing.T) {
 	if _, err := New(Config{SizeBytes: 1000, Ways: 4}, &flatMemory{}); err == nil {
 		t.Error("odd size accepted")
 	}
+	// 1056 bytes hold 16 whole lines and half a line: not a line multiple.
+	if _, err := New(Config{SizeBytes: 1056, Ways: 16}, &flatMemory{}); err == nil {
+		t.Error("size that is not a whole number of lines accepted")
+	}
 	if _, err := New(Config{SizeBytes: 4096, Ways: 0}, &flatMemory{}); err == nil {
 		t.Error("zero ways accepted")
 	}
