@@ -67,19 +67,25 @@ check: build vet fmtcheck test bench-test race alloc-gate fuzz-smoke vet-hotpath
 # LSQ stalls, cache hits and misses with the probe on and off, the stride
 # and XMem prefetchers' train+Drain, and DRAM writebacks and write-queue
 # hits allocate nothing; DRAM reads allocate one 16-Future chunk per 16
-# reads, 24 bytes per read. On a warmed sim Machine an L1-hitting load
-# allocates nothing and a thrashing stream at most one object per 16 DRAM
-# reads plus one per channel. Cheap enough for every check/CI run.
+# reads, 24 bytes per read, and a NUMA remote read's Offset exactly one
+# object. On a warmed sim Machine an L1-hitting load allocates nothing and
+# a thrashing stream at most one object per 16 DRAM reads plus one per
+# channel. Memory-side bookkeeping grows with what is mapped: 4,096 fresh
+# AAM pages cost at most 96 allocations, and building the banked or
+# randomized frame allocator over 256 MiB a handful of objects and at most
+# 4.5 bytes per frame. Cheap enough for every check/CI run.
 alloc-gate:
 	$(GO) test -run 'TestHotPath|TestProbeAllocs' -v ./internal/core/ \
 		./internal/kernel/ ./internal/cpu/ ./internal/cache/ \
-		./internal/prefetch/ ./internal/dram/ ./internal/sim/
+		./internal/prefetch/ ./internal/dram/ ./internal/mem/ ./internal/sim/
 
 # Short coverage-guided runs of the reference-model differentials: the
 # fingerprinted, fill-counted cache against the valid-array cache built on
 # the frozen rescanning LRU and RRIP policies, the by-value DRAM
 # controller against the pointer-queue one, the region frame allocator
-# against the frozen hybrid and NUMA allocators it replaced, the paged AAM
+# against the frozen hybrid and NUMA allocators it replaced, the lazy
+# banked and randomized frame allocators against the eager ones they
+# replaced (FuzzFrameAllocatorsMatchReference), the paged AAM
 # and index-LRU ALB against their hash-map and list references
 # (FuzzAMUMatchesReference), and the atom-indexed XMem prefetcher against
 # the frozen map-keyed one (FuzzXMemPrefetcherMatchesReference); and four
@@ -87,7 +93,7 @@ alloc-gate:
 # accept: the trace binary decoder (FuzzTraceRead), the atom segment
 # decoder (FuzzDecodeSegment), the metrics validator (FuzzValidateJSON)
 # and the span validator (FuzzValidateJSONL). Plain go test runs only
-# their seed corpora (the allocator's, the AMU's and the decoders' are
+# their seed corpora (the allocators', the AMU's and the decoders' are
 # committed under internal/kernel/testdata/fuzz/,
 # internal/core/testdata/fuzz/, internal/trace/testdata/fuzz/,
 # internal/obs/testdata/fuzz/ and internal/obs/span/testdata/fuzz/); this
@@ -97,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime 5s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz '^FuzzControllerMatchesReference$$' -fuzztime 5s ./internal/dram/
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionAllocatorMatchesReference$$' -fuzztime 5s ./internal/kernel/
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameAllocatorsMatchReference$$' -fuzztime 5s ./internal/kernel/
 	$(GO) test -run '^$$' -fuzz '^FuzzAMUMatchesReference$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzXMemPrefetcherMatchesReference$$' -fuzztime 5s ./internal/prefetch/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRead$$' -fuzztime 5s ./internal/trace/
@@ -226,5 +233,11 @@ examples:
 	$(GO) run ./examples/tiling
 	$(GO) run ./examples/inferdemo -check
 
+# Removes the build cache entries of this module and the git-ignored smoke
+# and benchmark build outputs. The Go command leaves its module cache under
+# .bench_build/gopath read-only, so write permission is restored first. The
+# regenerated results_* files stay: make experiments takes minutes.
 clean:
 	$(GO) clean ./...
+	chmod -R u+w $(SMOKE) .bench_build 2>/dev/null || true
+	rm -rf $(SMOKE) .bench_build

@@ -99,7 +99,7 @@ func lifecycleCheckBody(u *Unit, info *types.Info, body *ast.BlockStmt) {
 			v.unknown++
 		case rhs == nil:
 			v.badSrc++ // zero-value declaration
-		case isCreateAtomCall(info, rhs):
+		case createAtomCall(info, rhs) != nil:
 			v.created++
 		case isConst(info, rhs):
 			v.badSrc++ // constant: the zero value, InvalidAtom, AtomID(n)
@@ -228,16 +228,6 @@ func allStrictlyAfter(a callSite, maps []opUse) bool {
 		}
 	}
 	return true
-}
-
-// isCreateAtomCall reports whether e is a call to core.Lib.CreateAtom.
-func isCreateAtomCall(info *types.Info, e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	name, _, okLib := libMethod(info, call)
-	return okLib && name == "CreateAtom"
 }
 
 // renderConst pretty-prints a folded constant argument.

@@ -243,6 +243,20 @@ type createSite struct {
 	lit *ast.CompositeLit
 }
 
+// createAtomCall returns e as a call to core.Lib.CreateAtom(site, attrs),
+// or nil when e is not one. It is the one way the analyzers recognise a
+// CreateAtom call.
+func createAtomCall(info *types.Info, e ast.Expr) *ast.CallExpr {
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) != 2 {
+		return nil
+	}
+	if name, _, okLib := libMethod(info, call); !okLib || name != "CreateAtom" {
+		return nil
+	}
+	return call
+}
+
 // createSites lists every CreateAtom call of the analyzed packages whose
 // site string is constant, grouped by site in source order. The runtime
 // keys atoms by site string, so these are the calls that declare one atom.
@@ -251,11 +265,12 @@ func createSites(u *Unit) map[string][]createSite {
 	for _, pkg := range u.Packages {
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
+				e, ok := n.(ast.Expr)
 				if !ok {
 					return true
 				}
-				if name, _, okLib := libMethod(pkg.Info, call); !okLib || name != "CreateAtom" || len(call.Args) != 2 {
+				call := createAtomCall(pkg.Info, e)
+				if call == nil {
 					return true
 				}
 				site, okSite := constString(pkg.Info, call.Args[0])

@@ -51,7 +51,6 @@ var statsDenyTypes = []typeName{
 	{"ALB", "internal/core"},
 	{"albSlot", "internal/core"},
 	{"AAM", "internal/core"},
-	{"aamPage", "internal/core"},
 	{"AtomSet", "internal/core"},
 	{"PerAtom", "internal/core"},
 	{"GAT", "internal/core"},

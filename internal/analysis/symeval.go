@@ -299,8 +299,8 @@ func collectBodyFacts(u *Unit, pkg *Package, body *ast.BlockStmt) *bodyFacts {
 			}
 			switch rhs := asg.Rhs[i].(type) {
 			case *ast.CallExpr:
-				if name, _, okLib := libMethod(info, rhs); okLib && name == "CreateAtom" && len(rhs.Args) == 2 {
-					if facts, okA := resolveAttrs(u, pkg, rhs); okA {
+				if create := createAtomCall(info, rhs); create != nil {
+					if facts, okA := resolveAttrs(u, pkg, create); okA {
 						f.atoms[obj] = facts
 					}
 				}
@@ -337,14 +337,12 @@ func (f *bodyFacts) resolveMallocBase(u *Unit, call *ast.CallExpr) *baseFact {
 		return nil
 	}
 	var facts *attrFacts
-	switch atomArg := ast.Unparen(call.Args[2]).(type) {
-	case *ast.Ident:
-		obj, _ := f.pkg.Info.Uses[atomArg].(*types.Var)
+	atomArg := ast.Unparen(call.Args[2])
+	if id, ok := atomArg.(*ast.Ident); ok {
+		obj, _ := f.pkg.Info.Uses[id].(*types.Var)
 		facts = f.atoms[obj]
-	case *ast.CallExpr:
-		if name, _, okLib := libMethod(f.pkg.Info, atomArg); okLib && name == "CreateAtom" && len(atomArg.Args) == 2 {
-			facts, _ = resolveAttrs(u, f.pkg, atomArg)
-		}
+	} else if create := createAtomCall(f.pkg.Info, atomArg); create != nil {
+		facts, _ = resolveAttrs(u, f.pkg, create)
 	}
 	if facts == nil {
 		return nil

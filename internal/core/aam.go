@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"xmem/internal/mem"
 )
 
@@ -17,27 +19,17 @@ const DefaultGranularityBytes = 512
 // the hot path.
 const maxDirectPages = 1 << 21
 
-// aamPage holds one physical page's worth of chunk→atom associations: the
-// unit an ALB entry caches, and the unit the directory allocates.
-type aamPage struct {
-	// atoms has one entry per AAM chunk in the page; unmapped chunks hold
-	// InvalidAtom.
-	atoms []AtomID
-	// mapped counts entries != InvalidAtom, so page teardown needs no
-	// scan.
-	mapped int
-}
-
 // AAM is the Atom Address Map (§4.2 component 1): it resolves a physical
 // address to the atom (if any) most recently mapped over it. The map is
 // approximate — each granularity-sized chunk maps to at most one atom — and
 // purely supplemental, so imprecision can affect only optimization quality,
 // never correctness.
 //
-// Layout: a two-level paged directory (page index → per-page chunk array)
-// instead of a hash map, so the per-access Lookup is two array indexes with
-// no hashing, no allocation, and no interface boxing. See DESIGN.md, "Hot
-// path".
+// Layout: a page directory over one slab of chunk blocks instead of a hash
+// map, so the per-access Lookup is two array indexes with no hashing, no
+// allocation, and no interface boxing. A block holds one physical page's
+// chunk→atom associations: the unit an ALB entry caches. See DESIGN.md,
+// "Hot path".
 type AAM struct {
 	granBytes uint64
 	granShift uint
@@ -45,19 +37,27 @@ type AAM struct {
 	// page size so every page has at least one chunk.
 	chunksPerPage uint64
 	// dir is the dense directory, indexed by page index, grown on demand.
-	// A nil entry means no chunk in the page is mapped (or the page was
-	// never touched).
-	dir []*aamPage
-	// overflow holds pages with index >= maxDirectPages.
-	overflow map[uint64]*aamPage
+	// An entry holds the page's block number plus one; 0 means no chunk
+	// in the page is mapped (or the page was never touched).
+	dir []uint32
+	// overflow holds the entries of pages with index >= maxDirectPages,
+	// in the same encoding.
+	overflow map[uint64]uint32
+	// atoms is the slab: block b's chunks are
+	// atoms[b*chunksPerPage : (b+1)*chunksPerPage], and an unmapped chunk
+	// holds InvalidAtom.
+	atoms []AtomID
+	// mapped counts each block's entries != InvalidAtom, so page teardown
+	// needs no scan.
+	mapped []uint32
 	// mappedChunks counts chunks currently mapped per atom; the working
 	// set size of an atom is inferred from it (§3.3 class 3).
 	mappedChunks PerAtom[uint64]
-	// freePages pools pages dropped by the last unmap of their chunks. A
-	// pooled page is all-InvalidAtom by construction (mapped == 0), so
-	// reuse needs no clearing and map/unmap churn settles to zero
-	// allocations.
-	freePages []*aamPage
+	// freeBlocks pools the blocks dropped by the last unmap of their
+	// chunks. A pooled block is all-InvalidAtom by construction
+	// (mapped == 0), so reuse needs no clearing and map/unmap churn
+	// settles to zero allocations.
+	freeBlocks []uint32
 }
 
 // NewAAM returns an AAM with the given chunk granularity, which must be a
@@ -99,67 +99,92 @@ func (m *AAM) chunkRange(pa mem.Addr, size uint64) (first, last uint64) {
 	return first, last
 }
 
-// page returns the directory entry for pageIdx, or nil when no chunk in the
-// page has ever been mapped. This is the AMU's ALB-miss walk: one bounds
-// check and one index on the dense path.
+// entry returns the directory entry for pageIdx: its block number plus
+// one, or 0 when no chunk in the page is mapped.
 //
 //xmem:allocfree
 //xmem:statsneutral
-func (m *AAM) page(pageIdx uint64) *aamPage {
+func (m *AAM) entry(pageIdx uint64) uint32 {
 	if pageIdx < uint64(len(m.dir)) {
 		return m.dir[pageIdx]
 	}
 	if pageIdx >= maxDirectPages {
 		return m.overflow[pageIdx]
 	}
-	return nil
+	return 0
 }
 
-// ensurePage returns the directory entry for pageIdx, allocating the page
-// (and growing the dense directory) if needed. Only Map reaches this.
+// block returns block b's chunks as a full slice expression, so a caller
+// can read or copy them but never append into the next block.
 //
-//xmem:alloc-ok cold pool-refill path: a page allocates only the first time its index is mapped, and the dense directory grows geometrically, so n ascending pages reallocate it O(log n) times (TestAAMDirectoryGrowsGeometrically); steady-state churn reuses freePages (TestHotPathMapChurnAllocFree)
-func (m *AAM) ensurePage(pageIdx uint64) *aamPage {
-	if p := m.page(pageIdx); p != nil {
-		return p
+//xmem:allocfree
+//xmem:statsneutral
+func (m *AAM) block(b uint32) []AtomID {
+	lo := uint64(b) * m.chunksPerPage
+	hi := lo + m.chunksPerPage
+	return m.atoms[lo:hi:hi]
+}
+
+// page returns the chunks of page pageIdx, or nil when no chunk in the
+// page is mapped. This is the AMU's ALB-miss walk: one bounds check and
+// two indexes on the dense path.
+//
+//xmem:allocfree
+//xmem:statsneutral
+func (m *AAM) page(pageIdx uint64) []AtomID {
+	e := m.entry(pageIdx)
+	if e == 0 {
+		return nil
 	}
-	var p *aamPage
-	if n := len(m.freePages); n > 0 {
-		p = m.freePages[n-1]
-		m.freePages[n-1] = nil
-		m.freePages = m.freePages[:n-1]
+	return m.block(e - 1)
+}
+
+// ensureBlock returns the block of page pageIdx, taking one (and growing
+// the dense directory) if needed. Only Map reaches this.
+//
+//xmem:alloc-ok cold pool-refill path: the slab, the per-block counts and the dense directory grow geometrically, so n ascending pages reallocate them O(log n) times (TestAAMDirectoryGrowsGeometrically, TestHotPathAAMFreshPages); steady-state churn reuses freeBlocks (TestHotPathMapChurnAllocFree)
+func (m *AAM) ensureBlock(pageIdx uint64) uint32 {
+	if e := m.entry(pageIdx); e != 0 {
+		return e - 1
+	}
+	var b uint32
+	if n := len(m.freeBlocks); n > 0 {
+		b = m.freeBlocks[n-1]
+		m.freeBlocks = m.freeBlocks[:n-1]
 	} else {
-		p = &aamPage{atoms: make([]AtomID, m.chunksPerPage)}
-		for i := range p.atoms {
-			p.atoms[i] = InvalidAtom
+		b = uint32(len(m.mapped))
+		m.mapped = append(m.mapped, 0)
+		for i := uint64(0); i < m.chunksPerPage; i++ {
+			m.atoms = append(m.atoms, InvalidAtom)
 		}
 	}
 	if pageIdx < maxDirectPages {
 		if n := uint64(len(m.dir)); pageIdx >= n {
-			m.dir = append(m.dir, make([]*aamPage, pageIdx+1-n)...)
+			// Entries past len are 0: the directory never shrinks.
+			m.dir = slices.Grow(m.dir, int(pageIdx+1-n))[:pageIdx+1]
 		}
-		m.dir[pageIdx] = p
+		m.dir[pageIdx] = b + 1
 	} else {
 		if m.overflow == nil {
-			m.overflow = make(map[uint64]*aamPage)
+			m.overflow = make(map[uint64]uint32)
 		}
-		m.overflow[pageIdx] = p
+		m.overflow[pageIdx] = b + 1
 	}
-	return p
+	return b
 }
 
 // dropIfEmpty frees the page's directory slot once its last chunk unmaps,
 // so a long-running sim's directory tracks the live footprint.
-func (m *AAM) dropIfEmpty(pageIdx uint64, p *aamPage) {
-	if p.mapped != 0 {
+func (m *AAM) dropIfEmpty(pageIdx uint64, b uint32) {
+	if m.mapped[b] != 0 {
 		return
 	}
 	if pageIdx < uint64(len(m.dir)) {
-		m.dir[pageIdx] = nil
+		m.dir[pageIdx] = 0
 	} else {
 		delete(m.overflow, pageIdx)
 	}
-	m.freePages = append(m.freePages, p) //xmem:alloc-ok pool return: freePages grows only to the high-water page count, then reuses capacity
+	m.freeBlocks = append(m.freeBlocks, b) //xmem:alloc-ok pool return: freeBlocks grows only to the high-water block count, then reuses capacity
 }
 
 // chunkPage splits a global chunk index into its page and the chunk's slot
@@ -178,16 +203,17 @@ func (m *AAM) Map(pa mem.Addr, size uint64, id AtomID) {
 	first, last := m.chunkRange(pa, size)
 	for c := first; c < last; c++ {
 		pageIdx, slot := m.chunkPage(c)
-		p := m.ensurePage(pageIdx)
-		if prev := p.atoms[slot]; prev != InvalidAtom {
+		b := m.ensureBlock(pageIdx)
+		i := uint64(b)*m.chunksPerPage + slot
+		if prev := m.atoms[i]; prev != InvalidAtom {
 			if prev == id {
 				continue
 			}
 			m.decMapped(prev)
-			p.mapped--
+			m.mapped[b]--
 		}
-		p.atoms[slot] = id
-		p.mapped++
+		m.atoms[i] = id
+		m.mapped[b]++
 		*m.mappedChunks.At(id)++ //xmem:alloc-ok the table grows only to the highest atom ID mapped; churn over an established footprint reuses its entries
 	}
 }
@@ -201,15 +227,16 @@ func (m *AAM) Unmap(pa mem.Addr, size uint64, id AtomID) {
 	first, last := m.chunkRange(pa, size)
 	for c := first; c < last; c++ {
 		pageIdx, slot := m.chunkPage(c)
-		p := m.page(pageIdx)
-		if p == nil {
+		e := m.entry(pageIdx)
+		if e == 0 {
 			continue
 		}
-		if p.atoms[slot] == id {
-			p.atoms[slot] = InvalidAtom
-			p.mapped--
+		b := e - 1
+		if i := uint64(b)*m.chunksPerPage + slot; m.atoms[i] == id {
+			m.atoms[i] = InvalidAtom
+			m.mapped[b]--
 			m.decMapped(id)
-			m.dropIfEmpty(pageIdx, p)
+			m.dropIfEmpty(pageIdx, b)
 		}
 	}
 }
@@ -224,11 +251,11 @@ func (m *AAM) decMapped(id AtomID) {
 //xmem:allocfree
 //xmem:statsneutral
 func (m *AAM) Lookup(pa mem.Addr) (AtomID, bool) {
-	p := m.page(uint64(pa) >> mem.PageShift)
-	if p == nil {
+	e := m.entry(uint64(pa) >> mem.PageShift)
+	if e == 0 {
 		return InvalidAtom, false
 	}
-	id := p.atoms[mem.PageOffset(pa)>>m.granShift]
+	id := m.atoms[uint64(e-1)*m.chunksPerPage+mem.PageOffset(pa)>>m.granShift]
 	return id, id != InvalidAtom
 }
 
@@ -258,11 +285,11 @@ func (m *AAM) MappedAtoms() []AtomID {
 // ALB entry caches (§4.2: "the data are the Atom IDs in the physical
 // pages"). It allocates a fresh slice per call and serves the invariant
 // checker; the AMU's ALB-miss path instead hands the ALB the page's own
-// array to copy from (see AMU.Lookup).
+// block to copy from (see AMU.Lookup).
 func (m *AAM) PageAtoms(pa mem.Addr) []AtomID {
 	out := make([]AtomID, m.chunksPerPage)
 	if p := m.page(uint64(pa) >> mem.PageShift); p != nil {
-		copy(out, p.atoms)
+		copy(out, p)
 		return out
 	}
 	for i := range out {

@@ -178,30 +178,57 @@ func TestAAMDirectoryShrinksToFootprint(t *testing.T) {
 			t.Fatalf("chunk %d = %d after teardown", i, id)
 		}
 	}
+	if err := NewInvariantChecker().checkAAM(m); err != nil {
+		t.Fatalf("after teardown: %v", err)
+	}
+	// The dropped block is pooled and serves the next fresh page.
+	m.Map(0x5000, 512, 2)
+	if len(m.mapped) != 1 || len(m.freeBlocks) != 0 {
+		t.Fatalf("slab holds %d blocks, %d pooled, after remapping one page; want 1, 0", len(m.mapped), len(m.freeBlocks))
+	}
+	if err := NewInvariantChecker().checkAAM(m); err != nil {
+		t.Fatalf("after reuse: %v", err)
+	}
 }
 
 // TestAAMDirectoryGrowsGeometrically: mapping ascending pages one at a time
-// reallocates the dense directory O(log n) times, not once per new page.
+// reallocates the dense directory, the block slab and the per-block counts
+// O(log n) times each, not once per new page, and gives each page one
+// block of its own.
 func TestAAMDirectoryGrowsGeometrically(t *testing.T) {
 	const pages = 4096
 	m := NewAAM(512)
-	grows, lastCap := 0, cap(m.dir)
+	var grows [3]int
+	caps := func() [3]int { return [3]int{cap(m.dir), cap(m.atoms), cap(m.mapped)} }
+	last := caps()
 	for p := 0; p < pages; p++ {
 		m.Map(mem.Addr(p)*mem.PageBytes, mem.PageBytes, AtomID(p%8))
-		if c := cap(m.dir); c != lastCap {
-			grows, lastCap = grows+1, c
+		now := caps()
+		for i := range now {
+			if now[i] != last[i] {
+				grows[i]++
+			}
 		}
+		last = now
 	}
 	if len(m.dir) != pages {
 		t.Fatalf("directory covers %d pages, want %d", len(m.dir), pages)
 	}
-	if grows > 24 {
-		t.Errorf("directory reallocated %d times for %d ascending pages, want <= 24", grows, pages)
+	if len(m.mapped) != pages || uint64(len(m.atoms)) != pages*m.chunksPerPage {
+		t.Fatalf("slab holds %d blocks and %d chunks, want %d blocks of %d", len(m.mapped), len(m.atoms), pages, m.chunksPerPage)
+	}
+	for i, name := range []string{"directory", "slab", "block counts"} {
+		if grows[i] > 24 {
+			t.Errorf("%s reallocated %d times for %d ascending pages, want <= 24", name, grows[i], pages)
+		}
 	}
 	for p := 0; p < pages; p++ {
 		if id, ok := m.Lookup(mem.Addr(p) * mem.PageBytes); !ok || id != AtomID(p%8) {
 			t.Fatalf("page %d maps to %d,%v, want %d", p, id, ok, p%8)
 		}
+	}
+	if err := NewInvariantChecker().checkAAM(m); err != nil {
+		t.Fatal(err)
 	}
 }
 

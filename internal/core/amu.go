@@ -253,8 +253,8 @@ func (u *AMU) ExecDeactivate(id AtomID) {
 // Lookup serves an ATOM_LOOKUP request for physical address pa: it returns
 // the active atom mapped over pa, if any. The ALB is consulted first; only
 // misses read the AAM (§4.2). The path is allocation-free: a miss hands the
-// ALB the AAM page's own chunk array (or the AMU's constant empty-page
-// image) to copy into slot-owned storage.
+// ALB the AAM page's own block of the slab (or the AMU's constant
+// empty-page image) to copy into slot-owned storage.
 //
 //xmem:allocfree
 func (u *AMU) Lookup(pa mem.Addr) (AtomID, bool) {
@@ -263,8 +263,8 @@ func (u *AMU) Lookup(pa mem.Addr) (AtomID, bool) {
 	if !hit {
 		u.stats.AAMAccesses++
 		if p := u.aam.page(uint64(pa) >> mem.PageShift); p != nil {
-			u.alb.Fill(pa, p.atoms)
-			id = p.atoms[mem.PageOffset(pa)>>u.aam.granShift]
+			u.alb.Fill(pa, p)
+			id = p[mem.PageOffset(pa)>>u.aam.granShift]
 			mapped = id != InvalidAtom
 		} else {
 			u.alb.Fill(pa, u.emptyPage)

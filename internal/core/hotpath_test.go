@@ -98,6 +98,26 @@ func TestHotPathLookupAllocFree(t *testing.T) {
 	})
 }
 
+// TestHotPathAAMFreshPages: mapping fresh ascending pages regrows the block
+// slab, the per-block counts and the dense directory O(log n) times, not
+// once or twice per page: 4,096 pages cost about 50 allocations, and about
+// 75 under the race detector, which keeps slices.Grow's temporary (one
+// object per page would be 4,096, one block and one header per page over
+// 8,000).
+func TestHotPathAAMFreshPages(t *testing.T) {
+	const pages = 4096
+	allocs := testing.AllocsPerRun(3, func() {
+		m := NewAAM(512)
+		for p := 0; p < pages; p++ {
+			m.Map(mem.Addr(p)*mem.PageBytes, mem.PageBytes, AtomID(p%8))
+		}
+	})
+	t.Logf("mapping %d fresh pages: %.0f allocations", pages, allocs)
+	if allocs > 96 {
+		t.Errorf("mapping %d fresh pages allocates %.0f objects, want <= 96 (O(log n) regrowth)", pages, allocs)
+	}
+}
+
 // TestHotPathMapChurnAllocFree: a map/unmap cycle over an established
 // footprint reuses pooled directory pages instead of allocating.
 func TestHotPathMapChurnAllocFree(t *testing.T) {

@@ -190,41 +190,71 @@ func (c *InvariantChecker) checkLib(l *Lib) error {
 	return nil
 }
 
-// checkAAM recomputes the per-atom mapped-chunk counts from the paged
-// directory and compares them to the AAM's incremental bookkeeping, and
-// cross-checks each page's own mapped counter against its chunk array.
+// checkAAM recomputes the per-atom mapped-chunk counts from the directory
+// and compares them to the AAM's incremental bookkeeping, cross-checks each
+// block's mapped counter against its chunks, and requires every block to be
+// either named by exactly one directory entry or pooled and empty.
 func (c *InvariantChecker) checkAAM(m *AAM) error {
+	blocks := len(m.mapped)
+	if uint64(len(m.atoms)) != uint64(blocks)*m.chunksPerPage {
+		return fmt.Errorf("aam: slab holds %d chunks for %d blocks of %d", len(m.atoms), blocks, m.chunksPerPage)
+	}
+	owner := make([]int, blocks) // 1 = in the directory, 2 = pooled
 	var recount PerAtom[uint64]
-	auditPage := func(pageIdx uint64, p *aamPage) error {
-		if p == nil {
+	auditEntry := func(pageIdx uint64, e uint32) error {
+		if e == 0 {
 			return nil
 		}
-		if uint64(len(p.atoms)) != m.chunksPerPage {
-			return fmt.Errorf("aam: page %#x has %d chunk slots, want %d", pageIdx, len(p.atoms), m.chunksPerPage)
+		b := int(e - 1)
+		if b >= blocks {
+			return fmt.Errorf("aam: page %#x names block %d of %d", pageIdx, b, blocks)
 		}
+		if owner[b] != 0 {
+			return fmt.Errorf("aam: page %#x shares block %d", pageIdx, b)
+		}
+		owner[b] = 1
 		n := 0
-		for _, id := range p.atoms {
+		for _, id := range m.block(uint32(b)) {
 			if id != InvalidAtom {
 				*recount.At(id)++
 				n++
 			}
 		}
-		if n != p.mapped {
-			return fmt.Errorf("aam: page %#x has %d mapped chunks but page counter says %d", pageIdx, n, p.mapped)
+		if uint32(n) != m.mapped[b] {
+			return fmt.Errorf("aam: page %#x has %d mapped chunks but block counter says %d", pageIdx, n, m.mapped[b])
 		}
 		if n == 0 {
 			return fmt.Errorf("aam: page %#x resident in the directory with no mapped chunks", pageIdx)
 		}
 		return nil
 	}
-	for pageIdx, p := range m.dir {
-		if err := auditPage(uint64(pageIdx), p); err != nil {
+	for pageIdx, e := range m.dir {
+		if err := auditEntry(uint64(pageIdx), e); err != nil {
 			return err
 		}
 	}
-	for pageIdx, p := range m.overflow {
-		if err := auditPage(pageIdx, p); err != nil {
+	for pageIdx, e := range m.overflow {
+		if err := auditEntry(pageIdx, e); err != nil {
 			return err
+		}
+	}
+	for _, b := range m.freeBlocks {
+		if int(b) >= blocks || owner[b] != 0 {
+			return fmt.Errorf("aam: pooled block %d is out of range, in the directory or pooled twice", b)
+		}
+		owner[b] = 2
+		if m.mapped[b] != 0 {
+			return fmt.Errorf("aam: pooled block %d counts %d mapped chunks", b, m.mapped[b])
+		}
+		for _, id := range m.block(b) {
+			if id != InvalidAtom {
+				return fmt.Errorf("aam: pooled block %d still maps atom %d", b, id)
+			}
+		}
+	}
+	for b, o := range owner {
+		if o == 0 {
+			return fmt.Errorf("aam: block %d is neither in the directory nor pooled", b)
 		}
 	}
 	for i := 0; i < max(recount.Len(), m.mappedChunks.Len()); i++ {

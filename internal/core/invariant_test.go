@@ -150,6 +150,30 @@ func TestInvariantStructuralDetectsCorruption(t *testing.T) {
 			t.Fatal("corrupted AAM chunk count not detected")
 		}
 	})
+	// The AAM's slab: every block is named by exactly one directory entry
+	// or pooled empty.
+	for name, corrupt := range map[string]func(m *AAM){
+		"aam-shared-block": func(m *AAM) { m.dir = append(m.dir, m.dir[0]) },
+		"aam-leaked-block": func(m *AAM) { m.dir[1] = 0 },
+		"aam-dirty-pooled-block": func(m *AAM) {
+			m.freeBlocks = append(m.freeBlocks, uint32(len(m.mapped)))
+			m.mapped = append(m.mapped, 0)
+			m.atoms = append(m.atoms, make([]AtomID, m.chunksPerPage)...) // atom 0, not InvalidAtom
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			l, c := newCheckedLib()
+			id := l.CreateAtom("a", Attributes{})
+			l.AtomMap(id, 0, 2*mem.PageBytes)
+			if err := c.CheckAll(l); err != nil {
+				t.Fatalf("before corruption: %v", err)
+			}
+			corrupt(l.amu.aam)
+			if err := c.CheckAll(l); err == nil {
+				t.Fatal("corrupted AAM slab not detected")
+			}
+		})
+	}
 	t.Run("ast-uncreated-active", func(t *testing.T) {
 		l, c := newCheckedLib()
 		l.CreateAtom("a", Attributes{})

@@ -149,5 +149,17 @@ func (m *Mapping) Map(pa mem.Addr) Location {
 	return loc
 }
 
+// BankIndex returns the per-channel bank number of pa,
+// Map(pa).BankIndex(Geometry()), reading only the rank and bank fields and
+// the row bits the XOR schemes fold into the bank.
+func (m *Mapping) BankIndex(pa mem.Addr) int {
+	line := mem.LineIndex(pa)
+	bank := int(m.bank.get(line))
+	if m.xorBank && m.geom.BanksPerRank > 1 {
+		bank ^= int(m.row.get(line)) & (m.geom.BanksPerRank - 1)
+	}
+	return int(m.rank.get(line))*m.geom.BanksPerRank + bank
+}
+
 // Geometry returns the geometry the mapping was built for.
 func (m *Mapping) Geometry() Geometry { return m.geom }

@@ -91,6 +91,30 @@ func TestMappingFieldsInRange(t *testing.T) {
 	}
 }
 
+// TestMappingBankIndexMatchesMap: Mapping.BankIndex, which reads only the
+// bank-bearing fields, agrees with Map's full decomposition on every
+// scheme, including the XOR schemes' row fold, over geometries with one
+// bank, several ranks, and fewer rows than banks.
+func TestMappingBankIndexMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, g := range []Geometry{
+		DefaultGeometry(),
+		{Channels: 4, RanksPerChannel: 4, BanksPerRank: 4, RowBytes: 1024, CapacityBytes: 1 << 24},
+		{Channels: 1, RanksPerChannel: 2, BanksPerRank: 1, RowBytes: 64, CapacityBytes: 1 << 16},
+		{Channels: 2, RanksPerChannel: 1, BanksPerRank: 8, RowBytes: 8 << 10, CapacityBytes: 1 << 16},
+	} {
+		for _, name := range SchemeNames() {
+			m := MustMapping(name, g)
+			for i := 0; i < 2000; i++ {
+				pa := mem.Addr(rng.Uint64() % g.CapacityBytes)
+				if got, want := m.BankIndex(pa), m.Map(pa).BankIndex(g); got != want {
+					t.Fatalf("%s over %+v: BankIndex(%#x) = %d, Map says %d", name, g, pa, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestMappingBijective(t *testing.T) {
 	// Distinct line addresses must land on distinct locations: the
 	// decomposition is a bijection on the line index.

@@ -40,49 +40,92 @@ func NewSequentialAllocator(physBytes uint64) *RegionAllocator {
 
 // RandomizedAllocator hands out frames in a seeded random order — the
 // strengthened baseline of §6.3 (randomized virtual-to-physical mapping,
-// shown to beat the Buddy allocator [23]). All randomness is drawn from
-// the rand.Rand the constructor builds; the package never touches the
-// global math/rand state, so concurrent sweeps with per-point seeds cannot
-// interfere with one another.
+// shown to beat the Buddy allocator [23]). The order is rand.Shuffle's of
+// the identity permutation, drawn from the rand.Rand the constructor
+// builds; the package never touches the global math/rand state, so
+// concurrent sweeps with per-point seeds cannot interfere with one another.
+//
+// The shuffle runs lazily. Shuffle finalizes the last position first and
+// AllocFrame hands out the last free position, so each AllocFrame performs
+// the one Fisher-Yates step that finalizes the position it hands out, with
+// the draw Shuffle would make there. A point that maps a few pages pays for
+// a few steps, not for a walk of every frame.
 type RandomizedAllocator struct {
-	free []uint64
+	// perm[i] holds the frame at position i XOR i, so the zeroed slice
+	// is the identity permutation; positions below len(perm) are free.
+	perm []uint32
+	rng  *rand.Rand
 }
+
+// maxRandomizedFrames bounds the frames a RandomizedAllocator covers: up to
+// here rand.Shuffle draws every index with its 31-bit method, which
+// AllocFrame reproduces (8 TiB of 4 KiB pages).
+const maxRandomizedFrames = 1<<31 - 1
 
 // NewRandomizedAllocator covers physBytes with a deterministic shuffle
 // derived from seed. Equal (physBytes, seed) always yields the same frame
-// order.
+// order: the order rand.Shuffle gives the frame numbers in ascending order.
 func NewRandomizedAllocator(physBytes uint64, seed int64) *RandomizedAllocator {
-	free := make([]uint64, physBytes/mem.PageBytes)
-	for i := range free {
-		free[i] = uint64(i)
+	frames := physBytes / mem.PageBytes
+	if frames > maxRandomizedFrames {
+		panic("kernel: randomized allocator covers at most 2^31-1 frames")
 	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
-	return &RandomizedAllocator{free: free}
+	return &RandomizedAllocator{
+		perm: make([]uint32, frames),
+		rng:  rand.New(rand.NewSource(seed)),
+	}
 }
 
 // AllocFrame implements FrameAllocator.
 func (a *RandomizedAllocator) AllocFrame([]int) (mem.Addr, error) {
-	if len(a.free) == 0 {
+	i := len(a.perm) - 1
+	if i < 0 {
 		return 0, ErrOutOfMemory
 	}
-	f := a.free[len(a.free)-1]
-	a.free = a.free[:len(a.free)-1]
-	return mem.Addr(f * mem.PageBytes), nil
+	// Shuffle's step i: swap position i with a position j <= i. Position
+	// i is handed out now, so only position j needs writing back.
+	f := a.perm[i] ^ uint32(i)
+	if i > 0 {
+		j := a.int31n(uint32(i + 1))
+		f, a.perm[j] = a.perm[j]^j, f^j
+	}
+	a.perm = a.perm[:i]
+	return mem.Addr(uint64(f) * mem.PageBytes), nil
+}
+
+// int31n is rand.(*Rand).int31n, which rand.Shuffle draws with: a value in
+// [0, n) from one Uint32, redrawn only to remove bias.
+func (a *RandomizedAllocator) int31n(n uint32) uint32 {
+	prod := uint64(a.rng.Uint32()) * uint64(n)
+	if low := uint32(prod); low < n {
+		thresh := -n % n
+		for low < thresh {
+			prod = uint64(a.rng.Uint32()) * uint64(n)
+			low = uint32(prod)
+		}
+	}
+	return uint32(prod >> 32)
 }
 
 // FreeFrames implements FrameAllocator.
-func (a *RandomizedAllocator) FreeFrames() int { return len(a.free) }
+func (a *RandomizedAllocator) FreeFrames() int { return len(a.perm) }
 
 // BankedAllocator groups frames by the DRAM bank they start in (using the
 // controller's address mapping — the OS's knowledge of the underlying
 // resources, §6.1) and serves requests from preferred banks round-robin.
 // Within a bank, frames are handed out in address order, which keeps
 // consecutive pages of a structure in consecutive rows.
+//
+// No frame is listed up front: each bank group keeps a cursor, the lowest
+// frame it has not yet ruled out, and a request scans forward from it for
+// the next frame whose first line maps to the group. The mapping's
+// Mapping.BankIndex reads only the bank bits, so a scan is a few shifts
+// per frame, and each group's cursor passes each frame at most once.
 type BankedAllocator struct {
-	groups  [][]uint64 // per bank-group free frames, ascending
-	heads   []int      // next index per group
-	cursor  int        // round-robin position
+	next    []uint64 // per bank group: the lowest frame not yet ruled out
+	frames  uint64   // frames in the geometry
+	free    int      // frames not yet handed out
+	cursor  int      // round-robin position
 	mapping *dram.Mapping
 }
 
@@ -92,68 +135,69 @@ type BankedAllocator struct {
 // bank group, which every "co"-low scheme does.
 func NewBankedAllocator(mapping *dram.Mapping) *BankedAllocator {
 	g := mapping.Geometry()
-	nGroups := g.BanksPerChannel()
-	a := &BankedAllocator{
-		groups:  make([][]uint64, nGroups),
-		heads:   make([]int, nGroups),
+	frames := g.CapacityBytes / mem.PageBytes
+	return &BankedAllocator{
+		next:    make([]uint64, g.BanksPerChannel()),
+		frames:  frames,
+		free:    int(frames),
 		mapping: mapping,
 	}
-	frames := g.CapacityBytes / mem.PageBytes
-	for f := uint64(0); f < frames; f++ {
-		loc := mapping.Map(mem.Addr(f * mem.PageBytes))
-		grp := loc.BankIndex(g)
-		a.groups[grp] = append(a.groups[grp], f)
-	}
-	return a
 }
 
 // Groups returns the number of bank groups.
-func (a *BankedAllocator) Groups() int { return len(a.groups) }
+func (a *BankedAllocator) Groups() int { return len(a.next) }
 
-// AllocFrame implements FrameAllocator.
+// AllocFrame implements FrameAllocator. With no preference, every bank
+// group is preferred, in group order.
 func (a *BankedAllocator) AllocFrame(preferred []int) (mem.Addr, error) {
-	if len(preferred) == 0 {
-		preferred = make([]int, len(a.groups))
-		for i := range preferred {
-			preferred[i] = i
-		}
+	n := len(preferred)
+	if n == 0 {
+		n = len(a.next)
 	}
 	// Round-robin across the preferred banks, skipping exhausted ones.
-	for i := 0; i < len(preferred); i++ {
-		grp := preferred[(a.cursor+i)%len(preferred)]
-		if grp < 0 || grp >= len(a.groups) {
-			continue
+	for i := 0; i < n; i++ {
+		k := (a.cursor + i) % n
+		grp := k
+		if len(preferred) > 0 {
+			grp = preferred[k]
 		}
-		if a.heads[grp] < len(a.groups[grp]) {
-			f := a.groups[grp][a.heads[grp]]
-			a.heads[grp]++
-			a.cursor = (a.cursor + i + 1) % len(preferred)
-			return mem.Addr(f * mem.PageBytes), nil
+		if f, ok := a.take(grp); ok {
+			a.cursor = (k + 1) % n
+			return f, nil
 		}
 	}
 	// Preferred banks exhausted: fall back to any bank.
-	for grp := range a.groups {
-		if a.heads[grp] < len(a.groups[grp]) {
-			f := a.groups[grp][a.heads[grp]]
-			a.heads[grp]++
-			return mem.Addr(f * mem.PageBytes), nil
+	for grp := range a.next {
+		if f, ok := a.take(grp); ok {
+			return f, nil
 		}
 	}
 	return 0, ErrOutOfMemory
 }
 
-// FreeFrames implements FrameAllocator.
-func (a *BankedAllocator) FreeFrames() int {
-	n := 0
-	for g := range a.groups {
-		n += len(a.groups[g]) - a.heads[g]
+// take hands out bank group grp's lowest free frame, if group grp exists
+// and has one left.
+func (a *BankedAllocator) take(grp int) (mem.Addr, bool) {
+	if grp < 0 || grp >= len(a.next) {
+		return 0, false
 	}
-	return n
+	for f := a.next[grp]; f < a.frames; f++ {
+		if pa := mem.Addr(f * mem.PageBytes); a.mapping.BankIndex(pa) == grp {
+			a.next[grp] = f + 1
+			a.free--
+			return pa, true
+		}
+	}
+	a.next[grp] = a.frames
+	return 0, false
 }
+
+// FreeFrames implements FrameAllocator.
+func (a *BankedAllocator) FreeFrames() int { return a.free }
 
 // FrameBank returns the bank group a frame belongs to.
 func (a *BankedAllocator) FrameBank(frameBase mem.Addr) int {
-	return a.mapping.Map(frameBase).BankIndex(a.mapping.Geometry())
+	return a.mapping.BankIndex(frameBase)
 }
 
 // FrameRange is one region of physical memory a RegionAllocator draws

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"runtime"
 	"testing"
 
 	"xmem/internal/core"
@@ -224,6 +225,53 @@ func TestHotPathTranslateAllocFree(t *testing.T) {
 	}
 	if mapped == 0 {
 		t.Fatal("no translation hit a mapped page")
+	}
+}
+
+// allocatorSink keeps built allocators reachable, so the gates below
+// count their heap cost even where the compiler could keep one on the
+// stack.
+var allocatorSink FrameAllocator
+
+// buildCost returns the heap objects and bytes one build allocates,
+// averaged over runs builds after a warm-up.
+func buildCost(runs int, build func() FrameAllocator) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocatorSink = build()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		allocatorSink = build()
+	}
+	runtime.ReadMemStats(&after)
+	allocatorSink = nil
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestHotPathFrameAllocatorBuild: building the banked or randomized
+// allocator over the fast preset's 256 MiB lists no frame up front. Each
+// costs a handful of objects, and the randomized one at most 4.5 bytes
+// per frame (its 4-byte lazy permutation); listing every frame in 64-bit
+// slots costs over 8.
+func TestHotPathFrameAllocatorBuild(t *testing.T) {
+	g := dram.DefaultGeometry()
+	g.CapacityBytes = 256 << 20
+	frames := float64(g.CapacityBytes / mem.PageBytes)
+	mapping := dram.MustMapping("ro:ra:ba:co:ch", g)
+	for _, c := range []struct {
+		name  string
+		build func() FrameAllocator
+	}{
+		{"banked", func() FrameAllocator { return NewBankedAllocator(mapping) }},
+		{"randomized", func() FrameAllocator { return NewRandomizedAllocator(g.CapacityBytes, 1) }},
+	} {
+		objects, bytes := buildCost(5, c.build)
+		t.Logf("%s over 256 MiB: %.0f objects, %.0f bytes (%.2f per frame)", c.name, objects, bytes, bytes/frames)
+		if objects > 4 || bytes/frames > 4.5 {
+			t.Errorf("building the %s allocator over 256 MiB costs %.0f objects and %.2f bytes per frame, want <= 4 and <= 4.5",
+				c.name, objects, bytes/frames)
+		}
 	}
 }
 

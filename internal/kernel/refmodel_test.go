@@ -1,14 +1,18 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"xmem/internal/core"
+	"xmem/internal/dram"
 	"xmem/internal/mem"
 )
 
@@ -245,16 +249,16 @@ func FuzzRegionAllocatorMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { runRegionAllocDiff(t, data) })
 }
 
-// TestRegionAllocatorSeedsCoverFallbacks: the committed corpus models both
-// memories, serves frames outside the first preferred region on each,
-// names regions that do not exist, and runs every input to exhaustion.
-func TestRegionAllocatorSeedsCoverFallbacks(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzRegionAllocatorMatchesReference")
+// readCorpus returns the inputs of a fuzz target's committed seed corpus,
+// by file name.
+func readCorpus(t *testing.T, target string) map[string][]byte {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", target)
 	files, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hybridSpills, numaSpills, badPrefs, exhausted int
+	inputs := make(map[string][]byte, len(files))
 	for _, f := range files {
 		raw, err := os.ReadFile(filepath.Join(dir, f.Name()))
 		if err != nil {
@@ -266,7 +270,19 @@ func TestRegionAllocatorSeedsCoverFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name(), err)
 		}
-		c := runRegionAllocDiff(t, []byte(data))
+		inputs[f.Name()] = []byte(data)
+	}
+	return inputs
+}
+
+// TestRegionAllocatorSeedsCoverFallbacks: the committed corpus models both
+// memories, serves frames outside the first preferred region on each,
+// names regions that do not exist, and runs every input to exhaustion.
+func TestRegionAllocatorSeedsCoverFallbacks(t *testing.T) {
+	files := readCorpus(t, "FuzzRegionAllocatorMatchesReference")
+	var hybridSpills, numaSpills, badPrefs, exhausted int
+	for _, data := range files {
+		c := runRegionAllocDiff(t, data)
 		if c.hybrid {
 			hybridSpills += c.spills
 		} else {
@@ -280,4 +296,266 @@ func TestRegionAllocatorSeedsCoverFallbacks(t *testing.T) {
 		t.Fatalf("seed corpus misses a path: %d hybrid and %d NUMA spills, %d bad preferences, %d of %d inputs exhausted",
 			hybridSpills, numaSpills, badPrefs, exhausted, len(files))
 	}
+}
+
+// The two allocators below are RandomizedAllocator and BankedAllocator as
+// they were before both stopped listing frames up front, kept verbatim as
+// test-only reference models: the randomized one shuffles every frame in
+// its constructor, the banked one maps every frame into per-group lists.
+
+// refRandomizedAllocator hands out frames in a seeded random order.
+type refRandomizedAllocator struct {
+	free []uint64
+}
+
+func newRefRandomizedAllocator(physBytes uint64, seed int64) *refRandomizedAllocator {
+	free := make([]uint64, physBytes/mem.PageBytes)
+	for i := range free {
+		free[i] = uint64(i)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+	return &refRandomizedAllocator{free: free}
+}
+
+func (a *refRandomizedAllocator) AllocFrame([]int) (mem.Addr, error) {
+	if len(a.free) == 0 {
+		return 0, ErrOutOfMemory
+	}
+	f := a.free[len(a.free)-1]
+	a.free = a.free[:len(a.free)-1]
+	return mem.Addr(f * mem.PageBytes), nil
+}
+
+func (a *refRandomizedAllocator) FreeFrames() int { return len(a.free) }
+
+// refBankedAllocator groups frames by the DRAM bank they start in and
+// serves requests from preferred banks round-robin.
+type refBankedAllocator struct {
+	groups  [][]uint64 // per bank-group free frames, ascending
+	heads   []int      // next index per group
+	cursor  int        // round-robin position
+	mapping *dram.Mapping
+}
+
+func newRefBankedAllocator(mapping *dram.Mapping) *refBankedAllocator {
+	g := mapping.Geometry()
+	nGroups := g.BanksPerChannel()
+	a := &refBankedAllocator{
+		groups:  make([][]uint64, nGroups),
+		heads:   make([]int, nGroups),
+		mapping: mapping,
+	}
+	frames := g.CapacityBytes / mem.PageBytes
+	for f := uint64(0); f < frames; f++ {
+		loc := mapping.Map(mem.Addr(f * mem.PageBytes))
+		grp := loc.BankIndex(g)
+		a.groups[grp] = append(a.groups[grp], f)
+	}
+	return a
+}
+
+func (a *refBankedAllocator) AllocFrame(preferred []int) (mem.Addr, error) {
+	if len(preferred) == 0 {
+		preferred = make([]int, len(a.groups))
+		for i := range preferred {
+			preferred[i] = i
+		}
+	}
+	// Round-robin across the preferred banks, skipping exhausted ones.
+	for i := 0; i < len(preferred); i++ {
+		grp := preferred[(a.cursor+i)%len(preferred)]
+		if grp < 0 || grp >= len(a.groups) {
+			continue
+		}
+		if a.heads[grp] < len(a.groups[grp]) {
+			f := a.groups[grp][a.heads[grp]]
+			a.heads[grp]++
+			a.cursor = (a.cursor + i + 1) % len(preferred)
+			return mem.Addr(f * mem.PageBytes), nil
+		}
+	}
+	// Preferred banks exhausted: fall back to any bank.
+	for grp := range a.groups {
+		if a.heads[grp] < len(a.groups[grp]) {
+			f := a.groups[grp][a.heads[grp]]
+			a.heads[grp]++
+			return mem.Addr(f * mem.PageBytes), nil
+		}
+	}
+	return 0, ErrOutOfMemory
+}
+
+func (a *refBankedAllocator) FreeFrames() int {
+	n := 0
+	for g := range a.groups {
+		n += len(a.groups[g]) - a.heads[g]
+	}
+	return n
+}
+
+// frameCoverage counts the frame-allocator paths one differential run
+// reached.
+type frameCoverage struct {
+	// scheme is the mapping scheme's index in dram.SchemeNames.
+	scheme int
+	// fallbacks are banked frames served outside every preferred group
+	// although one of them exists; badPrefs are preferred groups that do
+	// not exist; exhausted is 1 once both allocators ran dry.
+	fallbacks, badPrefs, exhausted int
+}
+
+// runFrameAllocDiff decodes one input and runs the banked and randomized
+// allocators beside their reference models until all four are out of
+// frames.
+//
+// Byte 0 picks the mapping scheme. Byte 1 picks the channels (1-4), ranks
+// (1-4) and banks per rank (1-8); byte 2 the row size (64 B-8 KiB) and
+// the capacity (1 KiB-16 MiB, so down to no frames at all). Bytes 3-10
+// are the randomized allocator's seed, negative seeds included. Every later
+// byte draws one banked allocation's preference, cycling over the input
+// until memory runs out: up to three groups, one past either end of the
+// range included, or none (nil).
+func runFrameAllocDiff(t testing.TB, data []byte) frameCoverage {
+	t.Helper()
+	var cov frameCoverage
+	if len(data) < 11 {
+		return cov
+	}
+	schemes := dram.SchemeNames()
+	cov.scheme = int(data[0]) % len(schemes)
+	g := dram.Geometry{
+		Channels:        1 << (data[1] % 3),
+		RanksPerChannel: 1 << (data[1] / 3 % 3),
+		BanksPerRank:    1 << (data[1] / 9 % 4),
+		RowBytes:        mem.LineBytes << (data[2] % 8),
+		CapacityBytes:   1 << 10 << (data[2] / 8 % 15),
+	}
+	mapping, err := dram.NewMapping(schemes[cov.scheme], g)
+	if err != nil {
+		t.Fatalf("input %x: %v", data, err)
+	}
+	seed := int64(binary.LittleEndian.Uint64(data[3:11]))
+	refBanked, banked := newRefBankedAllocator(mapping), NewBankedAllocator(mapping)
+	refRandom, random := newRefRandomizedAllocator(g.CapacityBytes, seed), NewRandomizedAllocator(g.CapacityBytes, seed)
+	groups := g.BanksPerChannel()
+	prefs := data[11:]
+	pos := 0
+	draw := func() byte {
+		if len(prefs) == 0 {
+			return 0
+		}
+		b := prefs[pos%len(prefs)]
+		pos++
+		return b
+	}
+	check := func(what string, op int, pref []int, ref, got FrameAllocator) (mem.Addr, error) {
+		rf, rerr := ref.AllocFrame(pref)
+		gf, gerr := got.AllocFrame(pref)
+		if rf != gf || !errors.Is(gerr, rerr) {
+			t.Fatalf("input %x: %s op %d prefs %v: frame %#x err %v, reference %#x err %v", data, what, op, pref, gf, gerr, rf, rerr)
+		}
+		if g, r := got.FreeFrames(), ref.FreeFrames(); g != r {
+			t.Fatalf("input %x: %s op %d: %d free frames, reference %d", data, what, op, g, r)
+		}
+		return gf, rerr
+	}
+	for op := 0; ; op++ {
+		var pref []int
+		valid := false
+		for k := int(draw() % 4); k > 0; k-- {
+			grp := int(draw())%(groups+2) - 1
+			if grp < 0 || grp >= groups {
+				cov.badPrefs++
+			} else {
+				valid = true
+			}
+			pref = append(pref, grp)
+		}
+		f, bankedErr := check("banked", op, pref, refBanked, banked)
+		_, randomErr := check("randomized", op, nil, refRandom, random)
+		if bankedErr != nil && randomErr != nil {
+			cov.exhausted++
+			return cov
+		}
+		if bankedErr == nil && valid && !slices.Contains(pref, banked.FrameBank(f)) {
+			cov.fallbacks++
+		}
+	}
+}
+
+// FuzzFrameAllocatorsMatchReference: the banked and randomized allocators
+// hand out exactly the frames, errors and free counts of the eager
+// allocators they replaced, for every mapping scheme, any small geometry,
+// any seed and any preference sequence, through to exhaustion. Its seed
+// corpus is committed under
+// testdata/fuzz/FuzzFrameAllocatorsMatchReference.
+func FuzzFrameAllocatorsMatchReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) { runFrameAllocDiff(t, data) })
+}
+
+// TestFrameAllocatorSeedsCoverFallbacks: the committed corpus uses every
+// mapping scheme, serves banked frames outside the preferred groups after
+// they run dry, names groups that do not exist, and runs every input to
+// exhaustion.
+func TestFrameAllocatorSeedsCoverFallbacks(t *testing.T) {
+	files := readCorpus(t, "FuzzFrameAllocatorsMatchReference")
+	schemes := make([]bool, len(dram.SchemeNames()))
+	var fallbacks, badPrefs, exhausted int
+	for name, data := range files {
+		c := runFrameAllocDiff(t, data)
+		if c.exhausted == 0 {
+			t.Errorf("%s: input too short to run", name)
+		}
+		schemes[c.scheme] = true
+		fallbacks += c.fallbacks
+		badPrefs += c.badPrefs
+		exhausted += c.exhausted
+	}
+	t.Logf("%d seeds: %d fallbacks, %d bad preferences", len(files), fallbacks, badPrefs)
+	for i, seen := range schemes {
+		if !seen {
+			t.Errorf("seed corpus never uses scheme %s", dram.SchemeNames()[i])
+		}
+	}
+	if fallbacks == 0 || badPrefs == 0 || exhausted != len(files) {
+		t.Fatalf("seed corpus misses a path: %d fallbacks, %d bad preferences, %d of %d inputs exhausted",
+			fallbacks, badPrefs, exhausted, len(files))
+	}
+}
+
+// TestRandomizedAllocatorMatchesShuffle: the randomized allocator hands out
+// the frames of rand.Shuffle applied to the identity, last position first,
+// at 0-3 frames, 1 MiB and 256 MiB. A toolchain whose math/rand draws
+// Shuffle differently fails here, not only in the goldens.
+func TestRandomizedAllocatorMatchesShuffle(t *testing.T) {
+	for _, frames := range []int{0, 1, 2, 3, 1 << 20 / mem.PageBytes, 256 << 20 / mem.PageBytes} {
+		// At 256 MiB, seed -2's draws hit int31n's bias redraw twice.
+		for _, seed := range []int64{1, -2} {
+			want := make([]int, frames)
+			for i := range want {
+				want[i] = i
+			}
+			rand.New(rand.NewSource(seed)).Shuffle(frames, func(i, j int) { want[i], want[j] = want[j], want[i] })
+			a := NewRandomizedAllocator(uint64(frames)*mem.PageBytes, seed)
+			for k := frames - 1; k >= 0; k-- {
+				f, err := a.AllocFrame(nil)
+				if err != nil || f != mem.Addr(want[k])*mem.PageBytes {
+					t.Fatalf("%d frames, seed %d: position %d is frame %#x err %v, Shuffle put frame %d there",
+						frames, seed, k, f, err, want[k])
+				}
+			}
+			if _, err := a.AllocFrame(nil); !errors.Is(err, ErrOutOfMemory) || a.FreeFrames() != 0 {
+				t.Fatalf("%d frames, seed %d: after every frame, err %v and %d free", frames, seed, err, a.FreeFrames())
+			}
+		}
+	}
+	// Above 2^31-1 frames Shuffle draws with Int63n; such sizes are refused
+	// before anything is allocated.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a randomized allocator over 2^31 frames was built")
+		}
+	}()
+	NewRandomizedAllocator(1<<31*mem.PageBytes, 1)
 }

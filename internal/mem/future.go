@@ -113,7 +113,7 @@ func (r Result) DeferredMax(floor uint64) Result {
 
 // Offset returns a Result whose completion is delta cycles after r's —
 // used by interconnect models that add fixed latency to a pending memory
-// response.
+// response. A pending r costs one allocation: the offsetFuture.
 func (r Result) Offset(delta uint64) Result {
 	if delta == 0 {
 		return r
@@ -121,8 +121,19 @@ func (r Result) Offset(delta uint64) Result {
 	if c, ok := r.Peek(); ok {
 		return Done(c + delta)
 	}
-	inner := r.fut
-	var f *Future
-	f = NewFuture(func() { f.Resolve(inner.Force() + delta) })
-	return Pending(f)
+	o := &offsetFuture{inner: r.fut, delta: delta}
+	o.Init(o)
+	return Pending(&o.Future)
 }
+
+// offsetFuture completes delta cycles after inner. It is its own Forcer, so
+// the future, the pending request it waits on and the latency live in one
+// object.
+type offsetFuture struct {
+	Future
+	inner *Future
+	delta uint64
+}
+
+// Force implements Forcer.
+func (o *offsetFuture) Force(*Future) { o.Resolve(o.inner.Force() + o.delta) }

@@ -191,3 +191,47 @@ func TestDeferredMax(t *testing.T) {
 		t.Errorf("pending deferred max resolving below the floor = %d, want 5", got)
 	}
 }
+
+// fixedOwner resolves every future it is forced with at its own cycle.
+type fixedOwner uint64
+
+func (c *fixedOwner) Force(f *Future) { f.Resolve(uint64(*c)) }
+
+func TestOffset(t *testing.T) {
+	if got := Done(10).Offset(5).Wait(); got != 15 {
+		t.Errorf("resolved offset = %d, want 15", got)
+	}
+	at := fixedOwner(70)
+	var inner Future
+	inner.Init(&at)
+	r := Pending(&inner)
+	if same := r.Offset(0); same != r {
+		t.Error("zero offset did not return the result unchanged")
+	}
+	off := r.Offset(30)
+	if _, ok := off.Peek(); ok {
+		t.Fatal("offset of a pending result is resolved before it is forced")
+	}
+	if got := off.Wait(); got != 100 || !inner.Resolved() {
+		t.Fatalf("offset Wait = %d (inner resolved %v), want 100 and the inner request forced", got, inner.Resolved())
+	}
+	if got, ok := off.Peek(); !ok || got != 100 {
+		t.Fatalf("offset Peek after Wait = %d,%v, want 100,true", got, ok)
+	}
+}
+
+// TestHotPathOffsetAllocatesOnce: offsetting a pending result, as a NUMA
+// remote read does, allocates exactly one object, where a closure-backed
+// future costs three (the captured future, the closure and the Future).
+func TestHotPathOffsetAllocatesOnce(t *testing.T) {
+	at := fixedOwner(70)
+	var inner Future
+	var got uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		inner.Init(&at)
+		got = Pending(&inner).Offset(30).Wait()
+	})
+	if allocs != 1 || got != 100 {
+		t.Errorf("pending Offset allocates %v and completes at %d, want exactly 1 and 100", allocs, got)
+	}
+}

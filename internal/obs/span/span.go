@@ -7,10 +7,12 @@
 // bypass that kept the stream out of the L3, the prefetch that ran ahead of
 // it.
 //
-// Spans land in a fixed-size ring buffer that the simulator fills during
-// the run and reads once after it. Sampling is 1-in-N with N configurable
-// per run; with tracing disabled the simulator pays one nil check per
-// access (the same discipline as the obs registry).
+// Spans land in a bounded ring buffer that the simulator fills during the
+// run and reads once after it; the ring grows with the spans published, up
+// to its capacity, so a run that traces few accesses holds few spans.
+// Sampling is 1-in-N with N configurable per run; with tracing disabled the
+// simulator pays one nil check per access (the same discipline as the obs
+// registry).
 package span
 
 import (
@@ -128,8 +130,11 @@ const DefaultBuffer = 4096
 // that owns it, it is not safe for concurrent use: the simulator publishes
 // spans during the run and reads them back after it.
 type Tracer struct {
-	every   uint64
+	every uint64
+	// buf is the ring: it grows by appending until it holds limit spans,
+	// then overwrites oldest-first.
 	buf     []Span
+	limit   int
 	head    uint64 // spans ever published
 	seen    uint64
 	sampled uint64
@@ -137,7 +142,8 @@ type Tracer struct {
 }
 
 // NewTracer samples one in every `every` accesses (every must be ≥ 1) into
-// a ring of `buffer` spans (0 selects DefaultBuffer).
+// a ring of at most `buffer` spans (0 selects DefaultBuffer). The ring's
+// storage is allocated as spans are published, not up front.
 func NewTracer(every uint64, buffer int) *Tracer {
 	if every == 0 {
 		every = 1
@@ -145,7 +151,7 @@ func NewTracer(every uint64, buffer int) *Tracer {
 	if buffer <= 0 {
 		buffer = DefaultBuffer
 	}
-	return &Tracer{every: every, buf: make([]Span, buffer)}
+	return &Tracer{every: every, limit: buffer}
 }
 
 // Every returns the sampling period.
@@ -169,9 +175,18 @@ func (t *Tracer) Begin(kind string, pa, pc uint64) *Span {
 }
 
 // Publish commits a finished span to the ring, overwriting the oldest entry
-// when full.
+// when full. Until then the ring doubles as it fills, up to its capacity.
 func (t *Tracer) Publish(s *Span) {
-	t.buf[t.head%uint64(len(t.buf))] = *s
+	if n := len(t.buf); n < t.limit {
+		if n == cap(t.buf) {
+			grown := make([]Span, n, min(max(2*n, 16), t.limit))
+			copy(grown, t.buf)
+			t.buf = grown
+		}
+		t.buf = append(t.buf, *s)
+	} else {
+		t.buf[t.head%uint64(n)] = *s
+	}
 	t.head++
 }
 
@@ -186,8 +201,8 @@ func (t *Tracer) Published() uint64 { return t.head }
 
 // Dropped returns how many published spans the ring has already overwritten.
 func (t *Tracer) Dropped() uint64 {
-	if t.head > uint64(len(t.buf)) {
-		return t.head - uint64(len(t.buf))
+	if t.head > uint64(t.limit) {
+		return t.head - uint64(t.limit)
 	}
 	return 0
 }

@@ -28,8 +28,8 @@ func TestTracerDefaults(t *testing.T) {
 	if tr.Every() != 1 {
 		t.Errorf("Every() = %d, want 1 (sample everything)", tr.Every())
 	}
-	if len(tr.buf) != DefaultBuffer {
-		t.Errorf("buffer = %d, want %d", len(tr.buf), DefaultBuffer)
+	if tr.limit != DefaultBuffer || len(tr.buf) != 0 {
+		t.Errorf("ring of %d spans holding %d, want %d holding none", tr.limit, len(tr.buf), DefaultBuffer)
 	}
 	if !tr.Take() {
 		t.Error("every=1 tracer skipped an access")
@@ -59,6 +59,29 @@ func TestTracerRingWrapAndDropped(t *testing.T) {
 	for i, s := range got {
 		if want := uint64(7 + i); s.Seq != want {
 			t.Errorf("span %d seq = %d, want %d", i, s.Seq, want)
+		}
+	}
+}
+
+// TestTracerRingGrowsOnDemand: the ring's storage grows with the spans
+// published and stops at exactly its capacity, then wraps oldest-first.
+func TestTracerRingGrowsOnDemand(t *testing.T) {
+	const buffer = 100
+	tr := NewTracer(1, buffer)
+	for i := uint64(1); i <= 250; i++ {
+		tr.Take()
+		tr.Publish(tr.Begin("read", i*64, 0))
+		if want := min(i, buffer); uint64(len(tr.buf)) != want || cap(tr.buf) > buffer {
+			t.Fatalf("after %d spans the ring holds %d (capacity %d), want %d (at most %d)", i, len(tr.buf), cap(tr.buf), want, buffer)
+		}
+	}
+	got := tr.Spans()
+	if len(got) != buffer || tr.Dropped() != 150 {
+		t.Fatalf("retained %d spans, dropped %d; want %d and 150", len(got), tr.Dropped(), buffer)
+	}
+	for i, s := range got {
+		if want := uint64(151 + i); s.Seq != want {
+			t.Fatalf("span %d seq = %d, want %d", i, s.Seq, want)
 		}
 	}
 }
