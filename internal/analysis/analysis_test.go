@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -106,6 +108,65 @@ func TestSealedLib(t *testing.T) {
 	runFixture(t, SealedLib, "sealbad")
 	runFixture(t, SealedLib, "sealgood")
 	runFixture(t, SealedLib, "sealunknown")
+}
+
+// TestFindingsGoldenJSON pins every finding, and every suggested fix, that
+// the analyzers of All() emit over each fixture package under testdata/src:
+// wording, positions, fix edits and the xmem-vet/v2 envelope are all
+// load-bearing for consumers (xmem-inspect -vet, CI trend tracking). Each
+// fixture gets its own Run, as runFixture gives it, and the findings land
+// in one report, which must also round-trip through ReadVetReport's schema
+// validation. -update regenerates testdata/findings.golden.json.
+func TestFindingsGoldenJSON(t *testing.T) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var findings []Finding
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		pkg, err := loader.LoadDir(filepath.Join("testdata", "src", d.Name()), "fixture/"+d.Name())
+		if err != nil {
+			t.Fatalf("loading %s: %v", d.Name(), err)
+		}
+		findings = append(findings, Run(loader.Fset, []*Package{pkg}, All())...)
+	}
+	SortFindings(findings)
+
+	// Root is left empty so file paths stay the loader-relative fixture
+	// paths, which are stable across checkouts.
+	report := NewVetReport("fixture", "", All(), findings)
+	var buf bytes.Buffer
+	if err := report.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadVetReport(buf.Bytes()); err != nil {
+		t.Fatalf("report does not validate against its own schema: %v", err)
+	}
+
+	goldenPath := filepath.Join("testdata", "findings.golden.json")
+	if *updateGolden {
+		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("findings differ from golden (rerun with -update if intended):\n--- got\n%s\n--- want\n%s", buf.Bytes(), want)
+	}
 }
 
 // loadModule loads every package of the module, as xmem-vet ./... does.

@@ -13,9 +13,10 @@ import (
 
 // -update regenerates the attrinfer fix goldens (testdata/src/<fixture>/
 // <fixture>.go.golden, and examples/inferdemo/main.go from its pre-fix
-// copy) from the fixes attrinfer currently plans. Inspect the diff before
-// committing.
-var updateGolden = flag.Bool("update", false, "rewrite attrinfer golden files")
+// copy) from the fixes attrinfer currently plans, and the findings golden
+// (testdata/findings.golden.json) from what every analyzer reports over the
+// fixtures. Inspect the diff before committing.
+var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 
 func TestAttrInfer(t *testing.T) {
 	runFixture(t, AttrInfer, "inferbad")

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,58 +15,6 @@ func TestAllocFree(t *testing.T) {
 func TestStatsNeutral(t *testing.T) {
 	runFixture(t, StatsNeutral, "statsbad")
 	runFixture(t, StatsNeutral, "statsgood")
-}
-
-// TestHotPathGoldenJSON pins the exact machine-readable report the hot-path
-// provers emit over the four fixture packages: finding wording, positions,
-// and the xmem-vet/v2 envelope are all load-bearing for consumers
-// (xmem-inspect -vet, CI trend tracking). The report must also round-trip
-// through ReadVetReport's schema validation. -update regenerates
-// testdata/hotpath_findings.golden.json.
-func TestHotPathGoldenJSON(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pkgs []*Package
-	for _, name := range []string{"allocbad", "allocgood", "statsbad", "statsgood"} {
-		pkg, err := loader.LoadDir(filepath.Join("testdata", "src", name), "fixture/"+name)
-		if err != nil {
-			t.Fatalf("loading %s: %v", name, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	analyzers := []*Analyzer{AllocFree, StatsNeutral}
-	findings := Run(loader.Fset, pkgs, analyzers)
-
-	// Root is left empty so file paths stay the loader-relative fixture
-	// paths, which are stable across checkouts.
-	report := NewVetReport("fixture", "", analyzers, findings)
-	var buf bytes.Buffer
-	if err := report.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadVetReport(buf.Bytes()); err != nil {
-		t.Fatalf("report does not validate against its own schema: %v", err)
-	}
-
-	goldenPath := filepath.Join("testdata", "hotpath_findings.golden.json")
-	if *updateGolden {
-		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("hot-path findings differ from golden (rerun with -update if intended):\n--- got\n%s\n--- want\n%s", buf.Bytes(), want)
-	}
 }
 
 // TestHotPathReasonlessLineMarker covers the one hatch-hygiene case the

@@ -132,6 +132,61 @@ func TestSymevalClassification(t *testing.T) {
 			want:    []accessObs{{invariant: true}},
 		},
 		{
+			name:    "a zero coefficient leaves the address invariant",
+			snippet: `for i := 0; i < 64; i++ { p.Load(0, base+mem.Addr(i*8-i*8+16)) }`,
+			want:    []accessObs{{invariant: true}},
+		},
+		{
+			name:    "a known and a loose coefficient sum to loose",
+			snippet: `for i := 0; i < 64; i++ { p.Load(0, base+mem.Addr(i*8+i*n)) }`,
+			want:    []accessObs{{class: classLoose}},
+		},
+		{
+			name:    "division bends the stride loose",
+			snippet: `for i := 0; i < 64; i++ { p.Load(0, base+mem.Addr(i/2*8)) }`,
+			want:    []accessObs{{class: classLoose}},
+		},
+		{
+			name:    "a squared induction variable is irregular",
+			snippet: `for i := 0; i < 64; i++ { p.Load(0, base+mem.Addr(i*i*8)) }`,
+			want:    []accessObs{{class: classIrr}},
+		},
+		{
+			name:    "a product of two induction variables is loose",
+			snippet: `for i := 0; i < 4; i++ { for j := 0; j < 8; j++ { p.Load(0, base+mem.Addr(i*j*8)) } }`,
+			want:    []accessObs{{class: classLoose}},
+		},
+		{
+			name:    "an irregular term outranks a coefficient",
+			snippet: `for i := 0; i < 64; i++ { p.Load(0, base+mem.Addr(i*8+i%4*8)) }`,
+			want:    []accessObs{{class: classIrr}},
+		},
+		{
+			name:    "an irregular term outranks a coefficient added after it",
+			snippet: `for i := 0; i < 64; i++ { p.Load(0, base+mem.Addr(i%4*8+i*8)) }`,
+			want:    []accessObs{{class: classIrr}},
+		},
+		{
+			name:    "a loose term outranks a coefficient added after it",
+			snippet: `for i := 0; i < 64; i++ { p.Load(0, base+mem.Addr(i*n+i*8)) }`,
+			want:    []accessObs{{class: classLoose}},
+		},
+		{
+			name:    "division keeps an irregular term irregular",
+			snippet: `for i := 0; i < 64; i++ { p.Load(0, base+mem.Addr(i%4*8/2)) }`,
+			want:    []accessObs{{class: classIrr}},
+		},
+		{
+			name:    "a zero coefficient keeps its term and blocks single-variable bounds",
+			snippet: `for i := 0; i < 4; i++ { for j := 0; j < 8; j++ { p.Load(0, base+mem.Addr(i*8-i*8+j*8)) } }`,
+			want:    []accessObs{{class: classCoeff, stride: 8, strideOK: true}},
+		},
+		{
+			name:    "looseness does not cancel",
+			snippet: `for i := 0; i < 64; i++ { p.Load(0, base+mem.Addr((i*n+i*8)-i*n)) }`,
+			want:    []accessObs{{class: classLoose}},
+		},
+		{
 			name: "stores classify like loads",
 			snippet: `for i := 0; i < 64; i++ {
 		p.Load(0, base+mem.Addr(i*8))

@@ -31,3 +31,11 @@ func activateBeforeMap(lib *core.Lib) {
 	lib.AtomMap(id, mem.Addr(0), 4096)
 	lib.AtomUnmap(id, mem.Addr(0), 4096)
 }
+
+// zeroPair declares two IDs in one valueless var: each name is a zero-value
+// declaration of its own.
+func zeroPair(lib *core.Lib) {
+	var a, b core.AtomID
+	lib.AtomMap(a, mem.Addr(0), 4096) // want "no reaching CreateAtom"
+	lib.AtomActivate(b)               // want "no reaching CreateAtom"
+}

@@ -28,3 +28,28 @@ func escapes(lib *core.Lib) {
 }
 
 func record(core.AtomID) {}
+
+// rangeDefined takes its ID from a range clause, a write the analysis does
+// not classify: nothing says the ID is bad, so nothing is judged.
+func rangeDefined(lib *core.Lib, ids []core.AtomID) {
+	for _, id := range ids {
+		lib.AtomUnmap(id, mem.Addr(0), 4096)
+	}
+}
+
+// bumped steps a constant ID with ++: the increment is a use outside an
+// operator call, so the variable escapes.
+func bumped(lib *core.Lib) {
+	id := core.AtomID(1)
+	id++
+	lib.AtomMap(id, mem.Addr(0), 4096)
+}
+
+// assignedInClosure creates its ID inside a function literal: the write
+// there is a use outside an operator call, so the variable escapes.
+func assignedInClosure(lib *core.Lib) {
+	var id core.AtomID
+	create := func() { id = lib.CreateAtom("closure", core.Attributes{}) }
+	create()
+	lib.AtomMap(id, mem.Addr(0), 4096)
+}
