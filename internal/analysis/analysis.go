@@ -342,17 +342,3 @@ func funcBodies(pkg *Package, f func(body *ast.BlockStmt)) {
 		})
 	}
 }
-
-// nestedFuncLits returns the function-literal bodies strictly inside body
-// (excluding body itself), so a body analysis can tell its own statements
-// from deferred-execution scopes.
-func nestedFuncLits(body *ast.BlockStmt) map[*ast.BlockStmt]bool {
-	out := make(map[*ast.BlockStmt]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && lit.Body != body {
-			out[lit.Body] = true
-		}
-		return true
-	})
-	return out
-}

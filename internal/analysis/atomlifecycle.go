@@ -29,10 +29,10 @@ var AtomLifecycle = &Analyzer{
 
 // atomVar accumulates what one body proves about a local AtomID variable.
 type atomVar struct {
-	created int  // assignments from CreateAtom
-	badSrc  int  // zero-value declarations or constant assignments
-	unknown int  // assignments the analysis cannot classify
-	escaped bool // any use outside XMemLib operator positions
+	lv      *localVar
+	created int // assignments from CreateAtom
+	badSrc  int // zero-value declarations or constant assignments
+	unknown int // assignments the analysis cannot classify
 	ops     []opUse
 }
 
@@ -51,95 +51,46 @@ func runAtomLifecycle(u *Unit) {
 }
 
 func lifecycleCheckBody(u *Unit, info *types.Info, body *ast.BlockStmt) {
-	foreign := nestedFuncLits(body)
+	locals := indexLocals(info, body)
 
-	// inOwn reports whether a node position belongs to this body rather
-	// than a nested function literal (those are analyzed as their own
-	// scopes; from here their contents only matter as escapes).
-	ownInspect := func(f func(n ast.Node) bool) {
-		ast.Inspect(body, func(n ast.Node) bool {
-			if blk, ok := n.(*ast.BlockStmt); ok && foreign[blk] {
-				return false
-			}
-			return f(n)
-		})
-	}
-
-	// Pass 1: variables declared by this body.
+	// The variables this body declares outside nested function literals
+	// (those are analyzed as their own scopes; from here their contents
+	// only matter as escapes), with every :=, =, op= and var write the
+	// body itself makes classified. consumed marks the identifiers
+	// accounted for here or as operator arguments; every other use is an
+	// escape.
 	declared := make(map[*types.Var]*atomVar)
-	ownInspect(func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if v, okVar := info.Defs[id].(*types.Var); okVar {
-				declared[v] = &atomVar{}
-			}
-		}
-		return true
-	})
-
-	// Pass 2: classify every assignment to a declared variable. consumed
-	// marks identifier occurrences accounted for here or as operator
-	// arguments, so pass 4 can treat everything else as an escape.
 	consumed := make(map[*ast.Ident]bool)
-	classify := func(lhs ast.Expr, rhs ast.Expr, paired bool) {
-		id, ok := lhs.(*ast.Ident)
-		if !ok {
-			return
-		}
-		obj, _ := info.Defs[id].(*types.Var)
-		if obj == nil {
-			obj, _ = info.Uses[id].(*types.Var)
-		}
-		v := declared[obj]
-		if v == nil {
-			return
-		}
-		consumed[id] = true
-		switch {
-		case !paired:
-			v.unknown++
-		case rhs == nil:
-			v.badSrc++ // zero-value declaration
-		case createAtomCall(info, rhs) != nil:
-			v.created++
-		case isConst(info, rhs):
-			v.badSrc++ // constant: the zero value, InvalidAtom, AtomID(n)
-		default:
-			v.unknown++
+	for obj, lv := range locals.vars {
+		v := &atomVar{lv: lv}
+		for _, w := range lv.writes {
+			if w.inLit {
+				continue
+			}
+			if w.kind.defines() {
+				declared[obj] = v
+			}
+			if w.kind == writeRangeDefine || w.kind == writeRangeAssign || w.kind == writeIncDec {
+				continue
+			}
+			consumed[w.id] = true
+			switch {
+			case w.unpaired:
+				v.unknown++
+			case w.rhs == nil:
+				v.badSrc++ // zero-value declaration
+			case createAtomCall(info, w.rhs) != nil:
+				v.created++
+			case isConst(info, w.rhs):
+				v.badSrc++ // constant: the zero value, InvalidAtom, AtomID(n)
+			default:
+				v.unknown++
+			}
 		}
 	}
-	ownInspect(func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			if len(st.Lhs) == len(st.Rhs) {
-				for i := range st.Lhs {
-					classify(st.Lhs[i], st.Rhs[i], true)
-				}
-			} else {
-				for _, lhs := range st.Lhs {
-					classify(lhs, nil, false)
-				}
-			}
-		case *ast.ValueSpec:
-			switch {
-			case len(st.Values) == 0:
-				for _, name := range st.Names {
-					classify(name, nil, true)
-				}
-			case len(st.Values) == len(st.Names):
-				for i := range st.Names {
-					classify(st.Names[i], st.Values[i], true)
-				}
-			default:
-				for _, name := range st.Names {
-					classify(name, nil, false)
-				}
-			}
-		}
-		return true
-	})
 
-	// Pass 3: operator calls taking a declared variable (or a constant) as
-	// their atom ID.
+	// Operator calls taking a declared variable (or a constant) as their
+	// atom ID.
 	walkCalls(body, func(site callSite) {
 		name, _, ok := libMethod(info, site.call)
 		if !ok || !isAtomOp(name) || len(site.call.Args) == 0 {
@@ -162,23 +113,11 @@ func lifecycleCheckBody(u *Unit, info *types.Info, body *ast.BlockStmt) {
 		}
 	})
 
-	// Pass 4: every remaining use of a declared variable — passed to other
-	// functions, address taken, captured by a literal — is an escape; the
-	// variable's lifecycle is no longer this function's alone to judge.
-	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && !consumed[id] {
-			if obj, okVar := info.Uses[id].(*types.Var); okVar {
-				if v := declared[obj]; v != nil {
-					v.escaped = true
-				}
-			}
-		}
-		return true
-	})
-
-	// Verdicts.
+	// Verdicts. Every use not consumed above — passed to other functions,
+	// address taken, captured by a literal — is an escape: the variable's
+	// lifecycle is no longer this function's alone to judge.
 	for obj, v := range declared {
-		if len(v.ops) == 0 || v.escaped || v.unknown > 0 {
+		if len(v.ops) == 0 || v.unknown > 0 || escapes(v.lv, consumed) {
 			continue
 		}
 		if v.created == 0 {
@@ -218,6 +157,16 @@ func lifecycleCheckBody(u *Unit, info *types.Info, body *ast.BlockStmt) {
 			}
 		}
 	}
+}
+
+// escapes reports whether some use of lv is not in consumed.
+func escapes(lv *localVar, consumed map[*ast.Ident]bool) bool {
+	for _, id := range lv.uses {
+		if !consumed[id] {
+			return true
+		}
+	}
+	return false
 }
 
 // allStrictlyAfter reports whether every map op provably executes after a.

@@ -80,9 +80,8 @@ type inferEvidence struct {
 	noAtom bool
 	fact   *baseFact // representative declaration
 
-	// Untagged-Malloc identity (noAtom only).
-	mallocCall *ast.CallExpr
-	mallocPkg  *Package
+	// mallocPkg holds the untagged Malloc, fact.malloc (noAtom only).
+	mallocPkg *Package
 
 	loads, stores      int
 	murk               int // accesses attributed to the base but unresolvable
@@ -116,10 +115,10 @@ func runAttrInfer(u *Unit) {
 	sites := createSites(u)
 
 	evidence := make(map[string]*inferEvidence)
-	evidenceOf := func(bf *baseFact, pkg *Package, call *ast.CallExpr) *inferEvidence {
+	evidenceOf := func(bf *baseFact, pkg *Package) *inferEvidence {
 		key := bf.attrs.site
 		if bf.noAtom {
-			key = "malloc@" + u.Fset.Position(bf.mallocPos).String()
+			key = "malloc@" + u.Fset.Position(bf.malloc.Pos()).String()
 		}
 		if key == "" {
 			return nil // non-constant site string: nothing to match a fix against
@@ -132,7 +131,7 @@ func runAttrInfer(u *Unit) {
 				bodies: make(map[*ast.BlockStmt]bool),
 			}
 			if bf.noAtom {
-				ev.mallocCall, ev.mallocPkg = call, pkg
+				ev.mallocPkg = pkg
 			}
 			evidence[key] = ev
 		}
@@ -162,10 +161,9 @@ func runAttrInfer(u *Unit) {
 // inferScanBody walks one body, seeds untagged Mallocs so the evaluator
 // can attribute their accesses, and accumulates evidence.
 func inferScanBody(u *Unit, pkg *Package, body *ast.BlockStmt, sc semConsts, idx *funcIndex,
-	evidenceOf func(*baseFact, *Package, *ast.CallExpr) *inferEvidence) {
+	evidenceOf func(*baseFact, *Package) *inferEvidence) {
 
-	facts := collectBodyFacts(u, pkg, body)
-	noAtomCalls := seedNoAtomBases(u, pkg, facts, sc)
+	facts := collectBodyFacts(u, pkg, body, func(f *bodyFacts) { seedNoAtomBases(pkg, f, sc) })
 
 	quick := len(facts.bases) > 0 || len(facts.baseByCall) > 0
 	if !quick {
@@ -192,7 +190,7 @@ func inferScanBody(u *Unit, pkg *Package, body *ast.BlockStmt, sc semConsts, idx
 			}
 			return
 		}
-		ev := evidenceOf(sh.base, pkg, noAtomCalls[sh.base])
+		ev := evidenceOf(sh.base, pkg)
 		if ev == nil {
 			return
 		}
@@ -283,61 +281,30 @@ func recordRange(ev *inferEvidence, lo, hi int64) {
 	}
 }
 
-// seedNoAtomBases finds Mallocs whose atom argument folds to
+// seedNoAtomBases finds the body's own Mallocs whose atom argument folds to
 // core.InvalidAtom and registers synthetic base facts for them, so
-// walkAccesses attributes their accesses. Returns the Malloc call of each
-// seeded fact (for fix construction).
-func seedNoAtomBases(u *Unit, pkg *Package, facts *bodyFacts, sc semConsts) map[*baseFact]*ast.CallExpr {
-	calls := make(map[*baseFact]*ast.CallExpr)
+// walkAccesses attributes their accesses. It runs before collectBodyFacts
+// binds defines, which then binds the locals these Mallocs initialize:
+// such a Malloc never resolves through resolveMallocBase.
+func seedNoAtomBases(pkg *Package, facts *bodyFacts, sc semConsts) {
 	info := pkg.Info
 	ast.Inspect(facts.body, func(n ast.Node) bool {
-		if blk, ok := n.(*ast.BlockStmt); ok && facts.foreign[blk] {
+		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok || !isMallocCall(info, call) || len(call.Args) != 3 {
 			return true
 		}
-		if _, seen := facts.baseByCall[call]; seen {
-			return true
-		}
 		atom, okC := constInt64(info, call.Args[2])
 		if !okC || atom != sc.invalidAtom {
 			return true
 		}
-		bf := &baseFact{noAtom: true, mallocPos: call.Pos()}
+		bf := &baseFact{noAtom: true, malloc: call}
 		bf.size, bf.sizeKnown = constUint64(info, call.Args[1])
 		facts.baseByCall[call] = bf
-		calls[bf] = call
 		return true
 	})
-	// Bind single-assignment locals initialized from a seeded Malloc.
-	ast.Inspect(facts.body, func(n ast.Node) bool {
-		if blk, ok := n.(*ast.BlockStmt); ok && facts.foreign[blk] {
-			return false
-		}
-		asg, ok := n.(*ast.AssignStmt)
-		if !ok || asg.Tok != token.DEFINE || len(asg.Lhs) != len(asg.Rhs) {
-			return true
-		}
-		for i, lhs := range asg.Lhs {
-			id, okID := lhs.(*ast.Ident)
-			if !okID {
-				continue
-			}
-			obj, okV := info.Defs[id].(*types.Var)
-			if !okV || !singleWrite(facts.writes[obj]) || facts.bases[obj] != nil {
-				continue
-			}
-			if rhs, okCall := asg.Rhs[i].(*ast.CallExpr); okCall {
-				if bf, okBF := facts.baseByCall[rhs]; okBF && bf.noAtom {
-					facts.bases[obj] = bf
-				}
-			}
-		}
-		return true
-	})
-	return calls
 }
 
 // judgeSite compares one site's evidence against its declaration and, when
@@ -348,7 +315,7 @@ func judgeSite(u *Unit, sc semConsts, ev *inferEvidence, sites map[string][]crea
 	}
 	anchor := ev.fact.attrs.pos
 	if ev.noAtom {
-		anchor = ev.fact.mallocPos
+		anchor = ev.fact.malloc.Pos()
 	} else if decls := sites[ev.fact.attrs.site]; len(decls) > 0 {
 		anchor = decls[0].call.Pos()
 	}
@@ -429,7 +396,7 @@ func judgeSite(u *Unit, sc semConsts, ev *inferEvidence, sites map[string][]crea
 			return
 		}
 		u.Report(Finding{
-			Pos: u.Fset.Position(ev.mallocCall.Pos()),
+			Pos: u.Fset.Position(ev.fact.malloc.Pos()),
 			Message: fmt.Sprintf("Malloc carries no atom (core.InvalidAtom), but its accesses prove a summary the memory system could use: %s; the suggested fix creates the atom",
 				detail),
 			SuggestedFixes: []SuggestedFix{fix},
@@ -592,7 +559,7 @@ func renderAttrLiteral(u *Unit, d createSite, vals []inferredVal, srcs *srcCache
 // receiver must expose Lib() *core.Lib, the Malloc name must be constant
 // (it becomes the site suffix), and the synthesized site must be new.
 func buildNoAtomFix(u *Unit, ev *inferEvidence, vals []inferredVal, sites map[string][]createSite, srcs *srcCache) (SuggestedFix, bool) {
-	call, pkg := ev.mallocCall, ev.mallocPkg
+	call, pkg := ev.fact.malloc, ev.mallocPkg
 	if call == nil || pkg == nil {
 		return SuggestedFix{}, false
 	}

@@ -74,7 +74,7 @@ func runAttrTruth(u *Unit) {
 // --- the body check ---
 
 func truthCheckBody(u *Unit, pkg *Package, body *ast.BlockStmt, sc semConsts, idx *funcIndex) {
-	facts := collectBodyFacts(u, pkg, body)
+	facts := collectBodyFacts(u, pkg, body, nil)
 	if len(facts.atoms) == 0 && len(facts.bases) == 0 {
 		// Cheap pre-check: nothing in this body resolves, so no access can.
 		quick := false

@@ -1,9 +1,9 @@
 package analysis
 
 // This file is the analyzers' one front end: how they read //xmem:
-// directives, core.Attributes expressions, CreateAtom sites and named
-// types. Each analyzer keeps its own judgement; none reads these inputs any
-// other way.
+// directives, core.Attributes expressions, CreateAtom sites, how a function
+// body writes its locals, and named types. Each analyzer keeps its own
+// judgement; none reads these inputs any other way.
 
 import (
 	"go/ast"
@@ -289,6 +289,152 @@ func createSites(u *Unit) map[string][]createSite {
 		}
 	}
 	return sites
+}
+
+// --- local writes ---
+
+// writeKind is how a statement writes a variable it names.
+type writeKind uint8
+
+const (
+	writeDefine      writeKind = iota // x := e, declaring x
+	writeVar                          // var x [= e]
+	writeRangeDefine                  // for x := range e
+	writeAssign                       // x = e, x op= e, or a := that reuses x
+	writeRangeAssign                  // for x = range e
+	writeIncDec                       // x++, x--
+)
+
+// defines reports whether a write of kind k declares its variable.
+func (k writeKind) defines() bool { return k <= writeRangeDefine }
+
+// localWrite is one write of a variable through its name.
+type localWrite struct {
+	kind writeKind
+	id   *ast.Ident // the written identifier
+	// rhs is the right-hand side paired with id. It is nil when the
+	// statement's sides do not pair one to one (unpaired), for a valueless
+	// var, and for range and ++/-- writes.
+	rhs      ast.Expr
+	unpaired bool
+	inLit    bool // the write sits in a nested function literal
+}
+
+// localVar is what one function body does to one variable it names.
+type localVar struct {
+	writes    []localWrite // in source order
+	addrTaken bool         // &x appears in the body
+	uses      []*ast.Ident // every use, the left sides of = included
+}
+
+// fixed reports whether the body neither writes the variable nor takes its
+// address.
+func (lv *localVar) fixed() bool {
+	return lv == nil || len(lv.writes) == 0 && !lv.addrTaken
+}
+
+// sole returns the variable's one write when the body writes it exactly
+// once, by a define, and never takes its address: the define's rhs is then
+// the variable's value wherever it is in scope.
+func (lv *localVar) sole() (localWrite, bool) {
+	if lv.fixed() || len(lv.writes) != 1 || !lv.writes[0].kind.defines() || lv.addrTaken {
+		return localWrite{}, false
+	}
+	return lv.writes[0], true
+}
+
+// localIndex is the one record of how a function body, nested function
+// literals included, writes and uses each variable it names.
+type localIndex struct {
+	vars  map[*types.Var]*localVar
+	order []*types.Var // in order of first appearance
+}
+
+// indexLocals builds body's localIndex in one walk.
+func indexLocals(info *types.Info, body *ast.BlockStmt) *localIndex {
+	ix := &localIndex{vars: make(map[*types.Var]*localVar)}
+	of := func(obj *types.Var) *localVar {
+		lv := ix.vars[obj]
+		if lv == nil {
+			lv = &localVar{}
+			ix.vars[obj] = lv
+			ix.order = append(ix.order, obj)
+		}
+		return lv
+	}
+	var walk func(n ast.Node, lit bool)
+	walk = func(n ast.Node, lit bool) {
+		// write records a write of id, the i-th of names written by one
+		// statement whose right-hand sides are sides.
+		write := func(id *ast.Ident, kind writeKind, sides []ast.Expr, i, names int) {
+			obj, def := info.Defs[id].(*types.Var)
+			if !def {
+				obj, _ = info.Uses[id].(*types.Var)
+			}
+			if obj == nil {
+				return
+			}
+			if kind == writeDefine && !def {
+				kind = writeAssign
+			}
+			w := localWrite{kind: kind, id: id, unpaired: len(sides) != 0 && len(sides) != names, inLit: lit}
+			if len(sides) == names {
+				w.rhs = sides[i]
+			}
+			lv := of(obj)
+			lv.writes = append(lv.writes, w)
+		}
+		ast.Inspect(n, func(x ast.Node) bool {
+			switch v := x.(type) {
+			case *ast.FuncLit:
+				walk(v.Type, true)
+				walk(v.Body, true)
+				return false
+			case *ast.Ident:
+				if obj, ok := info.Uses[v].(*types.Var); ok {
+					lv := of(obj)
+					lv.uses = append(lv.uses, v)
+				}
+			case *ast.AssignStmt:
+				kind := writeAssign
+				if v.Tok == token.DEFINE {
+					kind = writeDefine
+				}
+				for i, lhs := range v.Lhs {
+					if id, ok := lhs.(*ast.Ident); ok {
+						write(id, kind, v.Rhs, i, len(v.Lhs))
+					}
+				}
+			case *ast.ValueSpec:
+				for i, name := range v.Names {
+					write(name, writeVar, v.Values, i, len(v.Names))
+				}
+			case *ast.RangeStmt:
+				kind := writeRangeAssign
+				if v.Tok == token.DEFINE {
+					kind = writeRangeDefine
+				}
+				for _, e := range []ast.Expr{v.Key, v.Value} {
+					if id, ok := e.(*ast.Ident); ok {
+						write(id, kind, nil, 0, 1)
+					}
+				}
+			case *ast.IncDecStmt:
+				if id, ok := v.X.(*ast.Ident); ok {
+					write(id, writeIncDec, nil, 0, 1)
+				}
+			case *ast.UnaryExpr:
+				if id, ok := v.X.(*ast.Ident); ok && v.Op == token.AND {
+					if obj, okV := info.Uses[id].(*types.Var); okV {
+						of(obj).addrTaken = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	walk(body, false)
+	return ix
 }
 
 // --- named types ---

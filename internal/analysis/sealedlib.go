@@ -63,8 +63,15 @@ func sealedCheckBody(u *Unit, info *types.Info, body *ast.BlockStmt) {
 			lc.creates = append(lc.creates, site)
 		}
 	})
+	var locals *localIndex
 	for obj, lc := range byLib {
-		if len(lc.segments) == 0 || len(lc.creates) == 0 || assignCount(info, body, obj) > 1 {
+		if len(lc.segments) == 0 || len(lc.creates) == 0 {
+			continue
+		}
+		if locals == nil {
+			locals = indexLocals(info, body)
+		}
+		if assignCount(locals.vars[obj]) > 1 {
 			continue
 		}
 		for _, create := range lc.creates {
@@ -79,23 +86,14 @@ func sealedCheckBody(u *Unit, info *types.Info, body *ast.BlockStmt) {
 	}
 }
 
-// assignCount counts assignments to obj inside body (its definition
-// included).
-func assignCount(info *types.Info, body *ast.BlockStmt, obj *types.Var) int {
+// assignCount counts the :=, = and op= writes of a variable anywhere in
+// the body, nested function literals included.
+func assignCount(lv *localVar) int {
 	n := 0
-	ast.Inspect(body, func(x ast.Node) bool {
-		st, ok := x.(*ast.AssignStmt)
-		if !ok {
-			return true
+	for _, w := range lv.writes {
+		if w.kind == writeDefine || w.kind == writeAssign {
+			n++
 		}
-		for _, lhs := range st.Lhs {
-			if id, okIdent := lhs.(*ast.Ident); okIdent {
-				if info.Defs[id] == obj || info.Uses[id] == obj {
-					n++
-				}
-			}
-		}
-		return true
-	})
+	}
 	return n
 }

@@ -100,8 +100,9 @@ type baseFact struct {
 	// no semantics at all. Only attrinfer seeds such bases (seedNoAtomBases);
 	// attrtruth never sees them.
 	noAtom bool
-	// mallocPos is the Malloc call (for reporting on no-atom bases).
-	mallocPos token.Pos
+	// malloc is the Malloc call (for reporting on, and fixing, no-atom
+	// bases).
+	malloc *ast.CallExpr
 }
 
 // --- function index (for inlining) ---
@@ -137,194 +138,62 @@ func newFuncIndex(u *Unit) *funcIndex {
 
 // --- per-body fact collection ---
 
-// varWrites records where one body-local variable is written.
-type varWrites struct {
-	defines   []token.Pos // := or var declarations
-	assigns   []token.Pos // plain = or op= or ++/--
-	addrTaken bool
-	inFuncLit bool // some write sits inside a nested function literal
-	defineRHS ast.Expr
-	defCount  int
-}
-
 // bodyFacts is everything the evaluator proves about one function body
 // before the analyzers judge its accesses.
 type bodyFacts struct {
 	pkg        *Package
 	body       *ast.BlockStmt
-	foreign    map[*ast.BlockStmt]bool
+	locals     *localIndex
 	atoms      map[*types.Var]*attrFacts        // lib.CreateAtom results
 	bases      map[*types.Var]*baseFact         // p.Malloc results
 	structs    map[*types.Var]*ast.CompositeLit // single-assigned struct literals
-	writes     map[*types.Var]*varWrites
-	baseByCall map[*ast.CallExpr]*baseFact // Malloc calls evaluated in place
+	baseByCall map[*ast.CallExpr]*baseFact      // Malloc calls evaluated in place
 }
 
-func collectBodyFacts(u *Unit, pkg *Package, body *ast.BlockStmt) *bodyFacts {
+// collectBodyFacts indexes the body's local writes, then binds the atom,
+// base and struct-literal variables of its own single-write := defines, in
+// source order. seed, when non-nil, runs in between and may register more
+// Malloc bases in baseByCall (attrinfer's seedNoAtomBases), whose defined
+// locals are then bound as well.
+func collectBodyFacts(u *Unit, pkg *Package, body *ast.BlockStmt, seed func(*bodyFacts)) *bodyFacts {
 	f := &bodyFacts{
 		pkg:        pkg,
 		body:       body,
-		foreign:    nestedFuncLits(body),
+		locals:     indexLocals(pkg.Info, body),
 		atoms:      make(map[*types.Var]*attrFacts),
 		bases:      make(map[*types.Var]*baseFact),
 		structs:    make(map[*types.Var]*ast.CompositeLit),
-		writes:     make(map[*types.Var]*varWrites),
 		baseByCall: make(map[*ast.CallExpr]*baseFact),
 	}
-	info := pkg.Info
-
-	writesOf := func(obj *types.Var) *varWrites {
-		w := f.writes[obj]
-		if w == nil {
-			w = &varWrites{}
-			f.writes[obj] = w
-		}
-		return w
+	if seed != nil {
+		seed(f)
 	}
-
-	// Pass 1: every write to a local variable, including writes inside
-	// nested function literals (those disqualify loop-invariance).
-	var inLit func(n ast.Node, lit bool)
-	inLit = func(n ast.Node, lit bool) {
-		ast.Inspect(n, func(x ast.Node) bool {
-			switch v := x.(type) {
-			case *ast.FuncLit:
-				inLit(v.Body, true)
-				return false
-			case *ast.AssignStmt:
-				for i, lhs := range v.Lhs {
-					id, ok := lhs.(*ast.Ident)
-					if !ok {
-						continue
-					}
-					obj, _ := info.Defs[id].(*types.Var)
-					isDef := obj != nil
-					if obj == nil {
-						obj, _ = info.Uses[id].(*types.Var)
-					}
-					if obj == nil {
-						continue
-					}
-					w := writesOf(obj)
-					if lit {
-						w.inFuncLit = true
-					}
-					if isDef && v.Tok == token.DEFINE {
-						w.defines = append(w.defines, id.Pos())
-						w.defCount++
-						if len(v.Lhs) == len(v.Rhs) {
-							w.defineRHS = v.Rhs[i]
-						}
-					} else {
-						w.assigns = append(w.assigns, id.Pos())
-					}
-				}
-			case *ast.ValueSpec:
-				for i, name := range v.Names {
-					obj, _ := info.Defs[name].(*types.Var)
-					if obj == nil {
-						continue
-					}
-					w := writesOf(obj)
-					if lit {
-						w.inFuncLit = true
-					}
-					w.defines = append(w.defines, name.Pos())
-					w.defCount++
-					if len(v.Values) == len(v.Names) {
-						w.defineRHS = v.Values[i]
-					}
-				}
-			case *ast.RangeStmt:
-				for _, e := range []ast.Expr{v.Key, v.Value} {
-					id, ok := e.(*ast.Ident)
-					if !ok {
-						continue
-					}
-					var w *varWrites
-					if obj, okD := info.Defs[id].(*types.Var); okD {
-						w = writesOf(obj)
-						w.defines = append(w.defines, id.Pos())
-						w.defCount++
-					} else if obj, okU := info.Uses[id].(*types.Var); okU {
-						w = writesOf(obj)
-						w.assigns = append(w.assigns, id.Pos())
-					}
-					if w != nil && lit {
-						w.inFuncLit = true
-					}
-				}
-			case *ast.IncDecStmt:
-				if id, ok := v.X.(*ast.Ident); ok {
-					if obj, okV := info.Uses[id].(*types.Var); okV {
-						w := writesOf(obj)
-						if lit {
-							w.inFuncLit = true
-						}
-						w.assigns = append(w.assigns, id.Pos())
-					}
-				}
-			case *ast.UnaryExpr:
-				if v.Op == token.AND {
-					if id, ok := v.X.(*ast.Ident); ok {
-						if obj, okV := info.Uses[id].(*types.Var); okV {
-							writesOf(obj).addrTaken = true
-						}
-					}
+	for _, obj := range f.locals.order {
+		w, ok := f.locals.vars[obj].sole()
+		if !ok || w.kind != writeDefine || w.inLit || w.rhs == nil {
+			continue
+		}
+		switch rhs := w.rhs.(type) {
+		case *ast.CallExpr:
+			if create := createAtomCall(pkg.Info, rhs); create != nil {
+				if facts, okA := resolveAttrs(u, pkg, create); okA {
+					f.atoms[obj] = facts
 				}
 			}
-			return true
-		})
+			if isMallocCall(pkg.Info, rhs) {
+				if bf := f.resolveMallocBase(u, rhs); bf != nil {
+					f.bases[obj] = bf
+				}
+			}
+		case *ast.CompositeLit:
+			if tv, okTV := pkg.Info.Types[rhs]; okTV && tv.Type != nil {
+				if _, okStruct := tv.Type.Underlying().(*types.Struct); okStruct {
+					f.structs[obj] = rhs
+				}
+			}
+		}
 	}
-	inLit(body, false)
-
-	// Pass 2: atom variables, base variables, and struct-literal variables
-	// from this body's own statements (nested literals are their own scopes).
-	ast.Inspect(body, func(n ast.Node) bool {
-		if blk, ok := n.(*ast.BlockStmt); ok && f.foreign[blk] {
-			return false
-		}
-		asg, ok := n.(*ast.AssignStmt)
-		if !ok || asg.Tok != token.DEFINE || len(asg.Lhs) != len(asg.Rhs) {
-			return true
-		}
-		for i, lhs := range asg.Lhs {
-			id, okID := lhs.(*ast.Ident)
-			if !okID {
-				continue
-			}
-			obj, okV := info.Defs[id].(*types.Var)
-			if !okV || !singleWrite(f.writes[obj]) {
-				continue
-			}
-			switch rhs := asg.Rhs[i].(type) {
-			case *ast.CallExpr:
-				if create := createAtomCall(info, rhs); create != nil {
-					if facts, okA := resolveAttrs(u, pkg, create); okA {
-						f.atoms[obj] = facts
-					}
-				}
-				if isMallocCall(info, rhs) {
-					if bf := f.resolveMallocBase(u, rhs); bf != nil {
-						f.bases[obj] = bf
-					}
-				}
-			case *ast.CompositeLit:
-				if tv, okTV := pkg.Info.Types[rhs]; okTV && tv.Type != nil {
-					if _, okStruct := tv.Type.Underlying().(*types.Struct); okStruct {
-						f.structs[obj] = rhs
-					}
-				}
-			}
-		}
-		return true
-	})
 	return f
-}
-
-// singleWrite reports whether a variable has exactly one write: its define.
-func singleWrite(w *varWrites) bool {
-	return w != nil && w.defCount == 1 && len(w.assigns) == 0 && !w.addrTaken
 }
 
 // resolveMallocBase resolves the atom argument of a Malloc call to its
@@ -347,7 +216,7 @@ func (f *bodyFacts) resolveMallocBase(u *Unit, call *ast.CallExpr) *baseFact {
 	if facts == nil {
 		return nil
 	}
-	bf := &baseFact{attrs: *facts, mallocPos: call.Pos()}
+	bf := &baseFact{attrs: *facts, malloc: call}
 	bf.size, bf.sizeKnown = constUint64(f.pkg.Info, call.Args[1])
 	f.baseByCall[call] = bf
 	return bf
@@ -429,16 +298,30 @@ type shape struct {
 	base  *baseFact
 	nbase int // number of base terms folded in (must end at exactly 1)
 
-	c         int64                // constant byte offset
-	coeff     map[*types.Var]int64 // induction vars entering linearly, known coefficient
-	loose     map[*types.Var]bool  // induction vars entering linearly, unknown (loop-constant) coefficient
-	irr       map[*types.Var]bool  // induction vars entering provably non-affinely
-	invariant bool                 // an additive loop-invariant residue of unknown value
-	bad       bool                 // unclassifiable; only base association survives
+	c         int64               // constant byte offset
+	terms     map[*types.Var]term // induction vars the offset depends on
+	invariant bool                // an additive loop-invariant residue of unknown value
+	bad       bool                // unclassifiable; only base association survives
 }
 
+// term is how one induction variable enters an address: its class, and its
+// coefficient k, which means something only while the class is classCoeff.
+// A zero coefficient keeps its term (i*8-i*8).
+type term struct {
+	class int
+	k     int64
+}
+
+// Classification of how an induction variable enters an address
+// expression, strongest claim first. A term's class only rises.
+const (
+	classCoeff = iota // linear, known constant coefficient
+	classLoose        // linear, unknown loop-constant coefficient
+	classIrr          // provably non-affine
+)
+
 func (s *shape) dependsOnLoops() bool {
-	return len(s.coeff) > 0 || len(s.loose) > 0 || len(s.irr) > 0
+	return len(s.terms) > 0
 }
 
 func (s *shape) pureConst() bool {
@@ -456,43 +339,20 @@ func invariantShape() *shape { return &shape{invariant: true} }
 
 func badShape() *shape { return &shape{bad: true} }
 
-func (s *shape) markVar(v *types.Var, class int) {
-	switch class {
-	case classCoeff:
-		if s.coeff == nil {
-			s.coeff = make(map[*types.Var]int64)
-		}
-	case classLoose:
-		if s.loose == nil {
-			s.loose = make(map[*types.Var]bool)
-		}
-		s.loose[v] = true
-	case classIrr:
-		if s.irr == nil {
-			s.irr = make(map[*types.Var]bool)
-		}
-		s.irr[v] = true
+// markVar folds a term of the given class and coefficient k into v's term:
+// v keeps the higher of the two classes, and the coefficients add.
+func (s *shape) markVar(v *types.Var, class int, k int64) {
+	if s.terms == nil {
+		s.terms = make(map[*types.Var]term)
 	}
+	t := s.terms[v]
+	s.terms[v] = term{class: max(t.class, class), k: t.k + k}
 }
 
-// Classification of how an induction variable enters an address expression.
-const (
-	classCoeff = iota // linear, known constant coefficient
-	classLoose        // linear, unknown loop-constant coefficient
-	classIrr          // provably non-affine
-)
-
-// demoteAll moves every linear var of s into the given (weaker) class.
+// demoteAll raises every term of s to at least the given class.
 func (s *shape) demoteAll(class int) {
-	for v := range s.coeff {
-		s.markVar(v, class)
-	}
-	s.coeff = nil
-	if class == classIrr {
-		for v := range s.loose {
-			s.markVar(v, classIrr)
-		}
-		s.loose = nil
+	for v := range s.terms {
+		s.markVar(v, class, 0)
 	}
 }
 
@@ -509,34 +369,16 @@ func (s *shape) add(b *shape, sub bool) *shape {
 		out.bad = true
 		return out
 	}
+	sign := int64(1)
 	if sub {
-		out.c -= b.c
-	} else {
-		out.c += b.c
+		sign = -1
 	}
-	for v, k := range s.coeff {
-		out.markVar(v, classCoeff)
-		out.coeff[v] += k
+	out.c += sign * b.c
+	for v, t := range s.terms {
+		out.markVar(v, t.class, t.k)
 	}
-	for v, k := range b.coeff {
-		out.markVar(v, classCoeff)
-		if sub {
-			out.coeff[v] -= k
-		} else {
-			out.coeff[v] += k
-		}
-	}
-	for v := range s.loose {
-		out.markVar(v, classLoose)
-	}
-	for v := range b.loose {
-		out.markVar(v, classLoose)
-	}
-	for v := range s.irr {
-		out.markVar(v, classIrr)
-	}
-	for v := range b.irr {
-		out.markVar(v, classIrr)
+	for v, t := range b.terms {
+		out.markVar(v, t.class, sign*t.k)
 	}
 	return out
 }
@@ -558,15 +400,8 @@ func (s *shape) scale(k int64) *shape {
 		return constShape(0)
 	}
 	out := &shape{c: s.c * k, invariant: s.invariant}
-	for v, c := range s.coeff {
-		out.markVar(v, classCoeff)
-		out.coeff[v] = c * k
-	}
-	for v := range s.loose {
-		out.markVar(v, classLoose)
-	}
-	for v := range s.irr {
-		out.markVar(v, classIrr)
+	for v, t := range s.terms {
+		out.markVar(v, t.class, t.k*k)
 	}
 	return out
 }
@@ -682,12 +517,11 @@ func (c *evalCtx) evalIdent(id *ast.Ident) *shape {
 	// An induction variable of an enclosing loop.
 	if _, ok := c.inductionOf(obj); ok {
 		sh := &shape{}
-		sh.markVar(obj, classCoeff)
-		sh.coeff[obj] = 1
+		sh.markVar(obj, classCoeff, 1)
 		return sh
 	}
-	w := c.facts.writes[obj]
-	if w == nil {
+	lv := c.facts.locals.vars[obj]
+	if lv.fixed() {
 		// Declared outside the analyzed body (parameter, closure capture,
 		// package-level var). With no write inside the body its value is
 		// fixed while the body runs: an additive invariant.
@@ -698,42 +532,46 @@ func (c *evalCtx) evalIdent(id *ast.Ident) *shape {
 	}
 	// Single-definition local: substitute its initializer (evaluated at
 	// the same loop context, which is exactly its value at the access).
-	if singleWrite(w) && w.defineRHS != nil {
-		sub := c.eval(w.defineRHS)
+	if w, ok := lv.sole(); ok && w.rhs != nil {
+		sub := c.eval(w.rhs)
 		if !sub.bad {
 			return sub
 		}
 	}
-	// Loop-invariant local: every write is outside the enclosing loops and
-	// outside function literals, so the value cannot change mid-loop.
-	if !w.addrTaken && !w.inFuncLit && !c.writtenInLoops(w) {
+	if c.loopInvariant(lv) {
 		return invariantShape()
 	}
 	return badShape()
 }
 
-// writtenInLoops reports whether any write position falls inside one of the
-// access's enclosing loops.
-func (c *evalCtx) writtenInLoops(w *varWrites) bool {
-	in := func(p token.Pos) bool {
-		for _, lf := range c.loops {
-			if p >= lf.pos && p <= lf.end {
-				return true
-			}
+// onlyDefined reports whether every write of lv declares it.
+func onlyDefined(lv *localVar) bool {
+	for _, w := range lv.writes {
+		if !w.kind.defines() {
+			return false
 		}
+	}
+	return true
+}
+
+// loopInvariant reports whether lv's address is never taken and each of
+// its writes sits outside the access's enclosing loops and outside
+// function literals, so its value cannot change mid-loop.
+func (c *evalCtx) loopInvariant(lv *localVar) bool {
+	if lv.addrTaken {
 		return false
 	}
-	for _, p := range w.defines {
-		if in(p) {
-			return true
+	for _, w := range lv.writes {
+		if w.inLit {
+			return false
+		}
+		for _, lf := range c.loops {
+			if p := w.id.Pos(); p >= lf.pos && p <= lf.end {
+				return false
+			}
 		}
 	}
-	for _, p := range w.assigns {
-		if in(p) {
-			return true
-		}
-	}
-	return false
+	return true
 }
 
 func (c *evalCtx) evalSelector(sel *ast.SelectorExpr) *shape {
@@ -758,7 +596,7 @@ func (c *evalCtx) evalSelector(sel *ast.SelectorExpr) *shape {
 		if obj == nil {
 			return badShape()
 		}
-		if w := c.facts.writes[obj]; w == nil || (!w.addrTaken && !w.inFuncLit && !c.writtenInLoops(w) && len(w.assigns) == 0) {
+		if lv := c.facts.locals.vars[obj]; lv.fixed() || c.loopInvariant(lv) && onlyDefined(lv) {
 			if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
 				return badShape()
 			}
@@ -870,14 +708,8 @@ func (c *evalCtx) evalNonAffine(x, y *shape) *shape {
 	}
 	out := &shape{invariant: true}
 	for _, s := range []*shape{x, y} {
-		for v := range s.coeff {
-			out.markVar(v, classIrr)
-		}
-		for v := range s.loose {
-			out.markVar(v, classIrr)
-		}
-		for v := range s.irr {
-			out.markVar(v, classIrr)
+		for v := range s.terms {
+			out.markVar(v, classIrr, 0)
 		}
 	}
 	return out
@@ -901,28 +733,15 @@ func (c *evalCtx) evalMul(x, y *shape) *shape {
 		// var·var: vars appearing on both sides are squared (non-affine);
 		// vars on one side keep a linear role with an unknown coefficient.
 		out := &shape{invariant: true}
-		both := func(v *types.Var) bool {
-			_, cx := x.coeff[v]
-			_, cy := y.coeff[v]
-			return (cx || x.loose[v] || x.irr[v]) && (cy || y.loose[v] || y.irr[v])
-		}
 		for _, s := range []*shape{x, y} {
-			for v := range s.coeff {
-				if both(v) {
-					out.markVar(v, classIrr)
-				} else {
-					out.markVar(v, classLoose)
+			for v, t := range s.terms {
+				_, inX := x.terms[v]
+				_, inY := y.terms[v]
+				class := classLoose
+				if inX && inY {
+					class = classIrr
 				}
-			}
-			for v := range s.loose {
-				if both(v) {
-					out.markVar(v, classIrr)
-				} else {
-					out.markVar(v, classLoose)
-				}
-			}
-			for v := range s.irr {
-				out.markVar(v, classIrr)
+				out.markVar(v, max(t.class, class), 0)
 			}
 		}
 		return out
@@ -934,14 +753,8 @@ func (c *evalCtx) evalMul(x, y *shape) *shape {
 			dep = y
 		}
 		out := &shape{invariant: true}
-		for v := range dep.coeff {
-			out.markVar(v, classLoose)
-		}
-		for v := range dep.loose {
-			out.markVar(v, classLoose)
-		}
-		for v := range dep.irr {
-			out.markVar(v, classIrr)
+		for v, t := range dep.terms {
+			out.markVar(v, max(t.class, classLoose), 0)
 		}
 		return out
 	}
@@ -989,11 +802,11 @@ func (c *evalCtx) inlineCall(call *ast.CallExpr) *shape {
 		case *types.Var:
 			// A function literal in a single-assignment local (the
 			// hash-join `hash := func(...) ...` idiom).
-			w := c.facts.writes[obj]
-			if !singleWrite(w) || w.defineRHS == nil {
+			w, ok := c.facts.locals.vars[obj].sole()
+			if !ok || w.rhs == nil {
 				return badShape()
 			}
-			lit, ok := ast.Unparen(w.defineRHS).(*ast.FuncLit)
+			lit, ok := ast.Unparen(w.rhs).(*ast.FuncLit)
 			if !ok {
 				return badShape()
 			}
@@ -1287,18 +1100,8 @@ func classifyAccess(ctx *evalCtx, sh *shape) accessClass {
 	ac := accessClass{innerDepth: -1}
 	for i := len(ctx.loops) - 1; i >= 0 && ac.inner == nil; i-- {
 		v := ctx.loops[i].v
-		if v == nil {
-			continue
-		}
-		switch {
-		case sh.irr[v]:
-			ac.inner, ac.class, ac.innerDepth = v, classIrr, i
-		case sh.loose[v]:
-			ac.inner, ac.class, ac.innerDepth = v, classLoose, i
-		default:
-			if k, ok := sh.coeff[v]; ok && k != 0 {
-				ac.inner, ac.class, ac.innerDepth = v, classCoeff, i
-			}
+		if t, ok := sh.terms[v]; ok && (t.class != classCoeff || t.k != 0) {
+			ac.inner, ac.class, ac.innerDepth = v, t.class, i
 		}
 	}
 	if ac.inner == nil || ac.class != classCoeff {
@@ -1308,20 +1111,20 @@ func classifyAccess(ctx *evalCtx, sh *shape) accessClass {
 	if !ac.lfOK || !ac.lf.stepKnown {
 		return ac
 	}
-	stride := sh.coeff[ac.inner] * ac.lf.step
+	k := sh.terms[ac.inner].k
+	stride := k * ac.lf.step
 	if stride < 0 {
 		stride = -stride
 	}
 	ac.stride, ac.strideOK = stride, true
-	if !ac.lf.initKnown || !ac.lf.limitKnown || sh.invariant ||
-		len(sh.coeff) != 1 || len(sh.loose) != 0 || len(sh.irr) != 0 {
+	// Bounds need inner's term to be the only one.
+	if !ac.lf.initKnown || !ac.lf.limitKnown || sh.invariant || len(sh.terms) != 1 {
 		return ac
 	}
 	iters := iterationCount(ac.lf)
 	if iters <= 0 {
 		return ac
 	}
-	k := sh.coeff[ac.inner]
 	ac.first = sh.c + k*ac.lf.init
 	ac.last = sh.c + k*(ac.lf.init+ac.lf.step*(iters-1))
 	ac.boundsOK = true

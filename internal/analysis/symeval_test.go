@@ -66,7 +66,7 @@ func evalAccesses(t *testing.T, snippet string) []accessObs {
 	idx := newFuncIndex(u)
 	var out []accessObs
 	funcBodies(pkg, func(body *ast.BlockStmt) {
-		facts := collectBodyFacts(u, pkg, body)
+		facts := collectBodyFacts(u, pkg, body, nil)
 		walkAccesses(u, pkg, facts, idx, func(ctx *evalCtx, call *ast.CallExpr, sh *shape, store bool) {
 			obs := accessObs{bad: sh.bad}
 			if !sh.bad {

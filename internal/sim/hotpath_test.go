@@ -82,3 +82,39 @@ func TestHotPathMachineAccess(t *testing.T) {
 	}
 	t.Logf("thrashing stream: %d allocations, %d DRAM reads", mallocs, reads)
 }
+
+// TestHotPathSpanRecording bounds what span recording allocates on a warmed
+// FastConfig machine that traces every access into a 16-span ring. Once the
+// ring is full, an L1-hitting load allocates at most 3 objects, and the
+// end-of-run spanDump of the 16 retained spans at most 3: sorting the spans
+// and their stages allocates nothing, and no stage builds its level name.
+func TestHotPathSpanRecording(t *testing.T) {
+	cfg := FastConfig(64 << 10)
+	cfg.SpanSample = 1
+	cfg.SpanBuffer = 16
+	var hitAllocs, dumpAllocs float64
+	var retained int
+	w := workload.Workload{
+		Name: "hotpath-span",
+		Run: func(p workload.Program) {
+			m := p.(*Machine)
+			buf := p.Malloc("buf", 4096, xm.InvalidAtom)
+			for i := 0; i < 4*cfg.SpanBuffer; i++ {
+				p.Load(1, buf+mem.Addr(i%64*mem.LineBytes))
+			}
+			hitAllocs = testing.AllocsPerRun(1000, func() { p.Load(1, buf) })
+			dumpAllocs = testing.AllocsPerRun(100, func() { retained = len(m.spanDump().Spans) })
+		},
+	}
+	MustRun(cfg, w)
+	if retained != cfg.SpanBuffer {
+		t.Fatalf("dump retained %d spans, want a full ring of %d", retained, cfg.SpanBuffer)
+	}
+	if hitAllocs > 3 {
+		t.Errorf("traced L1-hitting load allocates %v objects, want at most 3", hitAllocs)
+	}
+	if dumpAllocs > 3 {
+		t.Errorf("spanDump of %d spans allocates %v objects, want at most 3", retained, dumpAllocs)
+	}
+	t.Logf("traced L1 hit: %v allocations; spanDump of %d spans: %v", hitAllocs, retained, dumpAllocs)
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sort"
+	"strings"
 
 	"xmem/internal/cache"
 	xm "xmem/internal/core"
@@ -23,6 +24,9 @@ const l3Level = 2
 // (trainL3).
 func (m *Machine) installProbe() {
 	for lvl, c := range [...]*cache.Cache{m.l1d, m.l2, m.l3} {
+		if m.spans != nil {
+			m.spans.levels[lvl] = strings.ToLower(c.Name())
+		}
 		c.SetProbe(func(ev cache.Event) { m.observeCache(lvl, &ev) })
 	}
 	if m.xmemPf != nil {
@@ -54,7 +58,7 @@ func (m *Machine) observeCache(lvl int, ev *cache.Event) {
 		}
 	}
 	if m.spans != nil && m.spans.cur != nil && !ev.Evicted {
-		m.observeSpanCache(ev)
+		m.observeSpanCache(lvl, ev)
 	}
 }
 

@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"sort"
-	"strings"
+	"cmp"
+	"slices"
 
 	"xmem/internal/cache"
 	"xmem/internal/mem"
@@ -30,6 +30,9 @@ type spanState struct {
 	// inflight indexes unresolved spans by line so the DRAM sink can
 	// attach the service stage when the command actually schedules.
 	inflight map[uint64]*span.Span
+	// levels names the cache levels' stages ("l1d", "l2", "l3"), in the
+	// probe's level order; installProbe fills it.
+	levels [3]string
 }
 
 type pendingSpan struct {
@@ -124,12 +127,12 @@ func (ss *spanState) sweep() {
 	ss.pending = kept
 }
 
-// observeSpanCache turns one cache level's demand outcome into a span stage
-// with the attribute-tied reason code. Events for other lines (none can
-// occur while cur is set, but the check keeps it airtight) are ignored.
+// observeSpanCache turns the demand outcome of cache level lvl into a span
+// stage with the attribute-tied reason code. Events for other lines (none
+// can occur while cur is set, but the check keeps it airtight) are ignored.
 //
 //xmem:statsneutral
-func (m *Machine) observeSpanCache(ev *cache.Event) {
+func (m *Machine) observeSpanCache(lvl int, ev *cache.Event) {
 	ss := m.spans
 	sp := ss.cur
 	if sp == nil || mem.LineIndex(ev.PA) != ss.curLine {
@@ -164,7 +167,7 @@ func (m *Machine) observeSpanCache(ev *cache.Event) {
 			reason = span.ReasonPinnedByReuse
 		}
 	}
-	sp.AddStage(strings.ToLower(ev.Level), outcome, reason, ev.At, ev.Done)
+	sp.AddStage(ss.levels[lvl], outcome, reason, ev.At, ev.Done)
 }
 
 // spanNoteThrottle records on the current span that its prefetches were
@@ -188,12 +191,11 @@ func (m *Machine) spanDump() *span.Dump {
 	ss.sweep()
 	ss.pending = nil
 	spans := ss.tr.Spans()
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Seq < spans[j].Seq })
+	slices.SortFunc(spans, func(a, b span.Span) int { return cmp.Compare(a.Seq, b.Seq) })
 	for i := range spans {
 		// Observers fire bottom-up on the miss path (L3 before L2 before
 		// L1); a stable sort by start cycle renders stages top-down.
-		st := spans[i].Stages
-		sort.SliceStable(st, func(a, b int) bool { return st[a].At < st[b].At })
+		slices.SortStableFunc(spans[i].Stages, func(a, b span.Stage) int { return cmp.Compare(a.At, b.At) })
 	}
 	atoms := m.lib.Atoms()
 	for i := range spans {
