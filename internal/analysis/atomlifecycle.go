@@ -29,10 +29,10 @@ var AtomLifecycle = &Analyzer{
 
 // atomVar accumulates what one body proves about a local AtomID variable.
 type atomVar struct {
-	lv      *localVar
-	created int // assignments from CreateAtom
-	badSrc  int // zero-value declarations or constant assignments
-	unknown int // assignments the analysis cannot classify
+	lv      *localVar // the body's writes and uses of the variable
+	created int       // assignments from CreateAtom
+	badSrc  int       // zero-value declarations or constant assignments
+	unknown int       // assignments the analysis cannot classify
 	ops     []opUse
 }
 

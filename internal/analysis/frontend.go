@@ -337,7 +337,7 @@ func (lv *localVar) fixed() bool {
 // once, by a define, and never takes its address: the define's rhs is then
 // the variable's value wherever it is in scope.
 func (lv *localVar) sole() (localWrite, bool) {
-	if lv.fixed() || len(lv.writes) != 1 || !lv.writes[0].kind.defines() || lv.addrTaken {
+	if lv == nil || len(lv.writes) != 1 || !lv.writes[0].kind.defines() || lv.addrTaken {
 		return localWrite{}, false
 	}
 	return lv.writes[0], true
@@ -387,7 +387,7 @@ func indexLocals(info *types.Info, body *ast.BlockStmt) *localIndex {
 		ast.Inspect(n, func(x ast.Node) bool {
 			switch v := x.(type) {
 			case *ast.FuncLit:
-				walk(v.Type, true)
+				walk(v.Type, true) // uses only: an array length may name a variable
 				walk(v.Body, true)
 				return false
 			case *ast.Ident:
