@@ -262,24 +262,24 @@ func main() {
 		fmt.Printf("\nspans           %d retained (1-in-%d sampling), %d sampled, %d dropped\n",
 			len(d.Spans), d.SampleEvery, d.Sampled, d.Dropped)
 	}
-	// Validate schema-v1 JSON output right after writing it; the CSV and
-	// Chrome-trace forms have no self-describing schema to check.
-	if p := *metricsOut; p != "" && !strings.HasSuffix(p, ".csv") &&
-		!strings.HasSuffix(p, ".trace.json") && !strings.HasSuffix(p, ".chrome.json") {
-		data, err := os.ReadFile(p)
+	// Self-check what was written, whichever file form it took: the report
+	// against its schema-v1 JSON and the dump against its JSONL stream.
+	if *metricsOut != "" {
+		var b bytes.Buffer
+		err := res.Metrics.WriteJSON(&b)
 		if err == nil {
-			_, err = obs.ValidateJSON(data)
+			_, err = obs.ValidateJSON(b.Bytes())
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "xmem-sim: metrics output failed validation: %v\n", err)
 			os.Exit(1)
 		}
 	}
-	// Same self-check for the JSONL span stream.
-	if p := *spanOut; p != "" && !strings.HasSuffix(p, ".trace.json") && !strings.HasSuffix(p, ".chrome.json") {
-		data, err := os.ReadFile(p)
+	if *spanOut != "" {
+		var b bytes.Buffer
+		err := res.Spans.WriteJSONL(&b)
 		if err == nil {
-			_, err = span.ValidateJSONL(data)
+			_, err = span.ValidateJSONL(b.Bytes())
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "xmem-sim: span output failed validation: %v\n", err)
@@ -398,7 +398,7 @@ func printMultiResult(w io.Writer, r sim.MultiResult) {
 // printPerAtom prints the attribution table: which atoms took the L3 demand
 // misses, how their DRAM commands behaved, and what prefetching did for
 // them. The coverage line reports the fraction of misses attributed to a
-// real atom (the "(unattributed)" row is everything else).
+// real atom (obs.AttributionCoverage).
 func printPerAtom(r *obs.Report, top int) {
 	if top == 0 || len(r.PerAtom) == 0 {
 		return
@@ -406,12 +406,9 @@ func printPerAtom(r *obs.Report, top int) {
 	fmt.Printf("\nper-atom attribution (demand-miss order, epoch %d cycles)\n", r.EpochCycles)
 	fmt.Printf("  %-18s %10s %10s %10s %8s %9s %9s\n",
 		"atom", "dmisses", "rowhits", "rowmiss", "pinevic", "pf-issue", "pf-useful")
-	var total, attributed uint64
+	var total uint64
 	for i, a := range r.PerAtom {
 		total += a.DemandMisses
-		if a.Name != obs.UnattributedName {
-			attributed += a.DemandMisses
-		}
 		if i < top {
 			name := a.Name
 			if name == "" {
@@ -426,7 +423,7 @@ func printPerAtom(r *obs.Report, top int) {
 		fmt.Printf("  ... %d more (raise -atoms-top)\n", n-top)
 	}
 	if total > 0 {
-		fmt.Printf("  attribution coverage: %.1f%% of %d L3 demand misses\n",
-			100*float64(attributed)/float64(total), total)
+		cov := obs.AttributionCoverage(r.PerAtom, func(c obs.AtomCounters) uint64 { return c.DemandMisses })
+		fmt.Printf("  attribution coverage: %.1f%% of %d L3 demand misses\n", 100*cov, total)
 	}
 }

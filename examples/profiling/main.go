@@ -122,8 +122,8 @@ func main() {
 	// (layer:outcome[reason] chains), costliest first.
 	for _, a := range span.Explain(r.Spans.Spans)[:2] {
 		name := a.Name
-		if name == "" {
-			name = "(unattributed)"
+		if a.Atom == core.InvalidAtom {
+			name = obs.UnattributedName
 		}
 		fmt.Printf("   %s — %d spans, p50 %d p99 %d cycles\n", name, a.Count, a.P50, a.P99)
 		for _, p := range a.Paths[:min(2, len(a.Paths))] {

@@ -139,7 +139,6 @@ func runAttrInfer(u *Unit) {
 	}
 
 	for _, pkg := range u.Packages {
-		pkg := pkg
 		funcBodies(pkg, func(body *ast.BlockStmt) {
 			inferScanBody(u, pkg, body, sc, idx, evidenceOf)
 		})
@@ -238,10 +237,7 @@ func inferScanBody(u *Unit, pkg *Package, body *ast.BlockStmt, sc semConsts, idx
 		case classCoeff:
 			ev.regular++
 			if ac.strideOK && ac.stride > 0 {
-				canon := ac.stride
-				if canon < sc.lineBytes {
-					canon = sc.lineBytes
-				}
+				canon := sc.lineStride(ac.stride)
 				if cur, ok := ev.strides[canon]; !ok || ac.stride < cur {
 					ev.strides[canon] = ac.stride
 				}

@@ -186,13 +186,7 @@ func checkAccess(u *Unit, sc semConsts, ctx *evalCtx, ev *atomEvidence, call *as
 			return
 		}
 		if a.pattern == sc.patRegular && a.stride > 0 && ac.stride > 0 {
-			declared := a.stride
-			if declared < 0 {
-				declared = -declared
-			}
-			// Strides at or below one cache line are indistinguishable to
-			// the hierarchy: all mean "touch every line in order".
-			if ac.stride != declared && (ac.stride > sc.lineBytes || declared > sc.lineBytes) {
+			if sc.lineStride(ac.stride) != sc.lineStride(a.stride) {
 				u.Reportf(pos, "constant access stride %dB contradicts atom %q's declared StrideBytes=%d (strides only agree when equal or both within one %dB cache line)", ac.stride, a.site, a.stride, sc.lineBytes)
 			}
 		}

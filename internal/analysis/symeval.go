@@ -1094,6 +1094,11 @@ type accessClass struct {
 	boundsOK    bool
 }
 
+// lineStride is the stride the cache hierarchy sees: strides at or below one
+// line are indistinguishable, all meaning "touch every line in order", so
+// they read as one line. Two strides agree when their line strides do.
+func (sc semConsts) lineStride(stride int64) int64 { return max(stride, sc.lineBytes) }
+
 // classifyAccess derives the accessClass of a resolved shape. The caller
 // must have handled sh.bad (murk) already.
 func classifyAccess(ctx *evalCtx, sh *shape) accessClass {

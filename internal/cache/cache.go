@@ -43,14 +43,12 @@ type Observer func(pa mem.Addr, pc mem.Addr, at uint64, miss bool)
 // the probe: once per demand hit, delayed hit or miss, and once per eviction
 // of a valid line. Miss events carry the insertion decision the classifier
 // made for the fill (Pin/PinDenied/Low), hit events whether the line was
-// pinned, prefetched, or still in flight.
+// pinned, prefetched, or still in flight. An event names neither its level
+// nor an atom: each probe is installed on one cache, and a sink resolves
+// the line's atom from PA.
 type Event struct {
-	// PA is the line address; Level the cache's configured name.
-	PA    mem.Addr
-	Level string
-	// Kind is the demand kind (Read or Write); for an eviction, the kind
-	// of the access whose fill displaced the line.
-	Kind mem.AccessKind
+	// PA is the line address.
+	PA mem.Addr
 	// Miss is true when the access missed and filled from below.
 	Miss bool
 	// Delayed marks a hit on a line whose fill is still in flight.
@@ -64,15 +62,12 @@ type Event struct {
 	PinDenied bool
 	// LowPriority marks a miss inserted at low priority (streaming bypass).
 	LowPriority bool
-	// Evicted marks an eviction: PA, Atom and Pinned describe the victim.
+	// Evicted marks an eviction: PA and Pinned describe the victim.
 	Evicted bool
 	// Resolved reports that Done is the access's completion: a hit whose
 	// data time is known. It is false for misses, evictions and delayed
 	// hits whose fill is still pending.
 	Resolved bool
-	// Atom is the line's insertion-time atom classification (InvalidAtom
-	// when no classifier ran).
-	Atom core.AtomID
 	// Lead is, on a Prefetched hit, how many cycles before the access the
 	// prefetched fill completed (0 when the fill was late or unresolved).
 	Lead uint64
@@ -144,13 +139,14 @@ type Config struct {
 	// "drrip".
 	Policy string
 	// PinCapFraction bounds the fraction of ways in a set that may hold
-	// pinned lines; 0 selects the paper's 75% (§5.2).
+	// pinned lines, and of the capacity the pinned working set may fill
+	// (PinBudgetBytes); 0 selects the paper's 75% (§5.2).
 	PinCapFraction float64
 }
 
-// DefaultPinCapFraction is the §5.2 pinning limit: the cache keeps 25% of
+// defaultPinCapFraction is the §5.2 pinning limit: the cache keeps 25% of
 // each set available for other data.
-const DefaultPinCapFraction = 0.75
+const defaultPinCapFraction = 0.75
 
 // Cache is one level of the simulated hierarchy.
 type Cache struct {
@@ -179,6 +175,7 @@ type Cache struct {
 
 	pinnedInSet []int
 	pinCapWays  int
+	pinBudget   uint64
 
 	next     Lower
 	classify Classifier
@@ -226,7 +223,7 @@ func New(cfg Config, next Lower) (*Cache, error) {
 	}
 	frac := cfg.PinCapFraction
 	if frac == 0 {
-		frac = DefaultPinCapFraction
+		frac = defaultPinCapFraction
 	}
 	capWays := int(frac * float64(cfg.Ways))
 	if capWays < 1 {
@@ -242,7 +239,8 @@ func New(cfg Config, next Lower) (*Cache, error) {
 		prefetched: make([]bool, n),
 		atoms:      make([]core.AtomID, n), fill: make([]mem.Result, n),
 		pinnedInSet: make([]int, sets), pinCapWays: capWays,
-		next: next,
+		pinBudget: uint64(float64(cfg.SizeBytes) * frac),
+		next:      next,
 	}, nil
 }
 
@@ -258,8 +256,10 @@ func MustNew(cfg Config, next Lower) *Cache {
 // Name returns the configured name.
 func (c *Cache) Name() string { return c.cfg.Name }
 
-// SizeBytes returns the capacity.
-func (c *Cache) SizeBytes() uint64 { return c.cfg.SizeBytes }
+// PinBudgetBytes returns the §5.2 pinning budget: the bytes of atom
+// working set the pin controller may select for pinning, the pin-cap
+// fraction of the capacity.
+func (c *Cache) PinBudgetBytes() uint64 { return c.pinBudget }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -357,9 +357,8 @@ func (c *Cache) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.Addr)
 				c.stats.DelayedHits++
 			}
 			if c.probe != nil {
-				ev := Event{PA: pa, Level: c.cfg.Name, Kind: kind, Delayed: delayed,
-					Prefetched: consumedPrefetch, Pinned: c.pinned[idx], Resolved: ok,
-					Atom: c.atoms[idx], At: at, Done: lookupDone}
+				ev := Event{PA: pa, Delayed: delayed, Prefetched: consumedPrefetch,
+					Pinned: c.pinned[idx], Resolved: ok, At: at, Done: lookupDone}
 				if delayed && ok {
 					ev.Done = done
 				}
@@ -389,9 +388,8 @@ func (c *Cache) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.Addr)
 	fill := c.next.Access(pa, fetchKind, lookupDone, pc)
 	ins, pinDenied := c.install(pa, set, tag, kind, at, fill, pc)
 	if demand && c.probe != nil {
-		c.probe(Event{PA: pa, Level: c.cfg.Name, Kind: kind, Miss: true,
-			Pinned: ins.Pin, PinDenied: pinDenied, LowPriority: ins.Pri == InsertLow,
-			Atom: ins.Atom, At: at, Done: lookupDone})
+		c.probe(Event{PA: pa, Miss: true, Pinned: ins.Pin, PinDenied: pinDenied,
+			LowPriority: ins.Pri == InsertLow, At: at, Done: lookupDone})
 	}
 	return fill
 }
@@ -463,8 +461,7 @@ func (c *Cache) install(pa mem.Addr, set int, tag uint64, kind mem.AccessKind, a
 			c.pinnedInSet[set]--
 		}
 		if c.probe != nil {
-			c.probe(Event{PA: c.lineAddr(set, idx), Level: c.cfg.Name, Kind: kind,
-				Evicted: true, Pinned: wasPinned, Atom: c.atoms[idx], At: at})
+			c.probe(Event{PA: c.lineAddr(set, idx), Evicted: true, Pinned: wasPinned, At: at})
 		}
 		if c.dirty[idx] {
 			c.stats.Writebacks++

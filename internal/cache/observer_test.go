@@ -54,13 +54,16 @@ func TestSpanObserverHitAndMiss(t *testing.T) {
 		t.Fatalf("got %d events, want 2", len(evs))
 	}
 	miss, hit := evs[0], evs[1]
-	if !miss.Miss || miss.Level != "L" || miss.Kind != mem.Read || miss.At != 0 || miss.Done != 4 {
+	if !miss.Miss || miss.PA != 0x1000 || miss.At != 0 || miss.Done != 4 {
 		t.Errorf("miss event = %+v", miss)
 	}
-	if miss.Atom != core.InvalidAtom || miss.Pinned || miss.PinDenied || miss.LowPriority || miss.Resolved {
+	if miss.Pinned || miss.PinDenied || miss.LowPriority || miss.Resolved {
 		t.Errorf("classifier-less miss carries insertion flags: %+v", miss)
 	}
-	if hit.Miss || hit.Delayed || hit.Kind != mem.Write || hit.At != 200 || hit.Done != 204 || !hit.Resolved {
+	if a := c.lineAtom(0x1000); a != core.InvalidAtom {
+		t.Errorf("classifier-less fill holds atom %d", a)
+	}
+	if hit.Miss || hit.Delayed || hit.At != 200 || hit.Done != 204 || !hit.Resolved {
 		t.Errorf("hit event = %+v", hit)
 	}
 
@@ -98,15 +101,21 @@ func TestSpanObserverPinOutcomes(t *testing.T) {
 		t.Fatalf("got %d events, want 5", len(evs))
 	}
 	for i := 0; i < 3; i++ {
-		if !evs[i].Pinned || evs[i].PinDenied || evs[i].Atom != 7 {
+		if !evs[i].Pinned || evs[i].PinDenied {
 			t.Errorf("fill %d = %+v, want pinned", i, evs[i])
+		}
+		if a := c.lineAtom(mem.Addr(i) << 12); a != 7 {
+			t.Errorf("pinned fill %d holds atom %d, want 7", i, a)
 		}
 	}
 	if !evs[3].PinDenied || evs[3].Pinned {
 		t.Errorf("capped fill = %+v, want pin denied", evs[3])
 	}
-	if !evs[4].LowPriority || evs[4].Atom != 8 {
+	if !evs[4].LowPriority {
 		t.Errorf("bypass fill = %+v, want low priority", evs[4])
+	}
+	if a := c.lineAtom(0x8000); a != 8 {
+		t.Errorf("bypass fill holds atom %d, want 8", a)
 	}
 	// The bypass fill displaced the one unpinned line: the pin-denied fill.
 	if len(log.evicted) != 1 || log.evicted[0].PA != 3<<12 || log.evicted[0].Pinned {
@@ -116,8 +125,8 @@ func TestSpanObserverPinOutcomes(t *testing.T) {
 
 // TestProbeEvictionPinnedVictim: in a set saturated with pinned lines the
 // victim of last resort is pinned, and the eviction event carries its line
-// address, atom and pinned bit; a later eviction of an unpinned line does
-// not claim a pin.
+// address and pinned bit; a later eviction of an unpinned line does not
+// claim a pin.
 func TestProbeEvictionPinnedVictim(t *testing.T) {
 	// 256B/4-way = one set; a cap of 1.0 lets all four ways pin.
 	c := MustNew(Config{Name: "L3", SizeBytes: 256, Ways: 4, Latency: 4,
@@ -141,12 +150,11 @@ func TestProbeEvictionPinnedVictim(t *testing.T) {
 		t.Fatalf("got %d evictions, want 2: %+v", len(log.evicted), log.evicted)
 	}
 	pinned, unpinned := log.evicted[0], log.evicted[1]
-	if pinned.PA != 0 || !pinned.Pinned || pinned.Atom != 7 || pinned.Level != "L3" ||
-		pinned.Kind != mem.Prefetch || pinned.At != 100 || pinned.Miss || pinned.Resolved {
-		t.Errorf("pinned eviction = %+v, want the LRU pinned line 0x0 of atom 7", pinned)
+	if pinned.PA != 0 || !pinned.Pinned || pinned.At != 100 || pinned.Miss || pinned.Resolved {
+		t.Errorf("pinned eviction = %+v, want the LRU pinned line 0x0", pinned)
 	}
-	if unpinned.PA != 0x8000 || unpinned.Pinned || unpinned.Atom != 9 || unpinned.Kind != mem.Read {
-		t.Errorf("unpinned eviction = %+v, want the prefetched line 0x8000 of atom 9", unpinned)
+	if unpinned.PA != 0x8000 || unpinned.Pinned || unpinned.At != 200 {
+		t.Errorf("unpinned eviction = %+v, want the prefetched line 0x8000", unpinned)
 	}
 	if st := c.Stats(); st.PinEvictions != 1 || st.Evictions != 2 {
 		t.Errorf("stats = %+v, want 1 pinned eviction of 2", st)
@@ -204,14 +212,10 @@ func TestUsefulObserverLead(t *testing.T) {
 
 func TestLatencyObserver(t *testing.T) {
 	c, _ := testCache(t, 4096, 4, "lru")
-	type obs struct {
-		kind   mem.AccessKind
-		cycles uint64
-	}
-	var got []obs
+	var got []uint64
 	c.SetProbe(func(ev Event) {
 		if ev.Resolved {
-			got = append(got, obs{ev.Kind, ev.Done - ev.At})
+			got = append(got, ev.Done-ev.At)
 		}
 	})
 
@@ -219,13 +223,14 @@ func TestLatencyObserver(t *testing.T) {
 	c.Access(0x1000, mem.Read, 200, 0) // hit: 4-cycle lookup
 	c.Access(0x1000, mem.Write, 300, 0)
 	c.Access(0x2000, mem.Prefetch, 400, 0) // prefetch probes are not demand
-	want := []obs{{mem.Read, 4}, {mem.Write, 4}}
+	// The read hit, then the write hit.
+	want := []uint64{4, 4}
 	if len(got) != len(want) {
-		t.Fatalf("latency observations = %+v, want %+v", got, want)
+		t.Fatalf("latency observations = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("observation %d = %+v, want %+v", i, got[i], want[i])
+			t.Errorf("observation %d = %d, want %d", i, got[i], want[i])
 		}
 	}
 }

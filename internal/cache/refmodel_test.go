@@ -16,7 +16,8 @@ import (
 // refLRUPolicy and refRRIP. FuzzCacheMatchesReference drives it and the
 // fingerprinted, fill-counted Cache through identical op streams over a
 // fake lower level and asserts identical results, stats, probe events,
-// training calls, lower-level requests and residency after every op.
+// training calls, lower-level requests, residency and each resident line's
+// atom after every op.
 
 type refCache struct {
 	cfg      Config
@@ -72,7 +73,7 @@ func newRefCache(cfg Config, next Lower) (*refCache, error) {
 	}
 	frac := cfg.PinCapFraction
 	if frac == 0 {
-		frac = DefaultPinCapFraction
+		frac = defaultPinCapFraction
 	}
 	capWays := int(frac * float64(cfg.Ways))
 	if capWays < 1 {
@@ -164,9 +165,8 @@ func (c *refCache) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.Ad
 				c.stats.DelayedHits++
 			}
 			if c.probe != nil {
-				ev := Event{PA: pa, Level: c.cfg.Name, Kind: kind, Delayed: delayed,
-					Prefetched: consumedPrefetch, Pinned: c.pinned[idx], Resolved: ok,
-					Atom: c.atoms[idx], At: at, Done: lookupDone}
+				ev := Event{PA: pa, Delayed: delayed, Prefetched: consumedPrefetch,
+					Pinned: c.pinned[idx], Resolved: ok, At: at, Done: lookupDone}
 				if delayed && ok {
 					ev.Done = done
 				}
@@ -196,9 +196,8 @@ func (c *refCache) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.Ad
 	fill := c.next.Access(pa, fetchKind, lookupDone, pc)
 	ins, pinDenied := c.install(pa, set, tag, kind, at, fill, pc)
 	if demand && c.probe != nil {
-		c.probe(Event{PA: pa, Level: c.cfg.Name, Kind: kind, Miss: true,
-			Pinned: ins.Pin, PinDenied: pinDenied, LowPriority: ins.Pri == InsertLow,
-			Atom: ins.Atom, At: at, Done: lookupDone})
+		c.probe(Event{PA: pa, Miss: true, Pinned: ins.Pin, PinDenied: pinDenied,
+			LowPriority: ins.Pri == InsertLow, At: at, Done: lookupDone})
 	}
 	return fill
 }
@@ -270,8 +269,7 @@ func (c *refCache) install(pa mem.Addr, set int, tag uint64, kind mem.AccessKind
 			c.pinnedInSet[set]--
 		}
 		if c.probe != nil {
-			c.probe(Event{PA: c.lineAddr(set, idx), Level: c.cfg.Name, Kind: kind,
-				Evicted: true, Pinned: wasPinned, Atom: c.atoms[idx], At: at})
+			c.probe(Event{PA: c.lineAddr(set, idx), Evicted: true, Pinned: wasPinned, At: at})
 		}
 		if c.dirty[idx] {
 			c.stats.Writebacks++
@@ -347,6 +345,25 @@ func (c *refCache) AgePinned(keep func(core.AtomID) bool) {
 func (c *refCache) Contains(pa mem.Addr) bool {
 	set, tag := c.index(mem.LineAddr(pa))
 	return c.find(set, tag) >= 0
+}
+
+// lineAtom returns the atom pa's resident line was classified into at its
+// fill (InvalidAtom when pa is not resident).
+func (c *refCache) lineAtom(pa mem.Addr) core.AtomID {
+	set, tag := c.index(mem.LineAddr(pa))
+	if w := c.find(set, tag); w >= 0 {
+		return c.atoms[set*c.ways+w]
+	}
+	return core.InvalidAtom
+}
+
+// lineAtom is refCache.lineAtom on the cache under test.
+func (c *Cache) lineAtom(pa mem.Addr) core.AtomID {
+	set, tag := c.index(mem.LineAddr(pa))
+	if w := c.find(set, tag); w >= 0 {
+		return c.atoms[set*c.ways+w]
+	}
+	return core.InvalidAtom
 }
 
 // PinnedLines returns the total number of pinned resident lines.
@@ -839,6 +856,9 @@ func compareCaches(t testing.TB, cfg Config, op int, space lineSpace, got *Cache
 		pa := space.addr(l)
 		if gc, rc := got.Contains(pa), ref.Contains(pa); gc != rc {
 			t.Fatalf("%+v op %d: Contains(%#x) = %v, reference %v", cfg, op, pa, gc, rc)
+		}
+		if ga, ra := got.lineAtom(pa), ref.lineAtom(pa); ga != ra {
+			t.Fatalf("%+v op %d: line %#x holds atom %d, reference %d", cfg, op, pa, ga, ra)
 		}
 	}
 	if gp, rp := got.PinnedLines(), ref.PinnedLines(); gp != rp {

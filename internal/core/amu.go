@@ -26,22 +26,15 @@ type PARange struct {
 func (r PARange) End() mem.Addr { return r.Base + mem.Addr(r.Size) }
 
 // MapEvent describes an atom mapping change broadcast to hardware
-// components that need accurate higher-dimensional address information
-// (§4.2: the AMU converts multi-dimensional mappings to linear mappings at
-// AAM granularity and broadcasts them).
+// components (§4.2: the AMU converts multi-dimensional mappings to linear
+// mappings at AAM granularity and broadcasts them). Listeners see only the
+// linearized physical ranges: the pin controller sizes atoms by them and
+// the XMem prefetcher walks them.
 type MapEvent struct {
 	// ID is the affected atom.
 	ID AtomID
 	// Ranges are the linearized physical ranges, base-sorted.
 	Ranges []PARange
-	// VABase is the virtual base address of the mapping (components such
-	// as the XMem prefetcher follow virtual-contiguous strides).
-	VABase mem.Addr
-	// SizeX, SizeY, SizeZ, LenX, LenXY describe the logical dimensions in
-	// bytes for 2D/3D mappings; SizeY and SizeZ are 1 for lower
-	// dimensions.
-	SizeX, SizeY, SizeZ uint64
-	LenX, LenXY         uint64
 	// Unmap is true when the ranges were removed rather than added.
 	Unmap bool
 }
@@ -224,11 +217,7 @@ func (u *AMU) execMap(id AtomID, va mem.Addr, sizeX, sizeY, sizeZ, lenX, lenXY u
 	}
 	runs = coalesce(runs)
 	u.applyRuns(id, runs, unmap)
-	u.broadcast(MapEvent{
-		ID: id, Ranges: runs, VABase: va,
-		SizeX: sizeX, SizeY: sizeY, SizeZ: sizeZ, LenX: lenX, LenXY: lenXY,
-		Unmap: unmap,
-	})
+	u.broadcast(MapEvent{ID: id, Ranges: runs, Unmap: unmap})
 }
 
 // ExecActivate executes ATOM_ACTIVATE: the atom's attributes become valid

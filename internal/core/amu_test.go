@@ -125,11 +125,8 @@ func TestAMUMap2DLinearization(t *testing.T) {
 		{Base: 0x100000, Size: 512},
 		{Base: 0x101000, Size: 512},
 	}
-	if !reflect.DeepEqual(ev.Ranges, want) {
-		t.Fatalf("ranges = %+v, want %+v", ev.Ranges, want)
-	}
-	if ev.SizeX != 512 || ev.SizeY != 2 || ev.LenX != 4096 || ev.Unmap {
-		t.Fatalf("dims = %+v", ev)
+	if !reflect.DeepEqual(ev.Ranges, want) || ev.Unmap {
+		t.Fatalf("broadcast = %+v, want map of %+v", ev, want)
 	}
 	u.ExecActivate(7)
 	if id, ok := u.Lookup(0x101000); !ok || id != 7 {

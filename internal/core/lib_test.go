@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -273,28 +274,33 @@ func contains(s, sub string) bool {
 // TestLibMapCalls pins what each of Table 2's six MAP/UNMAP calls does, so
 // every dimensionality is known to take the same path: one AMU counter, one
 // op and six instructions of LibStats, one broadcast carrying the call's
-// linearized dims, and a zero-size warning that names the call.
+// linearized physical ranges, and a zero-size warning that names the call.
 func TestLibMapCalls(t *testing.T) {
 	const va = mem.Addr(0x40000)
+	// The identity MMU maps each 512-byte row of the block to its VA.
+	rows := func(offs ...mem.Addr) []PARange {
+		var r []PARange
+		for _, o := range offs {
+			r = append(r, PARange{Base: va + o, Size: 512})
+		}
+		return r
+	}
+	oneD := rows(0)
+	twoD := rows(0, 2048, 4096)              // 3 rows 2048 bytes apart
+	threeD := rows(0, 1024, 8192, 8192+1024) // 2 planes 8192 apart of 2 rows 1024 apart
 	cases := []struct {
 		name  string
 		call  func(l *Lib, id AtomID, sizeX uint64)
 		unmap bool
-		// want holds SizeX, SizeY, SizeZ, LenX, LenXY for sizeX = 512.
-		want [5]uint64
+		// want is the broadcast's Ranges for sizeX = 512.
+		want []PARange
 	}{
-		{"AtomMap", func(l *Lib, id AtomID, x uint64) { l.AtomMap(id, va, x) },
-			false, [5]uint64{512, 1, 1, 512, 512}},
-		{"AtomUnmap", func(l *Lib, id AtomID, x uint64) { l.AtomUnmap(id, va, x) },
-			true, [5]uint64{512, 1, 1, 512, 512}},
-		{"AtomMap2D", func(l *Lib, id AtomID, x uint64) { l.AtomMap2D(id, va, x, 3, 2048) },
-			false, [5]uint64{512, 3, 1, 2048, 6144}},
-		{"AtomUnmap2D", func(l *Lib, id AtomID, x uint64) { l.AtomUnmap2D(id, va, x, 3, 2048) },
-			true, [5]uint64{512, 3, 1, 2048, 6144}},
-		{"AtomMap3D", func(l *Lib, id AtomID, x uint64) { l.AtomMap3D(id, va, x, 2, 2, 1024, 8192) },
-			false, [5]uint64{512, 2, 2, 1024, 8192}},
-		{"AtomUnmap3D", func(l *Lib, id AtomID, x uint64) { l.AtomUnmap3D(id, va, x, 2, 2, 1024, 8192) },
-			true, [5]uint64{512, 2, 2, 1024, 8192}},
+		{"AtomMap", func(l *Lib, id AtomID, x uint64) { l.AtomMap(id, va, x) }, false, oneD},
+		{"AtomUnmap", func(l *Lib, id AtomID, x uint64) { l.AtomUnmap(id, va, x) }, true, oneD},
+		{"AtomMap2D", func(l *Lib, id AtomID, x uint64) { l.AtomMap2D(id, va, x, 3, 2048) }, false, twoD},
+		{"AtomUnmap2D", func(l *Lib, id AtomID, x uint64) { l.AtomUnmap2D(id, va, x, 3, 2048) }, true, twoD},
+		{"AtomMap3D", func(l *Lib, id AtomID, x uint64) { l.AtomMap3D(id, va, x, 2, 2, 1024, 8192) }, false, threeD},
+		{"AtomUnmap3D", func(l *Lib, id AtomID, x uint64) { l.AtomUnmap3D(id, va, x, 2, 2, 1024, 8192) }, true, threeD},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -319,10 +325,9 @@ func TestLibMapCalls(t *testing.T) {
 				t.Fatalf("%d broadcasts, want 1", len(rec.maps))
 			}
 			ev := rec.maps[0]
-			got := [5]uint64{ev.SizeX, ev.SizeY, ev.SizeZ, ev.LenX, ev.LenXY}
-			if ev.ID != id || got != tc.want || ev.VABase != va || ev.Unmap != tc.unmap {
-				t.Errorf("broadcast id %d dims %v VABase %#x unmap %v; want %d %v %#x %v",
-					ev.ID, got, ev.VABase, ev.Unmap, id, tc.want, va, tc.unmap)
+			if ev.ID != id || !reflect.DeepEqual(ev.Ranges, tc.want) || ev.Unmap != tc.unmap {
+				t.Errorf("broadcast id %d ranges %+v unmap %v; want %d %+v %v",
+					ev.ID, ev.Ranges, ev.Unmap, id, tc.want, tc.unmap)
 			}
 
 			cl, c := newCheckedLib()

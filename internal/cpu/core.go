@@ -109,7 +109,6 @@ func (r *ring[T]) reset() {
 type Core struct {
 	cfg Config
 
-	instr     uint64 // instructions issued so far
 	nextIssue uint64 // cycle the next instruction issues at
 	frac      int    // instructions already issued in cycle nextIssue
 
@@ -117,7 +116,7 @@ type Core struct {
 	lq  ring[mem.Result]
 	sq  ring[mem.Result]
 
-	stats Stats
+	stats Stats // stats.Instructions places each op in the ROB window
 }
 
 // New returns a core with the given configuration (zero fields take the
@@ -145,7 +144,6 @@ func (c *Core) Now() uint64 { return c.nextIssue }
 
 // Work issues n non-memory instructions.
 func (c *Core) Work(n uint64) {
-	c.instr += n
 	c.stats.Instructions += n
 	total := uint64(c.frac) + n
 	c.nextIssue += total / uint64(c.cfg.IssueWidth)
@@ -189,8 +187,8 @@ func drainQueue(q *ring[mem.Result], now uint64) {
 // hierarchy access at the cycle the instruction actually issues and returns
 // its completion. isLoad selects the LQ or SQ.
 func (c *Core) IssueMem(isLoad bool, access func(at uint64) mem.Result) {
-	c.instr++
 	c.stats.Instructions++
+	instr := c.stats.Instructions
 	if isLoad {
 		c.stats.Loads++
 	} else {
@@ -200,7 +198,7 @@ func (c *Core) IssueMem(isLoad bool, access func(at uint64) mem.Result) {
 	// ROB window: the oldest in-flight op must be within ROBSize
 	// instructions of this one.
 	c.retire()
-	for c.rob.n > 0 && c.instr-c.rob.front().instr >= uint64(c.cfg.ROBSize) {
+	for c.rob.n > 0 && instr-c.rob.front().instr >= uint64(c.cfg.ROBSize) {
 		c.stats.ROBStallCycles += c.stallUntil(c.rob.front().res.Wait())
 		c.rob.pop()
 	}
@@ -218,7 +216,7 @@ func (c *Core) IssueMem(isLoad bool, access func(at uint64) mem.Result) {
 	}
 
 	res := access(c.nextIssue)
-	c.rob.push(robEntry{instr: c.instr, res: res})
+	c.rob.push(robEntry{instr: instr, res: res})
 	q.push(res)
 
 	// Issuing the instruction consumes an issue slot.

@@ -436,17 +436,10 @@ func (c *Controller) step(ch *channel) bool {
 	return true
 }
 
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // issue models the bank and bus timing of one command.
 func (c *Controller) issue(ch *channel, r *request) {
 	b := &ch.banks[r.bank]
-	start := max64(max64(ch.clock, r.arrival), b.readyAt)
+	start := max(ch.clock, r.arrival, b.readyAt)
 
 	var lat uint64
 	rowHit := false
@@ -462,7 +455,7 @@ func (c *Controller) issue(ch *channel, r *request) {
 	default:
 		c.stats.RowConflicts++
 		// Precharge may not begin before tRAS after the last activate.
-		pre := max64(start, b.activateAt+c.timing.RAS)
+		pre := max(start, b.activateAt+c.timing.RAS)
 		lat = (pre - start) + c.timing.RP + c.timing.RCD + c.timing.CAS
 		b.activateAt = pre + c.timing.RP
 	}
@@ -471,7 +464,7 @@ func (c *Controller) issue(ch *channel, r *request) {
 		lat += c.timing.WritePenalty
 	}
 
-	dataAt := max64(start+lat, ch.busReadyAt)
+	dataAt := max(start+lat, ch.busReadyAt)
 	done := dataAt + c.timing.Burst
 	ch.busReadyAt = done
 	if c.obs != nil {

@@ -238,7 +238,7 @@ func (c *refController) step(ch *refChannel) bool {
 
 func (c *refController) issue(ch *refChannel, r *refRequest) {
 	b := &ch.banks[ch.bankIndex(r.loc)]
-	start := max64(max64(ch.clock, r.arrival), b.readyAt)
+	start := max(ch.clock, r.arrival, b.readyAt)
 
 	var lat uint64
 	rowHit := false
@@ -253,7 +253,7 @@ func (c *refController) issue(ch *refChannel, r *refRequest) {
 		b.activateAt = start
 	default:
 		c.stats.RowConflicts++
-		pre := max64(start, b.activateAt+c.timing.RAS)
+		pre := max(start, b.activateAt+c.timing.RAS)
 		lat = (pre - start) + c.timing.RP + c.timing.RCD + c.timing.CAS
 		b.activateAt = pre + c.timing.RP
 	}
@@ -262,7 +262,7 @@ func (c *refController) issue(ch *refChannel, r *refRequest) {
 		lat += c.timing.WritePenalty
 	}
 
-	dataAt := max64(start+lat, ch.busReadyAt)
+	dataAt := max(start+lat, ch.busReadyAt)
 	done := dataAt + c.timing.Burst
 	ch.busReadyAt = done
 	if c.obs != nil {

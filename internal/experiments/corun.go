@@ -83,9 +83,7 @@ func corunPoints(p Preset) []runner.Point[CorunRow] {
 	antagonistLines := int(4 * p.UC1L3 / mem.LineBytes)
 	var pts []runner.Point[CorunRow]
 	for _, k := range uc1Kernels(p) {
-		k := k
 		for _, corunners := range []int{0, 1, 2, 3} {
-			corunners := corunners
 			pts = append(pts, runner.Point[CorunRow]{
 				Key: fmt.Sprintf("%s/co=%d", k.Name, corunners),
 				Run: func(*runner.Ctx) (CorunRow, error) {

@@ -59,9 +59,7 @@ func uc1Config(p Preset, l3 uint64, xmemCache, xmemPrefOnly bool) sim.Config {
 func fig4Points(p Preset) []runner.Point[Fig4Row] {
 	var pts []runner.Point[Fig4Row]
 	for _, k := range uc1Kernels(p) {
-		k := k
 		for _, tile := range p.UC1Tiles {
-			tile := tile
 			pts = append(pts, runner.Point[Fig4Row]{
 				Key: fmt.Sprintf("%s/tile=%s", k.Name, sizeLabel(tile)),
 				Run: func(*runner.Ctx) (Fig4Row, error) {

@@ -75,7 +75,6 @@ func fig5Points(p Preset) []runner.Point[Fig5Row] {
 	sizes := []uint64{p.UC1L3, p.UC1L3 / 2, p.UC1L3 / 4}
 	var pts []runner.Point[Fig5Row]
 	for _, k := range uc1Kernels(p) {
-		k := k
 		pts = append(pts, runner.Point[Fig5Row]{
 			Key: k.Name,
 			Run: func(*runner.Ctx) (Fig5Row, error) {

@@ -51,9 +51,7 @@ func fig6Points(p Preset) []runner.Point[Fig6Row] {
 	largest := p.UC1Tiles[len(p.UC1Tiles)-1]
 	var pts []runner.Point[Fig6Row]
 	for _, k := range uc1Kernels(p) {
-		k := k
 		for _, bw := range fig6Bandwidths() {
-			bw := bw
 			pts = append(pts, runner.Point[Fig6Row]{
 				Key: fmt.Sprintf("%s/bw=%.1fGB", k.Name, bw/1e9),
 				Run: func(*runner.Ctx) (Fig6Row, error) {

@@ -108,7 +108,6 @@ func uc2Config(p Preset, scheme string, alloc sim.AllocPolicy, pf, ideal bool) s
 func fig7Points(p Preset) []runner.Point[Fig7Row] {
 	var pts []runner.Point[Fig7Row]
 	for _, spec := range uc2Specs(p) {
-		spec := spec
 		pts = append(pts, runner.Point[Fig7Row]{
 			Key: spec.Name,
 			Run: func(*runner.Ctx) (Fig7Row, error) {

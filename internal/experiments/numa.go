@@ -80,7 +80,6 @@ func numaWorker(t int, scale float64) workload.Workload {
 func numaPoints(p Preset) []runner.Point[NumaRow] {
 	var pts []runner.Point[NumaRow]
 	for _, placement := range []string{"node0", "interleave", "xmem"} {
-		placement := placement
 		pts = append(pts, runner.Point[NumaRow]{
 			Key: placement,
 			Run: func(*runner.Ctx) (NumaRow, error) {

@@ -33,7 +33,6 @@ func albPoints(p Preset) []runner.Point[ALBPoint] {
 	tile := p.UC1Tiles[len(p.UC1Tiles)/2]
 	var pts []runner.Point[ALBPoint]
 	for _, entries := range []int{16, 64, 128, 256, 512} {
-		entries := entries
 		pts = append(pts, runner.Point[ALBPoint]{
 			Key: fmt.Sprintf("entries=%d", entries),
 			Run: func(*runner.Ctx) (ALBPoint, error) {
@@ -122,7 +121,6 @@ func overheadKernelPoints(p Preset) []runner.Point[OverheadRow] {
 	tile := p.UC1Tiles[len(p.UC1Tiles)/2]
 	var pts []runner.Point[OverheadRow]
 	for _, k := range uc1Kernels(p) {
-		k := k
 		pts = append(pts, runner.Point[OverheadRow]{
 			Key: k.Name,
 			Run: func(*runner.Ctx) (OverheadRow, error) {
@@ -158,7 +156,6 @@ func overheadCtxPoints(p Preset) []runner.Point[CtxSwitchPoint] {
 	k0 := uc1Kernels(p)[0]
 	var pts []runner.Point[CtxSwitchPoint]
 	for _, interval := range []uint64{0, 1 << 20, 1 << 17, 1 << 14} {
-		interval := interval
 		pts = append(pts, runner.Point[CtxSwitchPoint]{
 			Key: fmt.Sprintf("interval=%d", interval),
 			Run: func(*runner.Ctx) (CtxSwitchPoint, error) {

@@ -16,7 +16,6 @@ import (
 func squarePoints(n int) []Point[int] {
 	pts := make([]Point[int], n)
 	for i := 0; i < n; i++ {
-		i := i
 		pts[i] = Point[int]{
 			Key: fmt.Sprintf("p%02d", i),
 			Run: func(*Ctx) (int, error) { return i * i, nil },

@@ -122,14 +122,22 @@ func (p *XMemPlacement) SharedBanks() []int {
 	return out
 }
 
+// The tiers of a hybrid memory are the regions of its RegionAllocator, in
+// this order: the fast DRAM tier is region 0, so FirstTouch fills it first,
+// and the NVM capacity tier is region 1.
+const (
+	TierDRAM = iota
+	TierNVM
+)
+
 // FirstTouch places every page in region 0 of a RegionAllocator, the
 // semantics-blind default. On a NUMA machine whose main thread initializes
 // the data, everything lands on node 0; on a hybrid memory, the fast tier
-// fills first and later pages spill to the capacity tier.
+// (TierDRAM) fills first and later pages spill to the capacity tier.
 type FirstTouch struct{}
 
 // PreferredBanks implements PlacementPolicy.
-func (FirstTouch) PreferredBanks(core.AtomID) []int { return []int{0} }
+func (FirstTouch) PreferredBanks(core.AtomID) []int { return []int{TierDRAM} }
 
 // regionPlacement steers each atom it holds regions for to those regions of
 // a RegionAllocator, and every other atom to the fallback regions. The tier
@@ -153,14 +161,13 @@ func (p *regionPlacement) PreferredBanks(id core.AtomID) []int {
 // earns the fast tier of a hybrid memory.
 const hotTierIntensity = 170
 
-// NewTierPlacement is the XMem tier policy for a hybrid memory whose region
-// 0 is the fast DRAM tier and region 1 the NVM tier (Table 1, hybrid
-// memories): structures that are written, or hot, deserve DRAM; cold
+// NewTierPlacement is the XMem tier policy for a hybrid memory (Table 1,
+// hybrid memories): structures that are written, or hot, deserve DRAM; cold
 // read-only data goes to NVM, where the write asymmetry cannot hurt it. An
 // atom the segment does not declare prefers DRAM, as FirstTouch does.
 func NewTierPlacement(atoms []core.Atom) PlacementPolicy {
-	p := &regionPlacement{fallback: []int{0}}
-	nvm := []int{1}
+	p := &regionPlacement{fallback: []int{TierDRAM}}
+	nvm := []int{TierNVM}
 	for _, a := range atoms {
 		written := a.Attrs.RW == core.ReadWrite || a.Attrs.RW == core.WriteOnly
 		if !written && a.Attrs.Intensity < hotTierIntensity {

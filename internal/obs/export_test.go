@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 
 // goldenReport is a small deterministic report exercising counter groups,
 // epoch deltas, and per-atom tracks.
@@ -48,7 +48,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run with -update-golden to create)", err)
+		t.Fatalf("%v (run with -update to create)", err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("chrome trace drifted from golden file\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"xmem/internal/core"
+	"xmem/internal/obs"
 )
 
 // PathStat aggregates the spans of one atom that took the same causal path.
@@ -133,7 +134,7 @@ func WriteExplain(w io.Writer, d *Dump, topPaths int) error {
 		return err
 	}
 	for _, ae := range Explain(d.Spans) {
-		name := "(unattributed)"
+		name := obs.UnattributedName
 		if ae.Atom != core.InvalidAtom {
 			name = fmt.Sprintf("atom %d", ae.Atom)
 			if ae.Name != "" {

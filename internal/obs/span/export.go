@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"xmem/internal/core"
+	"xmem/internal/obs"
 )
 
 // SchemaVersion identifies the span stream format.
@@ -177,7 +178,7 @@ func (d *Dump) WriteChromeTrace(w io.Writer) error {
 		}
 		name := "atom " + strconv.Itoa(int(s.Atom))
 		if s.Atom == core.InvalidAtom {
-			name = "(unattributed)"
+			name = obs.UnattributedName
 		} else if s.AtomName != "" {
 			name = fmt.Sprintf("atom %s (%d)", s.AtomName, s.Atom)
 		}

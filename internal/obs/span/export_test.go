@@ -13,7 +13,7 @@ import (
 	"xmem/internal/core"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 
 // goldenDump is a small deterministic dump: one attributed span with a full
 // miss path and one unattributed cache hit.
@@ -168,7 +168,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run with -update-golden to create)", err)
+		t.Fatalf("%v (run with -update to create)", err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("chrome trace drifted from golden file\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)

@@ -58,8 +58,8 @@ const (
 
 // Stage is one layer's contribution to a traced access.
 type Stage struct {
-	// Layer names the component: "amu", "l1d", "l2", "l3", "prefetch",
-	// "dram", "nvm".
+	// Layer names the component: "amu", a cache level (its configured
+	// name, lower-cased: "l1d", "l2", "l3"), "prefetch", "dram", "nvm".
 	Layer string `json:"layer"`
 	// Outcome is the layer's verdict ("hit", "miss", "delayed-hit",
 	// "atom", "no-atom", "row-hit", "row-miss", "issued", "throttled").

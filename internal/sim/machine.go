@@ -102,6 +102,11 @@ type Machine struct {
 	attrib  *obs.AtomTable
 	lat     *latencyState
 	spans   *spanState
+	// levels names the cache levels in the probe's order (L1D, L2, L3):
+	// their configured names, lower-cased, as the registry's counter
+	// prefixes, the latency layers and the span stages all spell them.
+	// installProbe fills it.
+	levels [3]string
 
 	// index is this core's position on its machine; frames is the memory
 	// side's frame table, where Malloc records the core's frames when
@@ -203,6 +208,9 @@ func buildMachine(cfg *Config, w workload.Workload, atoms []xm.Atom,
 		}
 	}
 	l3.SetObserver(m.trainL3)
+	if cfg.Metrics || cfg.SpanSample > 0 {
+		m.installProbe()
+	}
 	if cfg.Metrics {
 		m.enableMetrics()
 	} else if cfg.OnEpoch != nil {
@@ -215,9 +223,6 @@ func buildMachine(cfg *Config, w workload.Workload, atoms []xm.Atom,
 			tr:       span.NewTracer(cfg.SpanSample, cfg.SpanBuffer),
 			inflight: make(map[uint64]*span.Span),
 		}
-	}
-	if cfg.Metrics || cfg.SpanSample > 0 {
-		m.installProbe()
 	}
 	return m, nil
 }
@@ -257,8 +262,8 @@ func (m *Machine) result(cycles uint64) Result {
 		res.PinnedAtomsMax = m.pins.maxPinned
 	}
 	if m.tiers != nil {
-		d := m.tiers.Controller(tierDRAM).Stats()
-		n := m.tiers.Controller(tierNVM).Stats()
+		d := m.tiers.Controller(kernel.TierDRAM).Stats()
+		n := m.tiers.Controller(kernel.TierNVM).Stats()
 		res.TierDRAM, res.TierNVM = &d, &n
 	}
 	if m.reg != nil {

@@ -27,21 +27,13 @@ type memorySide struct {
 	mem    memorySystem
 	alloc  kernel.FrameAllocator
 	frames frameTable
-	// tiers is a hybrid machine's memory, its regions numbered tierDRAM
-	// and tierNVM (nil on other machines).
+	// tiers is a hybrid machine's memory, its regions numbered
+	// kernel.TierDRAM and kernel.TierNVM (nil on other machines).
 	tiers *dram.RegionMemory
 	// ports holds each core's port into a NUMA machine's node memory (nil
 	// on other machines).
 	ports []*port
 }
-
-// The tiers of a hybrid machine are the regions of its memory, in this
-// order: kernel.FirstTouch fills the DRAM tier first, and
-// kernel.NewTierPlacement names the same regions.
-const (
-	tierDRAM = iota
-	tierNVM
-)
 
 // frameTable records each physical frame's owner: the core whose Malloc
 // took it and the atom that Malloc tagged it with (§4.1.2: the OS learns an
@@ -108,6 +100,7 @@ func buildMemory(cfg *MultiConfig, cores int) (*memorySide, error) {
 		return side, nil
 	}
 	if h := c.Hybrid; h != nil {
+		// The regions in kernel's tier order: TierDRAM, then TierNVM.
 		tiers, err := dram.NewRegionMemory(
 			device(c, tierCapacity(h.DRAMBytes), c.Timing),
 			device(c, tierCapacity(h.NVMBytes), dram.NVMTiming()))

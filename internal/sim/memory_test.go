@@ -5,6 +5,7 @@ import (
 
 	xm "xmem/internal/core"
 	"xmem/internal/dram"
+	"xmem/internal/kernel"
 	"xmem/internal/mem"
 	"xmem/internal/workload"
 )
@@ -77,7 +78,7 @@ func TestMemoryRoutesByTier(t *testing.T) {
 	m := hybridTiers(t)
 	m.Access(0x1000, mem.Read, 0, 0).Wait()        // DRAM
 	m.Access(16<<20+0x1000, mem.Read, 0, 0).Wait() // NVM
-	d, n := m.Controller(tierDRAM).Stats(), m.Controller(tierNVM).Stats()
+	d, n := m.Controller(kernel.TierDRAM).Stats(), m.Controller(kernel.TierNVM).Stats()
 	if d.Reads != 1 || n.Reads != 1 {
 		t.Fatalf("tier reads = %d dram, %d nvm; want 1/1", d.Reads, n.Reads)
 	}
@@ -107,7 +108,7 @@ func TestNVMWriteAsymmetry(t *testing.T) {
 	read := m.Access(nvm+64, mem.Read, 100000, 0).Wait() - 100000
 	m.Access(nvm+128, mem.Writeback, 200000, 0)
 	m.DrainAll()
-	n := m.Controller(tierNVM).Stats()
+	n := m.Controller(kernel.TierNVM).Stats()
 	if n.Writes != 1 {
 		t.Fatalf("nvm writes = %d", n.Writes)
 	}

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"strings"
-
 	"xmem/internal/cache"
 	xm "xmem/internal/core"
 	"xmem/internal/mem"
@@ -83,7 +81,7 @@ func (m *Machine) metricsReport(cycles uint64) *obs.Report {
 		PerAtom:     m.attrib.Summaries(),
 	}
 	if m.lat != nil {
-		rep.Latency = m.lat.report(m.attrib.Name)
+		rep.Latency = m.lat.report(m.levels, m.attrib.Name)
 	}
 	return rep
 }
@@ -101,9 +99,8 @@ func (m *Machine) registerMetrics() {
 	r.Counter("cpu.core.rob_stall_cycles", func() uint64 { return m.core.Stats().ROBStallCycles })
 	r.Counter("cpu.core.lsq_stall_cycles", func() uint64 { return m.core.Stats().LSQStallCycles })
 
-	for _, c := range []*cache.Cache{m.l1d, m.l2, m.l3} {
-		c := c
-		prefix := "cache." + strings.ToLower(c.Name()) + "."
+	for lvl, c := range [...]*cache.Cache{m.l1d, m.l2, m.l3} {
+		prefix := "cache." + m.levels[lvl] + "."
 		r.Counter(prefix+"demand_hits", func() uint64 { return c.Stats().Hits })
 		r.Counter(prefix+"demand_misses", func() uint64 { return c.Stats().Misses })
 		r.Counter(prefix+"read_misses", func() uint64 { return c.Stats().ReadMisses })
@@ -112,7 +109,7 @@ func (m *Machine) registerMetrics() {
 		r.Counter(prefix+"evictions", func() uint64 { return c.Stats().Evictions })
 	}
 	// L3-only: prefetch and pinning activity concentrate there.
-	l3 := "cache." + strings.ToLower(m.l3.Name()) + "."
+	l3 := "cache." + m.levels[l3Level] + "."
 	r.Counter(l3+"prefetch_fills", func() uint64 { return m.l3.Stats().PrefetchFills })
 	r.Counter(l3+"prefetch_useful", func() uint64 { return m.l3.Stats().PrefetchUseful })
 	r.Counter(l3+"delayed_hits", func() uint64 { return m.l3.Stats().DelayedHits })

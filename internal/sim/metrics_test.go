@@ -332,3 +332,56 @@ func TestMetricsUnattributedNamedOnce(t *testing.T) {
 		t.Errorf("unattributed bucket named %q in perAtom and %q in latency, want %q in both", attrib, lat, want)
 	}
 }
+
+// TestCacheLevelNamedOnce: a cache level configured under another name (an
+// L3 called "LLC") is spelled the same way by the registry's counters, the
+// latency section's layers and the span stages.
+func TestCacheLevelNamedOnce(t *testing.T) {
+	cfg := thrashConfig()
+	cfg.L3.Name = "LLC"
+	cfg.Metrics = true
+	cfg.EpochCycles = 10_000
+	cfg.SpanSample = 10
+	res := MustRun(cfg, gemmThrash())
+
+	// levels collects the distinct cache levels named by "cache.<level>."
+	// names, in first-seen order.
+	levels := func(names []string) []string {
+		var out []string
+		for _, n := range names {
+			if lvl, ok := strings.CutPrefix(n, "cache."); ok {
+				lvl, _, _ = strings.Cut(lvl, ".")
+				if !slices.Contains(out, lvl) {
+					out = append(out, lvl)
+				}
+			}
+		}
+		return out
+	}
+	var layers, stages []string
+	for _, l := range res.Metrics.Latency.Layers {
+		layers = append(layers, l.Name)
+	}
+	for _, s := range res.Spans.Spans {
+		for _, st := range s.Stages {
+			switch st.Layer {
+			case "amu", "prefetch", "dram", "nvm":
+			default:
+				stages = append(stages, "cache."+st.Layer+".")
+			}
+		}
+	}
+	want := []string{"l1d", "l2", "llc"}
+	for _, got := range []struct {
+		what  string
+		names []string
+	}{
+		{"registry counters", res.Metrics.Counters},
+		{"latency layers", layers},
+		{"span stages", stages},
+	} {
+		if lv := levels(got.names); !slices.Equal(lv, want) {
+			t.Errorf("%s name the cache levels %q, want %q", got.what, lv, want)
+		}
+	}
+}

@@ -218,7 +218,6 @@ func corun(ms []*Machine) []uint64 {
 	// relinquishes it with a send.
 	var fault any
 	for _, t := range tasks {
-		t := t
 		go func() {
 			<-t.start
 			if p := t.run(); p != nil && fault == nil {

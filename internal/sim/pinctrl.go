@@ -3,7 +3,6 @@ package sim
 import (
 	"sort"
 
-	"xmem/internal/cache"
 	xm "xmem/internal/core"
 )
 
@@ -60,15 +59,11 @@ func (pc *pinController) recompute() {
 		return cands[i].id < cands[j].id
 	})
 
-	// Pin greedily until the budget (75% of capacity) is consumed. The
-	// straddling atom is included: when the working set exceeds the
+	// Pin greedily until the L3's budget (75% of capacity) is consumed.
+	// The straddling atom is included: when the working set exceeds the
 	// available space, the cache pins part of it (bounded by the per-set
 	// cap) and the prefetcher fetches the rest (§5.1).
-	frac := pc.m.cfg.L3.PinCapFraction
-	if frac == 0 {
-		frac = cache.DefaultPinCapFraction
-	}
-	limit := uint64(float64(pc.m.l3.SizeBytes()) * frac)
+	limit := pc.m.l3.PinBudgetBytes()
 	var next xm.AtomSet
 	var total uint64
 	for _, c := range cands {

@@ -6,6 +6,7 @@ import (
 
 	"xmem/internal/cache"
 	xm "xmem/internal/core"
+	"xmem/internal/kernel"
 	"xmem/internal/mem"
 	"xmem/internal/obs"
 	"xmem/internal/obs/span"
@@ -14,19 +15,17 @@ import (
 // l3Level is the L3's index in the probe's level order (L1D, L2, L3).
 const l3Level = 2
 
-// installProbe attaches the machine's sinks to the caches (one cache.Event
-// stream per level) and the XMem prefetcher (issues per atom); RunMulti
-// installs the memory's one observer, which hands each DRAM command to the
-// DRAM sink (observeDRAM) of the core that owns its frame. buildMachine
-// calls it once, when Metrics or SpanSample is set; otherwise every probe
-// stays nil and costs one branch per event. Prefetcher training is not a
-// probe: it changes timing, so it stays on the L3's cache.Observer
-// (trainL3).
+// installProbe names the cache levels and attaches the machine's sinks to
+// the caches (one cache.Event stream per level) and the XMem prefetcher
+// (issues per atom); RunMulti installs the memory's one observer, which
+// hands each DRAM command to the DRAM sink (observeDRAM) of the core that
+// owns its frame. buildMachine calls it once, when Metrics or SpanSample is
+// set; otherwise every probe stays nil and costs one branch per event.
+// Prefetcher training is not a probe: it changes timing, so it stays on the
+// L3's cache.Observer (trainL3).
 func (m *Machine) installProbe() {
 	for lvl, c := range [...]*cache.Cache{m.l1d, m.l2, m.l3} {
-		if m.spans != nil {
-			m.spans.levels[lvl] = strings.ToLower(c.Name())
-		}
+		m.levels[lvl] = strings.ToLower(c.Name())
 		c.SetProbe(func(ev cache.Event) { m.observeCache(lvl, &ev) })
 	}
 	if m.xmemPf != nil {
@@ -80,7 +79,7 @@ func (m *Machine) observePrefetchIssue(id xm.AtomID, n int) {
 // the span tracer's DRAM stage.
 func (m *Machine) observeDRAM(pa mem.Addr, kind mem.AccessKind, rowHit bool, arrival, done uint64) {
 	tier := "dram"
-	if m.tiers != nil && m.tiers.Region(pa) == tierNVM {
+	if m.tiers != nil && m.tiers.Region(pa) == kernel.TierNVM {
 		tier = "nvm"
 	}
 	if m.attrib != nil {
@@ -137,15 +136,16 @@ func (ls *latencyState) atomObserve(id xm.AtomID, v uint64) {
 }
 
 // report exports the non-empty histograms as the obs report's latency
-// section (nil when nothing was observed). names resolves atom names.
-func (ls *latencyState) report(names func(xm.AtomID) string) *obs.LatencyReport {
+// section (nil when nothing was observed). levels names the cache levels;
+// names resolves atom names.
+func (ls *latencyState) report(levels [3]string, names func(xm.AtomID) string) *obs.LatencyReport {
 	var layers []obs.HistSummary
 	add := func(name string, h *obs.Histogram) {
 		if h.Count() > 0 {
 			layers = append(layers, h.Summary(name))
 		}
 	}
-	for lvl, name := range [...]string{"l1d", "l2", "l3"} {
+	for lvl, name := range levels {
 		add("cache."+name+".hit_service", &ls.hit[lvl])
 	}
 	add("dram.ctl.demand_service", &ls.dram)

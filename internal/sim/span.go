@@ -30,9 +30,6 @@ type spanState struct {
 	// inflight indexes unresolved spans by line so the DRAM sink can
 	// attach the service stage when the command actually schedules.
 	inflight map[uint64]*span.Span
-	// levels names the cache levels' stages ("l1d", "l2", "l3"), in the
-	// probe's level order; installProbe fills it.
-	levels [3]string
 }
 
 type pendingSpan struct {
@@ -167,7 +164,7 @@ func (m *Machine) observeSpanCache(lvl int, ev *cache.Event) {
 			reason = span.ReasonPinnedByReuse
 		}
 	}
-	sp.AddStage(ss.levels[lvl], outcome, reason, ev.At, ev.Done)
+	sp.AddStage(m.levels[lvl], outcome, reason, ev.At, ev.Done)
 }
 
 // spanNoteThrottle records on the current span that its prefetches were

@@ -136,7 +136,7 @@ func Analyze(t *Trace) Profile {
 
 	sites := map[int32]*siteState{}
 	var regions []*regionState
-	nextVA := uint64(1 << 20)
+	recorded := newLayout()
 
 	findRegion := func(addr uint64) *regionState {
 		for _, r := range regions {
@@ -151,17 +151,16 @@ func Analyze(t *Trace) Profile {
 	for _, e := range t.Events {
 		switch e.Kind {
 		case EvMalloc:
-			pages := (e.Addr + mem.PageBytes - 1) / mem.PageBytes
+			base := uint64(recorded.place(e.Addr))
 			r := &regionState{
 				prof: RegionProfile{
 					Name: e.Name, Atom: core.AtomID(e.Site), SizeBytes: e.Addr,
 				},
-				base:   nextVA,
-				end:    nextVA + e.Addr,
+				base:   base,
+				end:    base + e.Addr,
 				deltas: map[int64]uint64{},
 				lines:  map[uint64]bool{},
 			}
-			nextVA += (pages + 1) * mem.PageBytes
 			regions = append(regions, r)
 		case EvLoad, EvStore:
 			s := sites[e.Site]

@@ -10,14 +10,29 @@ import (
 // of simulating it. Allocation uses a simple bump allocator so recorded
 // addresses are self-consistent.
 type Recorder struct {
-	trace  Trace
-	lib    *core.Lib
-	nextVA mem.Addr
+	trace Trace
+	lib   *core.Lib
+	va    layout
+}
+
+// layout is the recorder's bump allocator: the trace file stores no
+// addresses for its regions, so Replay and Analyze rebuild it to find them.
+// Regions are placed in Malloc order from 1 MiB up, each followed by one
+// guard page.
+type layout struct{ next mem.Addr }
+
+func newLayout() layout { return layout{next: 1 << 20} }
+
+// place returns the base of the next region, of size bytes.
+func (l *layout) place(size uint64) mem.Addr {
+	base := l.next
+	l.next += mem.Addr(((size+mem.PageBytes-1)/mem.PageBytes + 1) * mem.PageBytes)
+	return base
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{lib: core.NewLib(nil), nextVA: 1 << 20}
+	return &Recorder{lib: core.NewLib(nil), va: newLayout()}
 }
 
 // Record runs the workload against the recorder and returns its trace.
@@ -54,9 +69,7 @@ func (r *Recorder) Work(n int) {
 
 // Malloc implements workload.Program.
 func (r *Recorder) Malloc(name string, size uint64, atom core.AtomID) mem.Addr {
-	base := r.nextVA
-	pages := (size + mem.PageBytes - 1) / mem.PageBytes
-	r.nextVA += mem.Addr((pages + 1) * mem.PageBytes)
+	base := r.va.place(size)
 	r.trace.Events = append(r.trace.Events, Event{
 		Kind: EvMalloc, Site: int32(atom), Addr: uint64(size), Name: name,
 	})
@@ -89,7 +102,7 @@ func ReplayWithAtoms(name string, t *Trace, atoms []core.Atom) workload.Workload
 		Run: func(p workload.Program) {
 			// Rebuild the recorder's address map so recorded VAs can be
 			// rebased onto this machine's allocations.
-			recNext := mem.Addr(1 << 20)
+			recorded := newLayout()
 			type region struct {
 				recBase mem.Addr
 				newBase mem.Addr
@@ -119,9 +132,7 @@ func ReplayWithAtoms(name string, t *Trace, atoms []core.Atom) workload.Workload
 						p.Lib().AtomMap(atomID, newBase, e.Addr)
 						p.Lib().AtomActivate(atomID)
 					}
-					pages := (e.Addr + mem.PageBytes - 1) / mem.PageBytes
-					regions = append(regions, region{recBase: recNext, newBase: newBase, size: e.Addr})
-					recNext += mem.Addr((pages + 1) * mem.PageBytes)
+					regions = append(regions, region{recBase: recorded.place(e.Addr), newBase: newBase, size: e.Addr})
 				case EvWork:
 					p.Work(int(e.Addr))
 				case EvLoad:

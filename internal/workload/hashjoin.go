@@ -101,7 +101,7 @@ func HashJoin(cfg HashJoinConfig) Workload {
 				// Build: stream this partition of the build relation,
 				// insert into the table.
 				lo := part * rowsPerPart
-				hi := minInt(lo+rowsPerPart, cfg.BuildRows)
+				hi := min(lo+rowsPerPart, cfg.BuildRows)
 				for r := lo; r < hi; r++ {
 					p.Load(0, build+mem.Addr(r*tupleBytes))
 					b := hash(r * 31)
@@ -112,7 +112,7 @@ func HashJoin(cfg HashJoinConfig) Workload {
 				// Probe: stream this partition of the probe relation,
 				// look up (and occasionally chase one chain link).
 				plo := part * probePerPart
-				phi := minInt(plo+probePerPart, cfg.ProbeRows)
+				phi := min(plo+probePerPart, cfg.ProbeRows)
 				for r := plo; r < phi; r++ {
 					p.Load(3, probe+mem.Addr(r*tupleBytes))
 					b := hash(r * 131)

@@ -70,7 +70,7 @@ func Mvt(cfg TiledConfig) Workload {
 			y := p.Malloc("y", uint64(2*n)*ElemBytes, lib.CreateAtom("mvt.y", streamAttrs))
 			t := vecTile(cfg.TileBytes, n)
 			for jj := 0; jj < n; jj += t {
-				jh := minInt(jj+t, n)
+				jh := min(jj+t, n)
 				size := uint64(jh-jj) * ElemBytes
 				lib.AtomMap(vec, y+addrOf(jj), size)
 				lib.AtomActivate(vec)
@@ -134,7 +134,7 @@ func Gemver(cfg TiledConfig) Workload {
 			// x = beta*A^T*y + z, tiled over y blocks.
 			t := vecTile(cfg.TileBytes, n)
 			for jj := 0; jj < n; jj += t {
-				jh := minInt(jj+t, n)
+				jh := min(jj+t, n)
 				size := uint64(jh-jj) * ElemBytes
 				lib.AtomMap(vec, vs+at(5, jj), size)
 				lib.AtomActivate(vec)
@@ -182,7 +182,7 @@ func Gesummv(cfg TiledConfig) Workload {
 			xy := p.Malloc("xy", uint64(2*n)*ElemBytes, lib.CreateAtom("gesummv.xy", streamAttrs))
 			t := vecTile(cfg.TileBytes, n)
 			for jj := 0; jj < n; jj += t {
-				jh := minInt(jj+t, n)
+				jh := min(jj+t, n)
 				size := uint64(jh-jj) * ElemBytes
 				lib.AtomMap(vec, xy+addrOf(jj), size)
 				lib.AtomActivate(vec)

@@ -158,9 +158,9 @@ func matmulPass(p Program, tile core.AtomID, C, A, B mat, t, siteBase int) {
 	n := C.n
 	lib := p.Lib()
 	for kk := 0; kk < n; kk += t {
-		kh := minInt(kk+t, n)
+		kh := min(kk+t, n)
 		for jj := 0; jj < n; jj += t {
-			jh := minInt(jj+t, n)
+			jh := min(jj+t, n)
 			mapTile(lib, tile, B, kk, jj, kh-kk, jh-jj)
 			for i := 0; i < n; i++ {
 				for k := kk; k < kh; k++ {
@@ -178,13 +178,6 @@ func matmulPass(p Program, tile core.AtomID, C, A, B mat, t, siteBase int) {
 		}
 	}
 	lib.AtomDeactivate(tile)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Gemm is C = A·B (tiled).
@@ -259,9 +252,9 @@ func Syrk(cfg TiledConfig) Workload {
 			C := mat{p.Malloc("C", uint64(n*n)*ElemBytes, lib.CreateAtom("syrk.C", streamAttrs)), n}
 			t := tileSide(cfg.TileBytes, n)
 			for kk := 0; kk < n; kk += t {
-				kh := minInt(kk+t, n)
+				kh := min(kk+t, n)
 				for jj := 0; jj < n; jj += t {
-					jh := minInt(jj+t, n)
+					jh := min(jj+t, n)
 					mapTile(lib, tile, A, jj, kk, jh-jj, kh-kk)
 					for i := 0; i < n; i++ {
 						for j := jj; j < jh; j++ {
@@ -305,9 +298,9 @@ func Syr2k(cfg TiledConfig) Workload {
 			// Halve the tile edge: two blocks share the budget.
 			t := tileSide(cfg.TileBytes/2, n)
 			for kk := 0; kk < n; kk += t {
-				kh := minInt(kk+t, n)
+				kh := min(kk+t, n)
 				for jj := 0; jj < n; jj += t {
-					jh := minInt(jj+t, n)
+					jh := min(jj+t, n)
 					mapTile(lib, tileA, A, jj, kk, jh-jj, kh-kk)
 					mapTile(lib, tileB, B, jj, kk, jh-jj, kh-kk)
 					for i := 0; i < n; i++ {
@@ -347,12 +340,12 @@ func Trmm(cfg TiledConfig) Workload {
 			B := mat{p.Malloc("B", uint64(n*n)*ElemBytes, lib.CreateAtom("trmm.B", streamAttrs)), n}
 			t := tileSide(cfg.TileBytes, n)
 			for kk := 0; kk < n; kk += t {
-				kh := minInt(kk+t, n)
+				kh := min(kk+t, n)
 				for jj := 0; jj < n; jj += t {
-					jh := minInt(jj+t, n)
+					jh := min(jj+t, n)
 					mapTile(lib, tile, B, kk, jj, kh-kk, jh-jj)
 					for i := kk; i < n; i++ { // triangular: rows below the block
-						for k := kk; k < minInt(kh, i+1); k++ {
+						for k := kk; k < min(kh, i+1); k++ {
 							p.Load(0, A.at(i, k))
 							p.Work(2)
 							for j := jj; j < jh; j += lineStep {
@@ -386,9 +379,9 @@ func Symm(cfg TiledConfig) Workload {
 			C := mat{p.Malloc("C", uint64(n*n)*ElemBytes, lib.CreateAtom("symm.C", streamAttrs)), n}
 			t := tileSide(cfg.TileBytes, n)
 			for kk := 0; kk < n; kk += t {
-				kh := minInt(kk+t, n)
+				kh := min(kk+t, n)
 				for jj := 0; jj < n; jj += t {
-					jh := minInt(jj+t, n)
+					jh := min(jj+t, n)
 					mapTile(lib, tile, B, kk, jj, kh-kk, jh-jj)
 					for i := 0; i < n; i++ {
 						for k := kk; k < kh; k++ {
@@ -426,15 +419,15 @@ func Doitgen(cfg TiledConfig) Workload {
 			tile := lib.CreateAtom("doitgen.tile", tileAttrs)
 			n := cfg.N
 			// r×q plane sized so total work ≈ n³ line-steps.
-			rq := maxInt(n/8, 1)
+			rq := max(n/8, 1)
 			A := mat{p.Malloc("A", uint64(rq*n)*ElemBytes, lib.CreateAtom("doitgen.A", streamAttrs)), n}
 			C4 := mat{p.Malloc("C4", uint64(n*n)*ElemBytes, lib.CreateAtom("doitgen.C4", streamAttrs)), n}
 			sum := mat{p.Malloc("sum", uint64(rq*n)*ElemBytes, lib.CreateAtom("doitgen.sum", streamAttrs)), n}
 			t := tileSide(cfg.TileBytes, n)
 			for ss := 0; ss < n; ss += t {
-				sh := minInt(ss+t, n)
+				sh := min(ss+t, n)
 				for pp := 0; pp < n; pp += t {
-					ph := minInt(pp+t, n)
+					ph := min(pp+t, n)
 					mapTile(lib, tile, C4, ss, pp, sh-ss, ph-pp)
 					for r := 0; r < rq; r++ {
 						for s := ss; s < sh; s++ {
@@ -456,13 +449,6 @@ func Doitgen(cfg TiledConfig) Workload {
 	}
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // stencil2D runs a time-tiled 2D sweep: each t×t tile of the grid receives
 // `steps` stencil applications before the kernel moves on (PLUTO-style
 // time skewing, halo handling elided — only the access stream matters).
@@ -471,13 +457,13 @@ func stencil2D(p Program, tileAtom core.AtomID, src, dst mat, t, steps, siteBase
 	lib := p.Lib()
 	n := src.n
 	for ii := 0; ii < n; ii += t {
-		ih := minInt(ii+t, n)
+		ih := min(ii+t, n)
 		for jj := 0; jj < n; jj += t {
-			jh := minInt(jj+t, n)
+			jh := min(jj+t, n)
 			mapTile(lib, tileAtom, src, ii, jj, ih-ii, jh-jj)
 			for s := 0; s < steps; s++ {
-				for i := maxInt(ii, 1); i < minInt(ih, n-1); i++ {
-					for j := maxInt(jj, 1); j < minInt(jh, n-1); j += lineStep {
+				for i := max(ii, 1); i < min(ih, n-1); i++ {
+					for j := max(jj, 1); j < min(jh, n-1); j += lineStep {
 						p.Load(siteBase+0, src.at(i, j))
 						p.Load(siteBase+1, src.at(i-1, j))
 						p.Load(siteBase+2, src.at(i+1, j))
@@ -546,13 +532,13 @@ func Fdtd2D(cfg TiledConfig) Workload {
 			t := tileSide(cfg.TileBytes/3, n)
 			steps := cfg.steps()
 			for ii := 0; ii < n; ii += t {
-				ih := minInt(ii+t, n)
+				ih := min(ii+t, n)
 				for jj := 0; jj < n; jj += t {
-					jh := minInt(jj+t, n)
+					jh := min(jj+t, n)
 					mapTile(lib, tile, hz, ii, jj, ih-ii, jh-jj)
 					for s := 0; s < steps; s++ {
-						for i := maxInt(ii, 1); i < ih; i++ {
-							for j := maxInt(jj, 1); j < jh; j += lineStep {
+						for i := max(ii, 1); i < ih; i++ {
+							for j := max(jj, 1); j < jh; j += lineStep {
 								p.Load(0, hz.at(i, j))
 								p.Load(1, hz.at(i-1, j))
 								p.Load(2, ey.at(i, j))
@@ -563,8 +549,8 @@ func Fdtd2D(cfg TiledConfig) Workload {
 								p.Work(24)
 							}
 						}
-						for i := ii; i < minInt(ih, n-1); i++ {
-							for j := jj; j < minInt(jh, n-1); j += lineStep {
+						for i := ii; i < min(ih, n-1); i++ {
+							for j := jj; j < min(jh, n-1); j += lineStep {
 								p.Load(7, ex.at(i, j))
 								p.Load(8, ey.at(i, j+8))
 								p.Load(9, ey.at(i+1, j))
@@ -592,7 +578,7 @@ func Heat3D(cfg TiledConfig) Workload {
 			tile := lib.CreateAtom("heat-3d.tile", tileAttrs)
 			// 3D grid scaled so the total footprint matches the 2D
 			// kernels: g³ = n².
-			g := maxInt(int(math.Cbrt(float64(cfg.N)*float64(cfg.N))), 16)
+			g := max(int(math.Cbrt(float64(cfg.N)*float64(cfg.N))), 16)
 			plane := uint64(g * g)
 			at := func(base mem.Addr, z, y, x int) mem.Addr {
 				return base + mem.Addr((uint64(z)*plane+uint64(y)*uint64(g)+uint64(x))*ElemBytes)
@@ -602,20 +588,20 @@ func Heat3D(cfg TiledConfig) Workload {
 			t := cubeSide(cfg.TileBytes, g)
 			steps := cfg.steps()
 			for zz := 0; zz < g; zz += t {
-				zh := minInt(zz+t, g)
+				zh := min(zz+t, g)
 				for yy := 0; yy < g; yy += t {
-					yh := minInt(yy+t, g)
+					yh := min(yy+t, g)
 					for xx := 0; xx < g; xx += t {
-						xh := minInt(xx+t, g)
+						xh := min(xx+t, g)
 						// Map the 3D tile of A.
 						lib.AtomMap3D(tile, at(A, zz, yy, xx),
 							uint64(xh-xx)*ElemBytes, uint64(yh-yy), uint64(zh-zz),
 							uint64(g)*ElemBytes, plane*ElemBytes)
 						lib.AtomActivate(tile)
 						for s := 0; s < steps; s++ {
-							for z := maxInt(zz, 1); z < minInt(zh, g-1); z++ {
-								for y := maxInt(yy, 1); y < minInt(yh, g-1); y++ {
-									for x := maxInt(xx, 1); x < minInt(xh, g-1); x += lineStep {
+							for z := max(zz, 1); z < min(zh, g-1); z++ {
+								for y := max(yy, 1); y < min(yh, g-1); y++ {
+									for x := max(xx, 1); x < min(xh, g-1); x += lineStep {
 										p.Load(0, at(A, z, y, x))
 										p.Load(1, at(A, z-1, y, x))
 										p.Load(2, at(A, z+1, y, x))

@@ -84,7 +84,6 @@ func (f *fakeProgram) totalAccesses() int {
 func TestKernelsRunCleanly(t *testing.T) {
 	cfg := TiledConfig{N: 48, TileBytes: 8 << 10, Steps: 2}
 	for _, k := range Kernels() {
-		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			p := newFakeProgram(t)
 			w := k.Make(cfg)
@@ -130,7 +129,6 @@ func TestKernelDeclareMatchesRunSites(t *testing.T) {
 	// or load-time IDs would diverge from runtime IDs.
 	cfg := TiledConfig{N: 32, TileBytes: 4 << 10, Steps: 1}
 	for _, k := range Kernels() {
-		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			w := k.Make(cfg)
 			decl := core.NewLib(nil)
@@ -383,7 +381,6 @@ func TestHashJoinPartitionKnob(t *testing.T) {
 func TestExtraKernelsRunCleanly(t *testing.T) {
 	cfg := TiledConfig{N: 48, TileBytes: 2048}
 	for _, k := range ExtraKernels() {
-		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			w := k.Make(cfg)
 			decl := core.NewLib(nil)
